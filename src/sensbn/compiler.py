@@ -31,6 +31,7 @@ from .errors import (
 from .model import (
     BeliefNetwork,
     CompoundNode,
+    DecayConstants,
     Distribution,
     StateSpace,
     TreeNetwork,
@@ -420,9 +421,15 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
 
     Reconstructs the dense coupling in both directions and requires each
     to be the marginal-weighted reversal of the other, within ``tol``.
+    When every edge agrees, records the tree's decay constants, read off
+    the same dense couplings, on ``tree.decay``.
     """
+    all_binary = all(c.space.cardinality == 2 for c in tree.compounds)
+    couplings: list[float] = []
     for a, b in tree.edges:
         s_ab = reconstruct_dense(tree, a, b)
+        if all_binary:
+            couplings.append(abs(float(s_ab[1, 1] - s_ab[1, 0])))
         s_ba = reconstruct_dense(tree, b, a)
         p_a = tree.compound(a).prior.probs
         p_b = tree.compound(b).prior.probs
@@ -437,3 +444,12 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
             raise ConsistencyError(
                 f"edge {na} - {nbm}: stored factors disagree by {err:.3g}"
             )
+    if all_binary:
+        products = [float(c.prior.probs[0] * c.prior.probs[1]) for c in tree.compounds]
+        # np.max / np.min propagate NaN, which then fails every comparison
+        decay = DecayConstants(
+            True, float(np.max(couplings, initial=0.0)), float(np.min(products))
+        )
+    else:
+        decay = DecayConstants(False, math.nan, math.nan)
+    tree.record_decay(decay)

@@ -15,10 +15,14 @@ long.  Updates are exact, not approximate: a conditional distribution is
 linear in the distribution it conditions on, so pushing a change through
 the stored factors reproduces brute-force posteriors to rounding error.
 
-The session holds working copies of the tree's factors and distributions
-by reference and replaces entries instead of mutating arrays, so many
-sessions can share one immutable TreeNetwork.  A session itself is
-single-writer: never call into one session from two threads.
+The session's distributions and factors are copy-on-write overlays over
+the tree's own dicts, so setting up a session costs O(1) whatever the
+size of the tree, and entries are replaced, never mutated in place, so
+many sessions can share one immutable TreeNetwork.  Every ``query`` and
+every ``instantiate`` starts from the committed baseline (the priors plus
+whatever :meth:`QuerySession.commit` froze), so one session can answer
+any number of queries.  A session itself is single-writer: never call
+into one session from two threads.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -43,6 +47,68 @@ from .model import Distribution, Evidence, TreeNetwork, restrict_distribution
 
 #: probabilities driven below this by an update are clamped to exactly zero
 CLAMP_EPS = 1e-12
+
+
+class Overlay(dict):
+    """Copy-on-write view of a shared dict.
+
+    Writes land in the overlay itself; a key it does not hold is read from
+    ``base`` through ``__missing__``, so a lookup stays a plain dict
+    lookup.  Keys must be keys of ``base``.  Iteration, ``len``, ``in`` and
+    ``get`` see every key of ``base`` with the overlay's values.
+    """
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: Mapping, own: Mapping = ()):
+        super().__init__(own)
+        self.base = base
+
+    def __missing__(self, key):
+        return self.base[key]
+
+    def fork(self) -> "Overlay":
+        """An independent overlay with this one's own entries, over the same base."""
+        # dict.items, not dict.copy: a copy would go through the merged view
+        return Overlay(self.base, dict.items(self))
+
+    def get(self, key, default=None):
+        return self[key] if key in self.base else default
+
+    def __contains__(self, key) -> bool:
+        return key in self.base
+
+    def __iter__(self) -> Iterator:
+        return iter(self.base)
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    keys = Mapping.keys
+    items = Mapping.items
+    values = Mapping.values
+
+
+class BarrenMarks(Mapping):
+    """Read-only ``node -> barren`` map over the set of non-barren nodes.
+
+    ``live=None`` marks nothing barren.
+    """
+
+    def __init__(self, size: int, live: set[int] | None = None):
+        self._size = size
+        self._live = live
+
+    def __getitem__(self, node: int) -> bool:
+        if not 0 <= node < self._size:
+            raise KeyError(node)
+        return self._live is not None and node not in self._live
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._size))
+
+    def __len__(self) -> int:
+        return self._size
 
 
 @dataclass
@@ -73,14 +139,15 @@ class QuerySession:
 
     def __init__(self, tree: TreeNetwork, record_trace: bool = False):
         self.tree = tree
-        self.p: dict[int, np.ndarray] = {}
-        self.p0: dict[int, np.ndarray] = {}
+        #: committed baseline: distributions, and factors refreshed by floods
+        self.p0 = Overlay(tree.prior_probs)
+        self._r0 = Overlay(tree.r_factors)
+        #: working state of the current operation
+        self.p = self.p0.fork()
+        self.r = self._r0.fork()
         self.p1: dict[int, np.ndarray] = {}
-        self.r: dict[tuple[int, int], np.ndarray] = dict(tree.r_factors)
-        for comp in tree.compounds:
-            self.p[comp.ident] = comp.prior.probs
-            self.p0[comp.ident] = comp.prior.probs
-        self.barren: dict[int, bool] = {c.ident: False for c in tree.compounds}
+        self._live: set[int] = set()
+        self.barren: Mapping[int, bool] = BarrenMarks(len(tree.compounds))
         self.instr = Instrumentation()
         self.trace: list[tuple[str, int, np.ndarray]] = []
         self._record_trace = record_trace
@@ -104,6 +171,11 @@ class QuerySession:
         return q_ij.T @ self.r[(i, j)]
 
     # -- shared update steps -------------------------------------------------
+
+    def _restart(self) -> None:
+        """Drop uncommitted work, so the operation starts from the baseline."""
+        self.p = self.p0.fork()
+        self.r = self._r0.fork()
 
     def _trace(self, event: str, node: int):
         if self._record_trace:
@@ -178,8 +250,10 @@ class QuerySession:
         """Fix evidence on one node and update every posterior in the tree.
 
         Call :meth:`commit` before instantiating further evidence; the
-        propagation measures changes against the committed baseline.
+        propagation measures changes against the committed baseline, and
+        uncommitted work of an earlier operation is dropped.
         """
+        self._restart()
         self.instr.start_operation("simq")
         self.instr.touched.add(node)
         self.p[node] = self._instantiated_value(node, assignment)
@@ -207,9 +281,10 @@ class QuerySession:
             self.simq_step(below, receiver, fwd)
 
     def commit(self) -> "QuerySession":
-        """Freeze the current posteriors as the baseline for more evidence."""
-        for ident in self.p:
-            self.p0[ident] = self.p[ident]
+        """Freeze the current posteriors and factors as the baseline for
+        more evidence."""
+        self.p0 = self.p.fork()
+        self._r0 = self.r.fork()
         return self
 
     def multi_evidence_simq(self, evidence: Evidence, order=None) -> "QuerySession":
@@ -228,33 +303,38 @@ class QuerySession:
 
     # -- many instantiations, one query (barren-pruned recursion) -----------
 
-    def mark_barren(self, query: int, evidence_nodes: set[int], within: set[int] | None = None) -> dict[int, bool]:
+    def mark_barren(
+        self, query: int, evidence_nodes: set[int], within: set[int] | None = None
+    ) -> Mapping[int, bool]:
         """Mark nodes whose whole branch away from the query carries no evidence.
 
         ``within`` optionally restricts attention to a subset of nodes;
-        anything outside is barren by fiat (used by radius truncation).
+        anything outside is barren by fiat (used by radius truncation), and
+        only nodes inside it are visited.
         """
-        allowed = within if within is not None else {c.ident for c in self.tree.compounds}
-        has_evidence: dict[int, bool] = {}
+        self._live = self._live_nodes(query, evidence_nodes, within)
+        self.barren = BarrenMarks(len(self.tree.compounds), self._live)
+        return self.barren
 
-        def walk(node: int, parent: int | None) -> bool:
-            found = node in evidence_nodes
-            for nxt in self.tree.neighbors(node):
-                if nxt == parent or nxt not in allowed:
-                    continue
-                if walk(nxt, node):
-                    found = True
-            has_evidence[node] = found
-            return found
-
-        if query in allowed:
-            walk(query, None)
-        for comp in self.tree.compounds:
-            ident = comp.ident
-            self.barren[ident] = not (
-                ident == query or has_evidence.get(ident, False)
-            )
-        return dict(self.barren)
+    def _live_nodes(self, query: int, evidence_nodes, within: set[int] | None) -> set[int]:
+        """The query plus every node whose branch away from it holds evidence."""
+        live = {query}
+        if within is not None and query not in within:
+            return live
+        neighbors = self.tree.neighbors
+        parent: dict[int, int | None] = {query: None}
+        order = [query]
+        for node in order:
+            for nxt in neighbors(node):
+                if nxt != parent[node] and (within is None or nxt in within):
+                    parent[nxt] = node
+                    order.append(nxt)
+        for node in reversed(order):
+            if node in live or node in evidence_nodes:
+                live.add(node)
+                if parent[node] is not None:
+                    live.add(parent[node])
+        return live
 
     def query(
         self,
@@ -267,13 +347,15 @@ class QuerySession:
         grouped = self.tree.group_evidence(evidence)
         if within is not None:
             grouped = {n: a for n, a in grouped.items() if n in within}
+        self._restart()
+        self.p1 = {}
         self.instr.start_operation("misq")
         self.instr.traversals = Counter()
         self.instr.touched = set()
-        self.mark_barren(query_node, set(grouped), within)
+        self.mark_barren(query_node, grouped.keys(), within)
         self.instr.touched.add(query_node)
         for below in self.tree.neighbors(query_node):
-            if self.barren[below]:
+            if below not in self._live:
                 continue
             payload = self._send(
                 below, query_node,
@@ -296,11 +378,10 @@ class QuerySession:
         grouped: Mapping[int, Mapping[str, int]],
         payload: np.ndarray,
     ) -> np.ndarray:
-        assert not self.barren[this], "a message reached a barren node"
+        live = self._live
+        assert this in live, "a message reached a barren node"
         self.instr.touched.add(this)
-        below_nodes = [
-            n for n in self.tree.neighbors(this) if n != above and not self.barren[n]
-        ]
+        below_nodes = [n for n in self.tree.neighbors(this) if n != above and n in live]
         in_evidence = this in grouped
         if in_evidence or len(below_nodes) > 1:
             q_up = self.r[(above, this)] @ algebra.weight_matrix(self.p[this])

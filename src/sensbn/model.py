@@ -430,6 +430,20 @@ class CompoundNode:
 
 
 @dataclass(frozen=True)
+class DecayConstants:
+    """Decay constants of a tree, recorded by the load-time consistency pass.
+
+    ``max_coupling`` is the largest |s[1,1] - s[1,0]| of any edge's dense
+    coupling and ``min_prior_product`` the smallest p(false)p(true) of any
+    node's prior.  Both are NaN unless ``all_binary``.
+    """
+
+    all_binary: bool
+    max_coupling: float
+    min_prior_product: float
+
+
+@dataclass(frozen=True)
 class TreeNetwork:
     """A tree of compound nodes with low-rank factored edge couplings.
 
@@ -443,6 +457,9 @@ class TreeNetwork:
 
     ``edges`` keeps the canonical direction (i, j) in which the coupling
     was authored; serialization writes that direction.
+
+    ``decay`` is None until compiler.check_tree_consistency has passed on
+    the tree; that pass records the tree's :class:`DecayConstants`.
     """
 
     compounds: tuple[CompoundNode, ...]
@@ -494,6 +511,8 @@ class TreeNetwork:
             if len(reached) != len(comps):
                 raise DimensionMismatchError("the edge set is not connected")
         object.__setattr__(self, "_neighbors", {k: tuple(v) for k, v in nb.items()})
+        object.__setattr__(self, "_prior_probs", {c.ident: c.prior.probs for c in comps})
+        object.__setattr__(self, "_decay", None)
         object.__setattr__(self, "_by_name", {c.name: c for c in comps})
         home: dict[str, int] = {}
         for c in comps:
@@ -514,6 +533,19 @@ class TreeNetwork:
 
     def neighbors(self, ident: int) -> tuple[int, ...]:
         return self._neighbors[ident]
+
+    @property
+    def prior_probs(self) -> dict[int, np.ndarray]:
+        """Prior probability vector of every node, by ident (shared; do not mutate)."""
+        return self._prior_probs
+
+    @property
+    def decay(self) -> DecayConstants | None:
+        return self._decay
+
+    def record_decay(self, constants: DecayConstants) -> None:
+        """Attach the constants the consistency pass derived from this tree."""
+        object.__setattr__(self, "_decay", constants)
 
     def member_home(self, label: str) -> int:
         try:

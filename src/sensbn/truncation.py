@@ -11,6 +11,12 @@ The radius comes from the complexity expression of the underlying claim:
 
     radius = ceil( log_alpha( eta * epsilon / (2 * n_evidence) ) )
 
+Everything a bounded-error query does is bounded by the radius, not by
+the size of the tree.  Profile verification is answered from the decay
+constants that the consistency check computes once at load (see
+``TreeNetwork.decay``), setting up a ``QuerySession`` copies no per-node
+state, and the query itself visits only the nodes within the radius.
+
 This module certifies the bound empirically against the exact engine; it
 does not carry a proof.
 """
@@ -61,9 +67,22 @@ def verify_profile(tree: TreeNetwork, profile: DecayProfile):
     in magnitude and every node satisfies p(false)p(true) > eta; otherwise
     (False, witness) naming the offending edge or node.  Trees with any
     non-binary node are rejected outright.
+
+    A tree that passed the load-time consistency check is accepted from
+    its recorded decay constants in O(1); the full scan below runs only
+    when that shortcut cannot accept, so decisions and witnesses are the
+    scan's own.
     """
     from . import compiler
 
+    decay = tree.decay
+    if (
+        decay is not None
+        and decay.all_binary
+        and decay.min_prior_product > profile.eta
+        and decay.max_coupling < profile.alpha
+    ):
+        return True, None
     for comp in tree.compounds:
         if comp.space.cardinality != 2:
             raise ApproxPreconditionError(

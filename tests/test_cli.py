@@ -261,6 +261,24 @@ class TestFixtureEnvVar:
         assert "0.4000 0.6000" in out
 
 
+class TestRepeatedMain:
+    def test_calls_in_a_row_print_what_a_fresh_interpreter_prints(self, capsys):
+        """The parser is built once per process; no option, and no
+        ``append`` default, carries over from one call to the next."""
+        calls = [
+            ["--evidence", "x_A=true", "--evidence", "x_D=true", "--engine", "simq"],
+            ["--evidence", "x_F=false", "--engine", "misq"],
+            [],
+        ]
+        for extra in calls:
+            argv = ["query", "asia_tables.tree", "--query", "x_H", *extra]
+            code, out, err = run(capsys, *argv)
+            proc = subprocess.run(
+                [sys.executable, "-m", "sensbn", *argv], capture_output=True, text=True
+            )
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+
+
 class TestEntryPoint:
     def test_module_entry_point(self):
         proc = subprocess.run(

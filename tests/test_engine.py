@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sensbn import compiler, oracle
-from sensbn.engine import QuerySession
+from sensbn.engine import Overlay, QuerySession
 from sensbn.errors import ZeroEvidenceError
 from sensbn.generators import random_evidence, random_groupings, random_tree_network
 from sensbn.model import Evidence
@@ -261,3 +261,77 @@ class TestInstrumentation:
             one = fresh(asia_tables).query(comp.ident, ev).probs
             two = fresh(reordered).query(comp.ident, ev).probs
             assert np.abs(one - two).max() <= 1e-9
+
+
+class TestSessionReuse:
+    """One session answers a sequence of operations as fresh sessions do."""
+
+    def test_asia_queries_and_floods_match_fresh_sessions_and_oracle(self, asia_net, asia_compiled):
+        tree, _ = asia_compiled
+        reused = fresh(tree)
+        steps = [
+            ("query", "x_H", {"x_A": 1, "x_D": 1}),
+            ("query", "x_H", {"x_D": 0}),  # answered stale before sessions restarted
+            ("flood", "x_A", {"x_A": 1}),
+            ("query", "x_F", {"x_H": 1}),
+            ("flood", "x_D", {"x_D": 0}),
+            ("flood", "x_H", {"x_H": 1}),
+            ("query", "x_A", {"x_H": 0, "x_F": 1}),
+            ("query", "x_H", {}),
+        ]
+        for kind, label, ev in steps:
+            evidence = Evidence.of(ev)
+            if kind == "query":
+                ident = tree.member_home(label)
+                got = reused.query(ident, evidence).probs
+                assert np.abs(got - fresh(tree).query(ident, evidence).probs).max() <= 1e-9
+                member = tree.member_marginal(ident, label, got)
+                want = oracle.posterior(asia_net, evidence, label).probs
+                assert np.abs(member - want).max() <= 1e-9
+            else:
+                reused.instantiate(tree.member_home(label), ev)
+                one = fresh(tree).instantiate(tree.member_home(label), ev)
+                want = oracle_all_nodes(asia_net, tree, evidence)
+                for ident, expected in want.items():
+                    assert np.abs(reused.p[ident] - one.p[ident]).max() <= 1e-9
+                    assert np.abs(reused.p[ident] - expected).max() <= 1e-9
+
+    def test_query_after_committed_flood_adds_evidence(self, asia_net, asia_compiled):
+        tree, _ = asia_compiled
+        s = fresh(tree)
+        s.query(tree.member_home("x_F"), Evidence.of({"x_H": 0}))
+        s.multi_evidence_simq(Evidence.of({"x_A": 1}))
+        ident = tree.member_home("x_H")
+        got = tree.member_marginal(ident, "x_H", s.query(ident, Evidence.of({"x_D": 1})).probs)
+        want = oracle.posterior(asia_net, Evidence.of({"x_A": 1, "x_D": 1}), "x_H").probs
+        assert np.abs(got - want).max() <= 1e-9
+
+    def test_tree_state_is_never_written(self, asia_compiled):
+        tree, _ = asia_compiled
+        priors = dict(tree.prior_probs)
+        factors = dict(tree.r_factors)
+        s = fresh(tree)
+        s.query(tree.member_home("x_H"), Evidence.of({"x_A": 1, "x_D": 1}))
+        s.multi_evidence_simq(Evidence.of({"x_A": 1, "x_F": 0}))
+        assert all(tree.prior_probs[k] is v for k, v in priors.items())
+        assert all(tree.r_factors[k] is v for k, v in factors.items())
+        assert len(s.p) == len(s.p0) == len(tree.compounds)
+
+
+class TestOverlay:
+    def test_reads_fall_through_and_writes_stay_local(self):
+        base = {k: k * 10 for k in range(5)}
+        view = Overlay(base)
+        view[2] = -1
+        assert base[2] == 20
+        assert dict(view) == {0: 0, 1: 10, 2: -1, 3: 30, 4: 40}
+        assert len(view) == 5 and 4 in view and 5 not in view
+        assert view.get(3) == 30 and view.get(5, "none") == "none"
+
+    def test_fork_copies_only_own_entries(self):
+        view = Overlay({k: k for k in range(1000)})
+        view[7] = "seven"
+        twin = view.fork()
+        assert dict.keys(twin) == {7}
+        twin[8] = "eight"
+        assert view[8] == 8 and twin[7] == "seven"

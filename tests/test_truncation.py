@@ -179,3 +179,118 @@ class TestHopDistances:
         dist = hop_distances(tree, 0, limit=7)
         assert max(dist.values()) == 7
         assert len(dist) == 8
+
+
+def scan_only(tree):
+    """The same tree built directly, without the load pass, so it carries
+    no decay constants and verify_profile runs its full scan."""
+    from sensbn.model import TreeNetwork
+
+    bare = TreeNetwork(tree.compounds, tree.edges, tree.r_factors, name=tree.name)
+    assert bare.decay is None
+    return bare
+
+
+class TestDecayConstants:
+    """Accepting from the load-time constants decides exactly as the scan."""
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_constants_are_the_scans_extremes(self, seed):
+        tree = chain(seed, length=40, coupling_lo=0.5)
+        couplings = []
+        for a, b in tree.edges:
+            dense = compiler.reconstruct_dense(tree, a, b)
+            couplings.append(abs(float(dense[1, 1] - dense[1, 0])))
+        products = [float(c.prior.probs[0] * c.prior.probs[1]) for c in tree.compounds]
+        assert tree.decay.all_binary
+        assert tree.decay.max_coupling == max(couplings)
+        assert tree.decay.min_prior_product == min(products)
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_boundary_decisions_match_the_scan(self, seed):
+        tree = chain(seed, length=40, coupling_lo=0.5)
+        bare = scan_only(tree)
+        top, low = tree.decay.max_coupling, tree.decay.min_prior_product
+        profiles = {
+            "alpha at the largest coupling": DecayProfile(top, 0.5 * low, 0.1),
+            "alpha one ulp above it": DecayProfile(np.nextafter(top, 1.0), 0.5 * low, 0.1),
+            "eta at the smallest product": DecayProfile(0.99, low, 0.1),
+            "eta one ulp below it": DecayProfile(0.99, np.nextafter(low, 0.0), 0.1),
+        }
+        decisions = {}
+        for name, profile in profiles.items():
+            got = verify_profile(tree, profile)
+            assert got == verify_profile(bare, profile), name
+            decisions[name] = got[0]
+        assert decisions == {
+            "alpha at the largest coupling": False,
+            "alpha one ulp above it": True,
+            "eta at the smallest product": False,
+            "eta one ulp below it": True,
+        }
+
+    def test_non_binary_tree_still_raises(self, asia_tables):
+        assert asia_tables.decay is not None and not asia_tables.decay.all_binary
+        for tree in (asia_tables, scan_only(asia_tables)):
+            with pytest.raises(ApproxPreconditionError, match="X_3"):
+                verify_profile(tree, DecayProfile(0.9, 0.09, 0.1))
+
+    def test_accept_reads_no_dense_coupling(self, monkeypatch):
+        tree = chain(14, length=60)
+        calls = []
+        original = compiler.reconstruct_dense
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(compiler, "reconstruct_dense", spy)
+        assert verify_profile(tree, DecayProfile(0.9, 0.09, 0.1)) == (True, None)
+        assert calls == []
+        # the spy does see the scan of a tree without constants
+        assert verify_profile(scan_only(tree), DecayProfile(0.9, 0.09, 0.1)) == (True, None)
+        assert len(calls) == len(tree.edges)
+
+
+class _CountedTuple(tuple):
+    """A tuple that counts how often it is iterated."""
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestSizeIndependence:
+    def test_work_does_not_grow_with_the_chain(self, monkeypatch):
+        """One bounded-error query, profile verified as ``sensbn query
+        --approx`` does, makes the same neighbor lookups on a chain ten
+        times longer, and no step walks every node."""
+        from sensbn.model import TreeNetwork
+
+        profile = DecayProfile(0.9, 0.09, 0.1)
+        query = 1000
+        evidence = Evidence.of({f"v{query + 20}": 1, f"v{query - 80}": 0})
+        original = TreeNetwork.neighbors
+        counts = {}
+        for length in (2_000, 20_000):
+            tree = binary_chain_tree(
+                np.random.default_rng(5), length, alpha=0.9, coupling_lo=0.8
+            )
+            compounds = _CountedTuple(tree.compounds)
+            compounds.iterations = 0
+            object.__setattr__(tree, "compounds", compounds)
+            calls = []
+
+            def spy(self, ident):
+                calls.append(ident)
+                return original(self, ident)
+
+            monkeypatch.setattr(TreeNetwork, "neighbors", spy)
+            session = QuerySession(tree)
+            assert compounds.iterations == 0
+            _, _, plan = truncated_query(session, query, evidence, profile)
+            monkeypatch.setattr(TreeNetwork, "neighbors", original)
+            assert compounds.iterations == 0
+            assert plan.retained_evidence == (query + 20,)
+            counts[length] = len(calls)
+        assert counts[2_000] == counts[20_000] > 0
