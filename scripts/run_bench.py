@@ -7,6 +7,10 @@ Usage: python scripts/run_bench.py [out.tsv]
 import contextlib
 import io
 import sys
+from pathlib import Path
+
+# the checkout's own sources, so the script runs without installing the package
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sensbn import cli
 

@@ -5,7 +5,13 @@ Prints every intermediate the engine produces so the run can be compared
 line by line against the published four-digit tables.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
+
+# the checkout's own sources, so the script runs without installing the package
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sensbn import fixtures
 from sensbn.algebra import binary_from_dense

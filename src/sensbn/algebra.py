@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, RangeError, SingularWeightError, ZeroMassError
 from .model import ConditionalMatrix, Distribution, frozen_array
@@ -131,8 +130,11 @@ def _entries(x) -> np.ndarray:
 
 
 def center_rows(arr: np.ndarray) -> np.ndarray:
-    """Right-multiply by (I - E/n): remove the mean of every row."""
-    return arr - arr.mean(axis=1, keepdims=True)
+    """Right-multiply by (I - E/n): remove the mean of every row.
+
+    Takes a matrix or a stack of matrices (rows along the last axis).
+    """
+    return arr - arr.mean(axis=-1, keepdims=True)
 
 
 def weight_matrix(p) -> np.ndarray:
@@ -187,6 +189,10 @@ def qr_factor(sens, tol: float = RANK_TOL) -> QRFactors:
     rank = numerical_rank(s, tol)
     if rank == 0:
         return QRFactors(np.zeros((0, n_i)), np.zeros((0, n_j)))
+    # imported here, not at module level: only compiling factors needs
+    # scipy, and loading and querying a tree should not pay its import
+    import scipy.linalg
+
     basis, _, _ = scipy.linalg.qr(s, mode="economic", pivoting=True)
     q = basis[:, :rank].T
     r_mat = q @ s  # projection onto the kept basis; exact for full rank

@@ -290,10 +290,14 @@ class CompileReport:
         return "\n".join(lines)
 
 
-def _derived_reverse_factor(factors: QRFactors, p_i: np.ndarray) -> np.ndarray:
-    """R factor of the flipped coupling: Q_ij diag(p_i)^{-1} (I - E/n_i)."""
+def _reverse_factor(q: np.ndarray, p_i: np.ndarray) -> np.ndarray:
+    """R factor of the flipped coupling: Q_ij diag(p_i)^{-1} (I - E/n_i).
+
+    Takes one edge (Q of shape (r, n_i), p_i of shape (n_i,)) or a stack
+    of edges ((E, r, n_i) and (E, n_i)).
+    """
     inv_i = algebra.inverse_weights(p_i)
-    return algebra.center_rows(factors.q * inv_i[None, :])
+    return algebra.center_rows(q * inv_i[..., None, :])
 
 
 def compile_network(
@@ -357,7 +361,7 @@ def compile_network(
         sens = algebra.cpt_to_sensitivity(cond)
         pair = algebra.qr_factor(sens, rank_tol)
         factors[(child_id, parent_id)] = pair.r_mat
-        factors[(parent_id, child_id)] = _derived_reverse_factor(pair, child.prior.probs)
+        factors[(parent_id, child_id)] = _reverse_factor(pair.q, child.prior.probs)
         edges.append((child_id, parent_id))
         reports.append(
             EdgeReport(child.name, parent.name, sens.shape, pair.rank)
@@ -366,6 +370,20 @@ def compile_network(
     tree = TreeNetwork(tuple(compounds), tuple(edges), factors, name=name or net.name)
     check_tree_consistency(tree)
     return tree, CompileReport(tuple(reports), tuple(pruned_record))
+
+
+@dataclass(frozen=True)
+class EdgeBatch:
+    """Factor pairs of edges that share one (n_i, n_j, rank) shape, stacked.
+
+    ``q[k]`` (rank x n_i) and ``r[k]`` (rank x n_j) are the factor pair of
+    edge ``edges[positions[k]]`` of the list passed to
+    :func:`accept_batches` with the batch.
+    """
+
+    positions: tuple[int, ...]
+    q: np.ndarray
+    r: np.ndarray
 
 
 def accept_precompiled(
@@ -381,6 +399,40 @@ def accept_precompiled(
     node j.  The opposite-direction stored factor is derived from Q and
     the prior of node i, and factor rows are re-centered so the zero-sum
     invariant survives rounded input (e.g. four-digit published tables).
+
+    The work is done per edge shape, not per edge: the pairs are grouped
+    by (n_i, n_j, rank) and each group is stacked into 3-D arrays, so that
+    re-centering, deriving the reverse factors and the consistency check
+    cost a few numpy calls per group (see :func:`accept_batches`).
+    """
+    grouped: dict[tuple, tuple[list[int], list, list]] = {}
+    for pos, pair in enumerate(edge_factors.values()):
+        positions, qs, rs = grouped.setdefault((pair.q.shape, pair.r_mat.shape), ([], [], []))
+        positions.append(pos)
+        qs.append(pair.q)
+        rs.append(pair.r_mat)
+    batches = [
+        EdgeBatch(tuple(positions), np.array(qs), np.array(rs))
+        for positions, qs, rs in grouped.values()
+    ]
+    return accept_batches(spaces, priors, list(edge_factors), batches, names, name)
+
+
+def accept_batches(
+    spaces: list[StateSpace],
+    priors: list[Distribution],
+    edges: list[tuple[int, int]],
+    batches: list[EdgeBatch],
+    names: list[str] | None = None,
+    name: str = "tree",
+) -> TreeNetwork:
+    """Build a TreeNetwork from factor pairs already stacked by edge shape.
+
+    ``edges[k]`` is (i, j) for the coupling of node i with respect to node
+    j, and every position of ``edges`` appears in exactly one batch.  Each
+    batch is re-centered and its reverse factors derived with one
+    broadcast, then :func:`check_tree_consistency` checks the tree.  The
+    result is what :func:`accept_precompiled` returns for the same pairs.
     """
     if len(spaces) != len(priors):
         raise DimensionMismatchError("one prior per compound node is required")
@@ -388,67 +440,121 @@ def accept_precompiled(
         CompoundNode(i, names[i] if names else f"X_{i + 1}", sp, pr)
         for i, (sp, pr) in enumerate(zip(spaces, priors))
     )
-    stored: dict[tuple[int, int], np.ndarray] = {}
-    edges: list[tuple[int, int]] = []
-    for (i, j), pair in edge_factors.items():
+    located: list[tuple[EdgeBatch, int]] = [None] * len(edges)
+    for batch in batches:
+        for k, pos in enumerate(batch.positions):
+            located[pos] = (batch, k)
+    for (i, j), (batch, _) in zip(edges, located):
         ni = compounds[i].space.cardinality
         nj = compounds[j].space.cardinality
-        if pair.q.shape[1] != ni or pair.r_mat.shape[1] != nj:
+        if batch.q.shape[2] != ni or batch.r.shape[2] != nj:
             raise DimensionMismatchError(
-                f"edge ({i},{j}): factor shapes {pair.q.shape}x{pair.r_mat.shape} "
+                f"edge ({i},{j}): factor shapes {batch.q.shape[1:]}x{batch.r.shape[1:]} "
                 f"do not match cardinalities {ni}, {nj}"
             )
-        centered = QRFactors(algebra.center_rows(pair.q), algebra.center_rows(pair.r_mat))
-        stored[(i, j)] = centered.r_mat
-        stored[(j, i)] = _derived_reverse_factor(centered, compounds[i].prior.probs)
-        edges.append((i, j))
+    derived: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for batch in batches:
+        p_i = np.array([compounds[edges[pos][0]].prior.probs for pos in batch.positions])
+        r_ij = algebra.center_rows(batch.r)
+        r_ji = _reverse_factor(algebra.center_rows(batch.q), p_i)
+        # frozen before any view is taken, so no view of them is writable
+        r_ij.setflags(write=False)
+        r_ji.setflags(write=False)
+        derived.update(zip(batch.positions, zip(r_ij, r_ji)))
+    stored: dict[tuple[int, int], np.ndarray] = {}
+    for pos, (i, j) in enumerate(edges):
+        stored[(i, j)], stored[(j, i)] = derived[pos]
     tree = TreeNetwork(compounds, tuple(edges), stored, name=name)
     check_tree_consistency(tree)
     return tree
 
 
+def _weights(p: np.ndarray) -> np.ndarray:
+    """diag(p) - p p^T for every row of a stack of priors: (E, n) -> (E, n, n)."""
+    column = p[:, :, None]
+    return column * np.eye(p.shape[1]) - column * p[:, None, :]
+
+
+def _dense_couplings(r_ab: np.ndarray, r_ba: np.ndarray, p_a: np.ndarray) -> np.ndarray:
+    """Dense couplings of a stack of edges: the coupling of each a with
+    respect to its b, (R_ba W(p_a))^T R_ab, from stored factors of shapes
+    (E, r, n_b) and (E, r, n_a) and priors of shape (E, n_a)."""
+    q_ab = r_ba @ _weights(p_a)
+    return q_ab.transpose(0, 2, 1) @ r_ab
+
+
+def _reversed_dense(s: np.ndarray, p_i: np.ndarray, p_j: np.ndarray) -> np.ndarray:
+    """:func:`algebra.reverse_dense` of every coupling in a stack."""
+    with np.errstate(divide="ignore"):
+        inv_i = 1.0 / p_i
+    return _weights(p_j) @ algebra.center_rows(s.transpose(0, 2, 1) * inv_i[:, None, :])
+
+
 def reconstruct_dense(tree: TreeNetwork, i: int, j: int) -> np.ndarray:
     """Dense coupling of node i with respect to adjacent node j, from the
-    stored factors and the priors."""
+    stored factors and the priors.
+
+    The one-edge case of the kernel :func:`check_tree_consistency` runs on
+    stacks, so both compute every coupling with the same arithmetic.
+    """
     r_ij = tree.r_factors[(i, j)]
     r_ji = tree.r_factors[(j, i)]
-    q_ij = r_ji @ algebra.weight_matrix(tree.compound(i).prior.probs)
-    return q_ij.T @ r_ij
+    return _dense_couplings(r_ij[None], r_ji[None], tree.compound(i).prior.probs[None])[0]
 
 
 def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> None:
     """Verify that the two stored factors of every edge agree.
 
     Reconstructs the dense coupling in both directions and requires each
-    to be the marginal-weighted reversal of the other, within ``tol``.
-    When every edge agrees, records the tree's decay constants, read off
-    the same dense couplings, on ``tree.decay``.
+    to be the marginal-weighted reversal of the other, within ``tol``
+    times the larger of one and the coupling's largest entry.  An edge
+    whose error is not within that bound, NaN included, fails; the first
+    failing edge in ``tree.edges`` order is named.  When every edge
+    agrees, records the tree's decay constants, read off the same dense
+    couplings, on ``tree.decay``.
+
+    Edges are checked per shape: those of one (n_a, n_b, rank) are
+    stacked into 3-D arrays, and one batched product per direction
+    rebuilds all their couplings.
     """
-    all_binary = all(c.space.cardinality == 2 for c in tree.compounds)
+    card = [c.space.cardinality for c in tree.compounds]
+    all_binary = all(n == 2 for n in card)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for pos, (a, b) in enumerate(tree.edges):
+        groups.setdefault((card[a], card[b], tree.rank(a, b)), []).append(pos)
+    priors = [c.prior.probs for c in tree.compounds]
+    first_bad, bad_err = len(tree.edges), math.nan
     couplings: list[float] = []
-    for a, b in tree.edges:
-        s_ab = reconstruct_dense(tree, a, b)
-        if all_binary:
-            couplings.append(abs(float(s_ab[1, 1] - s_ab[1, 0])))
-        s_ba = reconstruct_dense(tree, b, a)
-        p_a = tree.compound(a).prior.probs
-        p_b = tree.compound(b).prior.probs
-        err = float(np.abs(s_ba - algebra.reverse_dense(s_ab, p_a, p_b)).max(initial=0.0))
-        err = max(
-            err,
-            float(np.abs(s_ab - algebra.reverse_dense(s_ba, p_b, p_a)).max(initial=0.0)),
-        )
-        scale = max(1.0, float(np.abs(s_ab).max(initial=0.0)))
-        if err > tol * scale:
-            na, nbm = tree.compound(a).name, tree.compound(b).name
-            raise ConsistencyError(
-                f"edge {na} - {nbm}: stored factors disagree by {err:.3g}"
+    for positions in groups.values():
+        pairs = [tree.edges[pos] for pos in positions]
+        r_ab = np.array([tree.r_factors[(a, b)] for a, b in pairs])
+        r_ba = np.array([tree.r_factors[(b, a)] for a, b in pairs])
+        p_a = np.array([priors[a] for a, _ in pairs])
+        p_b = np.array([priors[b] for _, b in pairs])
+        s_ab = _dense_couplings(r_ab, r_ba, p_a)
+        s_ba = _dense_couplings(r_ba, r_ab, p_b)
+        with np.errstate(invalid="ignore"):
+            err = np.maximum(
+                np.abs(s_ba - _reversed_dense(s_ab, p_a, p_b)).max(axis=(1, 2)),
+                np.abs(s_ab - _reversed_dense(s_ba, p_b, p_a)).max(axis=(1, 2)),
             )
+        scale = np.maximum(1.0, np.abs(s_ab).max(axis=(1, 2)))
+        failed = np.flatnonzero(~(err <= tol * scale))
+        if failed.size and positions[failed[0]] < first_bad:
+            first_bad, bad_err = positions[failed[0]], float(err[failed[0]])
+        if all_binary:
+            couplings.append(float(np.abs(s_ab[:, 1, 1] - s_ab[:, 1, 0]).max()))
+    if first_bad < len(tree.edges):
+        a, b = tree.edges[first_bad]
+        # a zero prior entry fails its edge; report it as the scalar check does
+        algebra.inverse_weights(priors[a])
+        algebra.inverse_weights(priors[b])
+        na, nbm = tree.compound(a).name, tree.compound(b).name
+        raise ConsistencyError(f"edge {na} - {nbm}: stored factors disagree by {bad_err:.3g}")
     if all_binary:
-        products = [float(c.prior.probs[0] * c.prior.probs[1]) for c in tree.compounds]
-        # np.max / np.min propagate NaN, which then fails every comparison
+        p = np.array(priors)
         decay = DecayConstants(
-            True, float(np.max(couplings, initial=0.0)), float(np.min(products))
+            True, float(np.max(couplings, initial=0.0)), float((p[:, 0] * p[:, 1]).min())
         )
     else:
         decay = DecayConstants(False, math.nan, math.nan)

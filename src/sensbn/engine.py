@@ -115,11 +115,13 @@ class BarrenMarks(Mapping):
 class Instrumentation:
     """Counters exposed for the message-economy and traversal contracts.
 
-    ``traversals`` and ``touched`` describe the most recent operation;
-    ``mode`` says whether that was a single-query recursion ("misq", which
-    promises at most two crossings per edge) or an instantiation flood
-    ("simq", which revisits edges once per evidence node).  ``messages``
-    accumulates over the whole session.
+    ``messages``, ``traversals`` and ``touched`` describe the most recent
+    public operation (``query``, ``instantiate`` or ``multi_evidence_simq``,
+    which counts all of its floods), so they stay bounded on a reused
+    session.  ``mode`` says whether that was a single-query recursion
+    ("misq", which promises at most two crossings per edge) or an
+    instantiation flood ("simq", which revisits edges once per evidence
+    node).
     """
 
     messages: list[tuple[tuple[int, int], int]] = field(default_factory=list)
@@ -128,9 +130,10 @@ class Instrumentation:
     mode: str | None = None
 
     def start_operation(self, mode: str):
-        if mode != self.mode:
-            self.traversals = Counter()
-            self.touched = set()
+        """Forget the previous operation's record."""
+        self.messages = []
+        self.traversals = Counter()
+        self.touched = set()
         self.mode = mode
 
 
@@ -253,8 +256,11 @@ class QuerySession:
         propagation measures changes against the committed baseline, and
         uncommitted work of an earlier operation is dropped.
         """
-        self._restart()
         self.instr.start_operation("simq")
+        return self._flood(node, assignment)
+
+    def _flood(self, node: int, assignment: Mapping[str, int]) -> "QuerySession":
+        self._restart()
         self.instr.touched.add(node)
         self.p[node] = self._instantiated_value(node, assignment)
         self._trace("instantiate", node)
@@ -296,8 +302,9 @@ class QuerySession:
             order = list(order)
             if sorted(order) != sorted(grouped):
                 raise UnknownLabelError("order must list exactly the evidence nodes")
+        self.instr.start_operation("simq")
         for node in order:
-            self.instantiate(node, grouped[node])
+            self._flood(node, grouped[node])
             self.commit()
         return self
 
@@ -350,8 +357,6 @@ class QuerySession:
         self._restart()
         self.p1 = {}
         self.instr.start_operation("misq")
-        self.instr.traversals = Counter()
-        self.instr.touched = set()
         self.mark_barren(query_node, grouped.keys(), within)
         self.instr.touched.add(query_node)
         for below in self.tree.neighbors(query_node):

@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from . import compiler
-from .algebra import QRFactors
 from .errors import ParseError
 from .model import (
     BeliefNetwork,
@@ -55,6 +54,14 @@ def _num(token: str, path, line) -> float:
         return float(text) / scale
     except ValueError:
         raise ParseError(f"expected a number, got {token!r}", path, line) from None
+
+
+def _nums(tokens: list[str], path, line) -> list[float]:
+    """The numbers of a row of tokens; plain tokens take one ``float`` each."""
+    try:
+        return list(map(float, tokens))
+    except ValueError:  # a /rt2 suffix, or not a number
+        return [_num(t, path, line) for t in tokens]
 
 
 def _lines(text: str):
@@ -87,7 +94,7 @@ def parse_network(text: str, path=None) -> BeliefNetwork:
         key = tokens[0]
         if pending is not None and key not in ("network", "node", "parents", "cpt"):
             label, rows, cols, data, at = pending
-            values = [_num(t, path, line) for t in tokens]
+            values = _nums(tokens, path, line)
             if len(values) != cols:
                 raise ParseError(
                     f"cpt {label}: row has {len(values)} values, expected {cols}",
@@ -216,7 +223,7 @@ def parse_tree(text: str, path=None) -> TreeNetwork:
             flush_edge(line)
             if len(tokens) < 3 or tokens[1] not in spaces:
                 raise ParseError("prior line needs a declared compound name", path, line)
-            values = [_num(t, path, line) for t in tokens[2:]]
+            values = _nums(tokens[2:], path, line)
             if len(values) != spaces[tokens[1]].cardinality:
                 raise ParseError(
                     f"prior for {tokens[1]} has {len(values)} values, expected "
@@ -241,7 +248,7 @@ def parse_tree(text: str, path=None) -> TreeNetwork:
             if current_edge is None:
                 raise ParseError("factor row outside an edge block", path, line)
             rank, q_rows, r_rows, at = current_edge
-            values = [_num(t, path, line) for t in tokens[1:]]
+            values = _nums(tokens[1:], path, line)
             (q_rows if key == "q" else r_rows).append(values)
         else:
             raise ParseError(f"unknown directive {key!r}", path, line)
@@ -253,7 +260,8 @@ def parse_tree(text: str, path=None) -> TreeNetwork:
     if missing:
         raise ParseError(f"compounds without a prior: {missing}", path)
     index = {c: i for i, c in enumerate(comp_names)}
-    factor_map: dict[tuple[int, int], QRFactors] = {}
+    # the last block of a repeated edge wins, at the place of its first
+    blocks: dict[tuple[int, int], tuple[int, int, int, list, list]] = {}
     for (ni, nj, rank, at), (q_rows, r_rows) in zip(edges, matrix_rows):
         n_i = spaces[ni].cardinality
         n_j = spaces[nj].cardinality
@@ -265,13 +273,29 @@ def parse_tree(text: str, path=None) -> TreeNetwork:
                         path,
                         at,
                     )
-        factor_map[(index[ni], index[nj])] = QRFactors(
-            np.array(q_rows).reshape(rank, n_i), np.array(r_rows).reshape(rank, n_j)
+        blocks[(index[ni], index[nj])] = (n_i, n_j, rank, q_rows, r_rows)
+    # numbers go straight into one flat list per edge shape
+    grouped: dict[tuple[int, int, int], tuple[list[int], list[float], list[float]]] = {}
+    for pos, (n_i, n_j, rank, q_rows, r_rows) in enumerate(blocks.values()):
+        positions, qs, rs = grouped.setdefault((n_i, n_j, rank), ([], [], []))
+        positions.append(pos)
+        for row in q_rows:
+            qs.extend(row)
+        for row in r_rows:
+            rs.extend(row)
+    batches = [
+        compiler.EdgeBatch(
+            tuple(positions),
+            np.array(qs).reshape(len(positions), rank, n_i),
+            np.array(rs).reshape(len(positions), rank, n_j),
         )
-    return compiler.accept_precompiled(
+        for (n_i, n_j, rank), (positions, qs, rs) in grouped.items()
+    ]
+    return compiler.accept_batches(
         [spaces[c] for c in comp_names],
         [priors[c] for c in comp_names],
-        factor_map,
+        list(blocks),
+        batches,
         names=comp_names,
         name=name,
     )

@@ -42,6 +42,18 @@ def frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _unaliased_frozen(arr) -> bool:
+    """True for a read-only float64 ndarray whose base arrays are read-only
+    too, so that no writable array reaches its memory through the base."""
+    if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
+        return False
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
 def _as_bool_int(value) -> int:
     if isinstance(value, bool):
         return int(value)
@@ -479,9 +491,14 @@ class TreeNetwork:
             raise DimensionMismatchError(
                 f"{len(edges)} edges cannot form a tree over {len(comps)} nodes"
             )
-        factors = {(int(a), int(b)): frozen_array(m) for (a, b), m in self.r_factors.items()}
+        # factors that are already frozen, such as the loader's, are shared
+        factors = {
+            (int(a), int(b)): m if _unaliased_frozen(m) else frozen_array(m)
+            for (a, b), m in self.r_factors.items()
+        }
         object.__setattr__(self, "r_factors", factors)
         nb: dict[int, list[int]] = {c.ident: [] for c in comps}
+        card = [c.space.cardinality for c in comps]
         seen = set()
         for a, b in edges:
             if a == b or frozenset((a, b)) in seen:
@@ -493,10 +510,9 @@ class TreeNetwork:
                 mat = factors.get((i, j))
                 if mat is None:
                     raise DimensionMismatchError(f"edge ({a},{b}) missing factor ({i},{j})")
-                if mat.shape[1] != self.compound(j).space.cardinality:
+                if mat.shape[1] != card[j]:
                     raise DimensionMismatchError(
-                        f"factor ({i},{j}) has width {mat.shape[1]}, "
-                        f"expected {self.compound(j).space.cardinality}"
+                        f"factor ({i},{j}) has width {mat.shape[1]}, expected {card[j]}"
                     )
             if factors[(a, b)].shape[0] != factors[(b, a)].shape[0]:
                 raise DimensionMismatchError(f"edge ({a},{b}) factor ranks disagree")

@@ -289,3 +289,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "0.68" in proc.stdout
+
+    def test_query_process_never_imports_scipy(self):
+        """Loading and querying a tree needs numpy alone; scipy is compile-only."""
+        tree_file = FIXTURE_DIR / "asia_tables.tree"
+        script = (
+            "import sys\n"
+            "import sensbn.cli as cli\n"
+            "assert 'scipy' not in sys.modules, 'import'\n"
+            "for extra in ([], ['--engine', 'simq']):\n"
+            f"    assert cli.main(['query', {str(tree_file)!r}, '--query', 'x_H',\n"
+            "                     '--evidence', 'x_A=true,x_D=true', *extra]) == 0\n"
+            "    assert 'scipy' not in sys.modules, extra\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("0.68") == 2

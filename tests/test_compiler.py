@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from sensbn import algebra, compiler, oracle
+from sensbn import algebra, compiler, fileio, oracle
 from sensbn.algebra import QRFactors
 from sensbn.compiler import (
     ClusterPlan,
@@ -14,7 +16,7 @@ from sensbn.compiler import (
     reconstruct_dense,
 )
 from sensbn.errors import ConsistencyError, DimensionMismatchError
-from sensbn.generators import random_cpt, random_tree_network
+from sensbn.generators import binary_chain_tree, random_cpt, random_tree_network
 from sensbn.model import BeliefNetwork, Distribution, Evidence, StateSpace, TreeNetwork
 from tests.conftest import table1_priors
 
@@ -231,3 +233,183 @@ class TestTables2Verbatim:
             exact = reconstruct_dense(tree, a, b)
             published = reconstruct_dense(asia_tables, i, j)
             assert np.abs(exact - published).max() <= 2e-4
+
+
+UNIT = np.array([[-1.0, 1.0]]) / np.sqrt(2.0)
+
+
+def two_binary_nodes():
+    spaces = [StateSpace.binary(("a",)), StateSpace.binary(("b",))]
+    priors = [Distribution(np.array([0.3, 0.7])), Distribution(np.array([0.6, 0.4]))]
+    return spaces, priors
+
+
+def factor_pairs(tree):
+    """The factor pair of every edge as a tree file holds it."""
+    return {
+        (i, j): QRFactors(
+            tree.r_factors[(j, i)] @ algebra.weight_matrix(tree.compound(i).prior.probs),
+            tree.r_factors[(i, j)],
+        )
+        for i, j in tree.edges
+    }
+
+
+def mixed_shape_tree(seed):
+    """A compiled tree whose edges come in several (n_i, n_j, rank) shapes."""
+    rng = np.random.default_rng(seed)
+    net = random_tree_network(rng, 9, max_states=3)
+    tree, _ = compile_network(net, forced_groups=(tuple(net.labels[2:4]),))
+    return tree
+
+
+def edge_shape(tree, i, j):
+    return (
+        tree.compound(i).space.cardinality,
+        tree.compound(j).space.cardinality,
+        tree.rank(i, j),
+    )
+
+
+def scalar_error(tree, a, b):
+    """The consistency error of one edge, computed edge by edge."""
+    s_ab = reconstruct_dense(tree, a, b)
+    s_ba = reconstruct_dense(tree, b, a)
+    p_a = tree.compound(a).prior.probs
+    p_b = tree.compound(b).prior.probs
+    err = max(
+        float(np.abs(s_ba - algebra.reverse_dense(s_ab, p_a, p_b)).max()),
+        float(np.abs(s_ab - algebra.reverse_dense(s_ba, p_b, p_a)).max()),
+    )
+    return err / max(1.0, float(np.abs(s_ab).max()))
+
+
+def load(tree, pairs):
+    return accept_precompiled(
+        [c.space for c in tree.compounds],
+        [c.prior for c in tree.compounds],
+        pairs,
+        [c.name for c in tree.compounds],
+    )
+
+
+def per_edge_factors(tree, pairs):
+    """The stored factors of ``pairs``, derived edge by edge."""
+    stored = {}
+    for (i, j), pair in pairs.items():
+        inv_i = algebra.inverse_weights(tree.compound(i).prior.probs)
+        stored[(i, j)] = algebra.center_rows(pair.r_mat)
+        stored[(j, i)] = algebra.center_rows(algebra.center_rows(pair.q) * inv_i[None, :])
+    return stored
+
+
+def bumped(tree, edge, delta):
+    """``tree`` rebuilt without the load-time check, with the stored factor
+    toward the first node of ``edge`` moved by ``delta`` in one entry."""
+    factors = dict(tree.r_factors)
+    key = edge[::-1]
+    factors[key] = np.array(factors[key])
+    factors[key][0, 0] += delta
+    return TreeNetwork(tree.compounds, tree.edges, factors, name=tree.name)
+
+
+class TestBatchedLoad:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_stored_factors_match_the_per_edge_formulas(self, seed):
+        tree = mixed_shape_tree(seed)
+        assert len({edge_shape(tree, i, j) for i, j in tree.edges}) >= 2
+        pairs = factor_pairs(tree)
+        loaded = load(tree, pairs)
+        assert loaded.edges == tuple(pairs)
+        want = per_edge_factors(tree, pairs)
+        assert loaded.r_factors.keys() == want.keys()
+        for key, mat in want.items():
+            assert loaded.r_factors[key].shape == mat.shape
+            assert np.abs(loaded.r_factors[key] - mat).max(initial=0.0) <= 1e-14
+
+    def test_stored_factors_are_frozen_with_no_writable_base(self):
+        tree = mixed_shape_tree(4)
+        for loaded in (load(tree, factor_pairs(tree)), fileio.parse_tree(fileio.serialize_tree(tree))):
+            for mat in loaded.r_factors.values():
+                view = mat
+                while isinstance(view, np.ndarray):
+                    assert not view.flags.writeable
+                    view = view.base
+                with pytest.raises(ValueError):
+                    mat[...] = 0.0
+
+    def test_writable_factors_are_copied(self, asia_tables):
+        factors = {k: np.array(v) for k, v in asia_tables.r_factors.items()}
+        tree = TreeNetwork(asia_tables.compounds, asia_tables.edges, factors)
+        for key, mat in factors.items():
+            assert not np.shares_memory(tree.r_factors[key], mat)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_factor_fails_consistency(self):
+        spaces, priors = two_binary_nodes()
+        sound = accept_precompiled(spaces, priors, {(0, 1): QRFactors(UNIT, 0.5 * UNIT)})
+        assert sound.decay.max_coupling == pytest.approx(0.5)
+        for pair in (QRFactors(UNIT, np.nan * UNIT), QRFactors(np.nan * UNIT, UNIT),
+                     QRFactors(UNIT, np.inf * UNIT)):
+            with pytest.raises(ConsistencyError, match="edge X_1 - X_2"):
+                accept_precompiled(spaces, priors, {(0, 1): pair})
+
+    @pytest.mark.parametrize("seed", [5, 7, 9])
+    def test_tolerance_boundary_and_first_bad_edge(self, seed):
+        tree = mixed_shape_tree(seed)
+        edges = [e for e in tree.edges if tree.rank(*e) > 0]
+
+        def name(edge):
+            return f"{tree.compound(edge[0]).name} - {tree.compound(edge[1]).name}"
+
+        # an edge, and a later one whose shape group is checked first
+        first_of = {}
+        for pos, edge in enumerate(tree.edges):
+            first_of.setdefault(edge_shape(tree, *edge), pos)
+        order = [
+            (e1, e2)
+            for k, e1 in enumerate(edges)
+            for e2 in edges[k + 1 :]
+            if first_of[edge_shape(tree, *e2)] < first_of[edge_shape(tree, *e1)]
+        ]
+        assert order, "the tree's shape groups do not interleave"
+        early, late = order[0]
+        probe = 1e-6
+        for edge in (early, late):
+            per_delta = scalar_error(bumped(tree, edge, probe), *edge) / probe
+            inside = bumped(tree, edge, 0.5 * compiler.CONSISTENCY_TOL / per_delta)
+            check_tree_consistency(inside)
+            assert inside.decay is not None
+            past = bumped(tree, edge, 2.0 * compiler.CONSISTENCY_TOL / per_delta)
+            with pytest.raises(
+                ConsistencyError, match=f"^edge {name(edge)}: stored factors disagree by "
+            ):
+                check_tree_consistency(past)
+            assert past.decay is None
+        both = bumped(tree, late, probe)
+        both = bumped(both, early, probe)
+        with pytest.raises(ConsistencyError, match=f"^edge {name(early)}:"):
+            check_tree_consistency(both)
+
+    def test_check_makes_as_many_numpy_calls_on_a_longer_chain(self):
+        counts = {}
+        for length in (200, 2000):
+            tree = binary_chain_tree(np.random.default_rng(3), length, coupling_lo=0.5)
+            calls = []
+
+            def hook(frame, event, arg):
+                if event == "c_call" and (
+                    getattr(arg, "__module__", None) == "numpy"
+                    or isinstance(getattr(arg, "__self__", None), np.ndarray)
+                ):
+                    calls.append(arg)
+                elif event == "call" and "numpy" in frame.f_code.co_filename:
+                    calls.append(frame.f_code)
+
+            sys.setprofile(hook)
+            try:
+                check_tree_consistency(tree)
+            finally:
+                sys.setprofile(None)
+            counts[length] = len(calls)
+        assert counts[200] == counts[2000] > 0

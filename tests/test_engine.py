@@ -229,6 +229,26 @@ class TestInstrumentation:
         s.query(5, Evidence.of({"x_A": 1, "x_D": 1, "x_F": 0}))
         assert max(s.instr.traversals.values()) <= 2
 
+    def test_reused_session_keeps_one_operations_messages(self, asia_tables):
+        evidence = Evidence.of({"x_A": 1, "x_D": 1})
+        s = fresh(asia_tables)
+        for _ in range(300):
+            s.query(5, evidence)
+        once = fresh(asia_tables)
+        once.query(5, evidence)
+        assert s.instr.messages == once.instr.messages
+        assert len(s.instr.messages) == 8
+
+    def test_flood_keeps_every_instantiations_messages(self, asia_tables):
+        evidence = Evidence.of({"x_A": 1, "x_D": 1})
+        s = fresh(asia_tables)
+        s.query(5, evidence)
+        s.multi_evidence_simq(evidence)
+        # each instantiation floods the other five nodes of the tree
+        assert len(s.instr.messages) == 2 * (len(asia_tables.compounds) - 1)
+        s.instantiate(0, {"x_A": 1})
+        assert len(s.instr.messages) == len(asia_tables.compounds) - 1
+
     def test_barren_nodes_receive_no_messages(self, asia_tables):
         s = fresh(asia_tables)
         s.query(5, Evidence.of({"x_A": 1}))
