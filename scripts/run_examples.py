@@ -54,7 +54,7 @@ def main():
     session.commit()
     print(f"  p(dyspnea | visit, X-ray) = {fmt(session.p[x6])}")
 
-    print("\n-- same query through the single-pass recursion")
+    print("\n-- same query through the single-query walk")
     answer = QuerySession(tree).query(x6, Evidence.of({"x_A": 1, "x_D": 1}))
     print(f"  p(dyspnea | visit, X-ray) = {fmt(answer.probs)}")
 

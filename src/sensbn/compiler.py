@@ -30,6 +30,7 @@ from .errors import (
 )
 from .model import (
     BeliefNetwork,
+    BinaryScalars,
     CompoundNode,
     DecayConstants,
     Distribution,
@@ -511,7 +512,9 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
     whose error is not within that bound, NaN included, fails; the first
     failing edge in ``tree.edges`` order is named.  When every edge
     agrees, records the tree's decay constants, read off the same dense
-    couplings, on ``tree.decay``.
+    couplings, on ``tree.decay``; and when every compound has two states
+    and every edge rank 1, the tree's float form on ``tree.scalars``, with
+    one slice per shape group, for the engine's float kernel.
 
     Edges are checked per shape: those of one (n_a, n_b, rank) are
     stacked into 3-D arrays, and one batched product per direction
@@ -525,6 +528,8 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
     priors = [c.prior.probs for c in tree.compounds]
     first_bad, bad_err = len(tree.edges), math.nan
     couplings: list[float] = []
+    scalar = all_binary and all(shape == (2, 2, 1) for shape in groups)
+    factors: dict[tuple[int, int], float] = {}
     for positions in groups.values():
         pairs = [tree.edges[pos] for pos in positions]
         r_ab = np.array([tree.r_factors[(a, b)] for a, b in pairs])
@@ -544,6 +549,12 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
             first_bad, bad_err = positions[failed[0]], float(err[failed[0]])
         if all_binary:
             couplings.append(float(np.abs(s_ab[:, 1, 1] - s_ab[:, 1, 0]).max()))
+        if scalar:
+            c_ab = (r_ab[:, 0, 1] - r_ab[:, 0, 0]).tolist()
+            c_ba = (r_ba[:, 0, 1] - r_ba[:, 0, 0]).tolist()
+            for pair, x, y in zip(pairs, c_ab, c_ba):
+                factors[pair] = x
+                factors[pair[::-1]] = y
     if first_bad < len(tree.edges):
         a, b = tree.edges[first_bad]
         # a zero prior entry fails its edge; report it as the scalar check does
@@ -551,11 +562,14 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
         algebra.inverse_weights(priors[b])
         na, nbm = tree.compound(a).name, tree.compound(b).name
         raise ConsistencyError(f"edge {na} - {nbm}: stored factors disagree by {bad_err:.3g}")
+    scalars = None
     if all_binary:
         p = np.array(priors)
         decay = DecayConstants(
             True, float(np.max(couplings, initial=0.0)), float((p[:, 0] * p[:, 1]).min())
         )
+        if scalar:
+            scalars = BinaryScalars(dict(enumerate(p[:, 1].tolist())), factors)
     else:
         decay = DecayConstants(False, math.nan, math.nan)
-    tree.record_decay(decay)
+    tree.record_decay(decay, scalars)

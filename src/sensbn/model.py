@@ -196,7 +196,8 @@ class Distribution:
         if arr.ndim != 1:
             raise DimensionMismatchError("a distribution must be a vector")
         total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL:
+        # written so that a NaN or infinite entry, whose sum is not finite, fails
+        if not abs(total - 1.0) <= SUM_TOL:
             raise ZeroMassError(f"distribution sums to {total!r}, not 1")
         if arr.min(initial=0.0) < -ENTRY_TOL or arr.max(initial=0.0) > 1 + ENTRY_TOL:
             raise ZeroMassError("distribution entries outside [0, 1]")
@@ -456,6 +457,21 @@ class DecayConstants:
 
 
 @dataclass(frozen=True)
+class BinaryScalars:
+    """Float form of an all-binary tree whose edges all have rank 1.
+
+    Recorded by the load-time consistency pass.  ``priors[i]`` is the prior
+    probability of state 1 of node i, and ``factors[(i, j)]`` is the stored
+    factor under key (i, j) as the one number c = R[0, 1] - R[0, 0]: the
+    message from j toward i is c times the change in j's probability of
+    state 1.
+    """
+
+    priors: Mapping[int, float]
+    factors: Mapping[tuple[int, int], float]
+
+
+@dataclass(frozen=True)
 class TreeNetwork:
     """A tree of compound nodes with low-rank factored edge couplings.
 
@@ -471,7 +487,9 @@ class TreeNetwork:
     was authored; serialization writes that direction.
 
     ``decay`` is None until compiler.check_tree_consistency has passed on
-    the tree; that pass records the tree's :class:`DecayConstants`.
+    the tree; that pass records the tree's :class:`DecayConstants`, and
+    ``scalars``, the tree's :class:`BinaryScalars` when every compound has
+    two states and every edge rank 1 (None otherwise).
     """
 
     compounds: tuple[CompoundNode, ...]
@@ -529,6 +547,7 @@ class TreeNetwork:
         object.__setattr__(self, "_neighbors", {k: tuple(v) for k, v in nb.items()})
         object.__setattr__(self, "_prior_probs", {c.ident: c.prior.probs for c in comps})
         object.__setattr__(self, "_decay", None)
+        object.__setattr__(self, "_scalars", None)
         object.__setattr__(self, "_by_name", {c.name: c for c in comps})
         home: dict[str, int] = {}
         for c in comps:
@@ -559,9 +578,16 @@ class TreeNetwork:
     def decay(self) -> DecayConstants | None:
         return self._decay
 
-    def record_decay(self, constants: DecayConstants) -> None:
-        """Attach the constants the consistency pass derived from this tree."""
+    @property
+    def scalars(self) -> BinaryScalars | None:
+        return self._scalars
+
+    def record_decay(
+        self, constants: DecayConstants, scalars: BinaryScalars | None = None
+    ) -> None:
+        """Attach what the consistency pass derived from this tree."""
         object.__setattr__(self, "_decay", constants)
+        object.__setattr__(self, "_scalars", scalars)
 
     def member_home(self, label: str) -> int:
         try:

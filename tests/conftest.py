@@ -1,8 +1,18 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import sensbn
 from sensbn import compiler, fixtures
+
+# interpreters the tests start import the same sensbn as the tests
+_SRC = str(Path(sensbn.__file__).resolve().parent.parent)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
 settings.register_profile(
     "sensbn",

@@ -1,11 +1,20 @@
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
-from sensbn import compiler, oracle
+from sensbn import algebra, compiler, engine, oracle, truncation
 from sensbn.engine import Overlay, QuerySession
-from sensbn.errors import ZeroEvidenceError
-from sensbn.generators import random_evidence, random_groupings, random_tree_network
-from sensbn.model import Evidence
+from sensbn.errors import SensBnError, ZeroEvidenceError
+from sensbn.generators import (
+    binary_chain_tree,
+    random_evidence,
+    random_groupings,
+    random_tree_network,
+)
+from sensbn.model import Distribution, Evidence, StateSpace, TreeNetwork
 
 
 def fresh(tree, **kw):
@@ -355,3 +364,296 @@ class TestOverlay:
         assert dict.keys(twin) == {7}
         twin[8] = "eight"
         assert view[8] == 8 and twin[7] == "seven"
+
+
+# -- the two kernels -----------------------------------------------------
+
+
+def on_both_kernels(monkeypatch, tree, operation):
+    """Run ``operation`` on a fresh float-kernel session and on a fresh
+    session forced onto the array kernel; return both sessions."""
+    fast = QuerySession(tree)
+    assert fast._kernel is engine._FloatKernel
+    operation(fast)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_choose_kernel", lambda tree: engine._ArrayKernel)
+        slow = QuerySession(tree)
+    assert slow._kernel is engine._ArrayKernel
+    operation(slow)
+    return fast, slow
+
+
+def assert_same_state(fast, slow, tol=1e-12):
+    tree = fast.tree
+    for ident in range(len(tree.compounds)):
+        assert isinstance(fast.p[ident], np.ndarray)
+        assert np.abs(fast.p[ident] - slow.p[ident]).max() <= tol
+        assert np.abs(fast.p0[ident] - slow.p0[ident]).max() <= tol
+    assert set(fast.p1) == set(slow.p1)
+    for ident in slow.p1:
+        assert np.abs(fast.p1[ident] - slow.p1[ident]).max() <= tol
+    for key in tree.r_factors:
+        assert fast.r[key].shape == slow.r[key].shape
+        assert np.abs(fast.r[key] - slow.r[key]).max() <= tol
+    assert fast.instr.messages == slow.instr.messages
+    assert fast.instr.traversals == slow.instr.traversals
+    assert fast.instr.touched == slow.instr.touched
+    assert fast.instr.mode == slow.instr.mode
+
+
+def chain_evidence(rng, length, size):
+    nodes = rng.choice(length, size=min(size, length), replace=False)
+    return Evidence.of({f"v{int(n)}": int(rng.integers(0, 2)) for n in nodes})
+
+
+class TestKernelChoice:
+    def test_loaded_all_binary_rank_one_trees_pick_the_float_kernel(self):
+        tree = binary_chain_tree(np.random.default_rng(0), 5)
+        assert engine._choose_kernel(tree) is engine._FloatKernel
+        assert tree.scalars.priors == {
+            i: float(c.prior.probs[1]) for i, c in enumerate(tree.compounds)
+        }
+        for key, r in tree.r_factors.items():
+            assert tree.scalars.factors[key] == float(r[0, 1] - r[0, 0])
+
+    def test_other_trees_pick_the_array_kernel(self, asia_tables, asia_compiled):
+        chain = binary_chain_tree(np.random.default_rng(0), 5)
+        unchecked = TreeNetwork(chain.compounds, chain.edges, chain.r_factors)
+        for tree in (asia_tables, asia_compiled[0], unchecked):
+            assert tree.scalars is None
+            assert engine._choose_kernel(tree) is engine._ArrayKernel
+
+    def test_rank_zero_edge_picks_the_array_kernel(self):
+        spaces = [StateSpace.binary((f"v{i}",)) for i in range(3)]
+        priors = [Distribution(np.array([0.4, 0.6]))] * 3
+        unit = np.array([[-1.0, 1.0]]) / np.sqrt(2.0)
+        factors = {
+            (1, 0): algebra.QRFactors(unit, 0.5 * unit),
+            (2, 1): algebra.QRFactors(np.zeros((0, 2)), np.zeros((0, 2))),
+        }
+        tree = compiler.accept_precompiled(spaces, priors, factors)
+        assert tree.decay.all_binary and tree.scalars is None
+        s = QuerySession(tree)
+        s.query(0, Evidence.of({"v1": 1, "v2": 0}))
+        assert sorted(length for _, length in s.instr.messages) == [0, 0, 1, 1]
+        # a flood crosses the rank-0 edge into a node whose state died
+        s.instantiate(2, {"v2": 0}).commit()
+        s.instantiate(1, {"v1": 1})
+        assert np.array_equal(s.p[2], [1.0, 0.0])
+
+
+class TestKernelEquivalence:
+    """The float kernel computes what the array kernel computes."""
+
+    @pytest.mark.parametrize("length", [2, 3, 4, 7, 30, 300])
+    def test_binary_chains(self, monkeypatch, length):
+        rng = np.random.default_rng(length)
+        tree = binary_chain_tree(rng, length)
+        for _ in range(3):
+            ev = chain_evidence(rng, length, int(rng.integers(1, 4)))
+            homes = sorted(tree.member_home(label) for label in ev.as_dict())
+            queries = {0, length - 1, length // 2, homes[0], int(rng.integers(0, length))}
+            for node in sorted(queries):
+                fast, slow = on_both_kernels(monkeypatch, tree, lambda s: s.query(node, ev))
+                assert_same_state(fast, slow)
+            fast, slow = on_both_kernels(monkeypatch, tree, lambda s: s.multi_evidence_simq(ev))
+            assert_same_state(fast, slow)
+
+    def test_compiled_binary_random_trees(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        for _ in range(8):
+            net = random_tree_network(rng, int(rng.integers(2, 11)))
+            tree, _ = compiler.compile_network(net)
+            ev = random_evidence(rng, net, int(rng.integers(0, 4)))
+            for comp in tree.compounds:
+                fast, slow = on_both_kernels(
+                    monkeypatch, tree, lambda s: s.query(comp.ident, ev)
+                )
+                assert_same_state(fast, slow)
+            fast, slow = on_both_kernels(monkeypatch, tree, lambda s: s.multi_evidence_simq(ev))
+            assert_same_state(fast, slow)
+
+    def test_instantiate_commit_and_simq_step(self, monkeypatch):
+        tree = binary_chain_tree(np.random.default_rng(5), 40)
+
+        def steps(s):
+            s.instantiate(3, {"v3": 1})
+            s.commit()
+            s.instantiate(30, {"v30": 0})
+            s.simq_step(11, 12, np.array([0.01]))
+
+        fast, slow = on_both_kernels(monkeypatch, tree, steps)
+        assert_same_state(fast, slow)
+
+    def test_traced_events_agree(self, monkeypatch):
+        tree = binary_chain_tree(np.random.default_rng(6), 12)
+        ev = Evidence.of({"v0": 1, "v5": 0, "v9": 1, "v11": 0})
+
+        def traced(s):
+            s._record_trace = True
+            s.query(7, ev)
+            s.multi_evidence_simq(ev)
+
+        fast, slow = on_both_kernels(monkeypatch, tree, traced)
+        assert [e[:2] for e in fast.trace] == [e[:2] for e in slow.trace]
+        for (_, _, one), (_, _, two) in zip(fast.trace, slow.trace):
+            assert np.abs(one - two).max() <= 1e-12
+
+    def test_truncated_query_balls(self, monkeypatch):
+        profile = truncation.DecayProfile(0.9, 0.09, 0.1)
+        rng = np.random.default_rng(7)
+        tree = binary_chain_tree(rng, 200, alpha=0.9, coupling_lo=0.8)
+        for radius in (1, 3, 10, 40):
+            ev = chain_evidence(rng, 200, 4)
+            node = int(rng.integers(0, 200))
+            fast, slow = on_both_kernels(
+                monkeypatch,
+                tree,
+                lambda s: truncation.truncated_query(s, node, ev, profile, radius=radius),
+            )
+            assert_same_state(fast, slow)
+            assert all(abs(n - node) <= radius for n in fast.instr.touched)
+
+
+class TestFloatKernelSessions:
+    """TestSessionReuse and the zero-evidence rule on the float kernel."""
+
+    @pytest.fixture(scope="class")
+    def binary_net(self):
+        return random_tree_network(np.random.default_rng(41), 9)
+
+    def test_queries_and_floods_match_fresh_sessions_and_oracle(self, binary_net):
+        tree, _ = compiler.compile_network(binary_net)
+        reused = fresh(tree)
+        assert reused._kernel is engine._FloatKernel
+        steps = [
+            ("query", "v4", {"v1": 1, "v7": 1}),
+            ("query", "v4", {"v7": 0}),
+            ("flood", "v1", {"v1": 1}),
+            ("query", "v8", {"v2": 1}),
+            ("flood", "v7", {"v7": 0}),
+            ("query", "v0", {"v2": 0, "v8": 1}),
+            ("query", "v4", {}),
+        ]
+        for kind, label, ev in steps:
+            evidence = Evidence.of(ev)
+            if kind == "query":
+                ident = tree.member_home(label)
+                got = reused.query(ident, evidence).probs
+                assert np.abs(got - fresh(tree).query(ident, evidence).probs).max() <= 1e-9
+                want = oracle.posterior(binary_net, evidence, label).probs
+                assert np.abs(got - want).max() <= 1e-9
+            else:
+                reused.instantiate(tree.member_home(label), ev)
+                one = fresh(tree).instantiate(tree.member_home(label), ev)
+                want = oracle_all_nodes(binary_net, tree, evidence)
+                for ident, expected in want.items():
+                    assert np.abs(reused.p[ident] - one.p[ident]).max() <= 1e-9
+                    assert np.abs(reused.p[ident] - expected).max() <= 1e-9
+
+    def test_commit_and_query_after_committed_flood(self, binary_net):
+        tree, _ = compiler.compile_network(binary_net)
+        s = fresh(tree)
+        s.query(tree.member_home("v3"), Evidence.of({"v5": 0}))
+        s.instantiate(tree.member_home("v1"), {"v1": 1})
+        s.commit()
+        want = oracle_all_nodes(binary_net, tree, Evidence.of({"v1": 1}))
+        for ident, expected in want.items():
+            assert np.abs(s.p0[ident] - expected).max() <= 1e-9
+        s.multi_evidence_simq(Evidence.of({"v6": 0}))
+        evidence = Evidence.of({"v1": 1, "v6": 0, "v8": 1})
+        ident = tree.member_home("v4")
+        got = s.query(ident, Evidence.of({"v8": 1})).probs
+        want = oracle.posterior(binary_net, evidence, "v4").probs
+        assert np.abs(got - want).max() <= 1e-9
+
+    def test_zero_probability_instantiation_errors(self):
+        s = fresh(binary_chain_tree(np.random.default_rng(1), 6))
+        assert s._kernel is engine._FloatKernel
+        s.instantiate(0, {"v0": 1})
+        s.commit()
+        with pytest.raises(ZeroEvidenceError):
+            s.instantiate(0, {"v0": 0})
+        with pytest.raises(ZeroEvidenceError):
+            s.query(0, Evidence.of({"v0": 0}))
+
+    def test_errors_match_the_array_kernel(self, monkeypatch):
+        spaces = [StateSpace.binary((f"v{i}",)) for i in range(4)]
+        priors = [Distribution(np.array([0.6, 0.4]))] * 4
+        unit = np.array([[-1.0, 1.0]]) / np.sqrt(2.0)
+        copy = algebra.QRFactors(unit, unit)  # each node equals its parent
+        copies = compiler.accept_precompiled(
+            spaces, priors, {(k, k - 1): copy for k in range(1, 4)}
+        )
+        # a coupling of 3 is no sensitivity, but it loads
+        wild = compiler.accept_precompiled(
+            spaces[:2], priors[:2], {(1, 0): algebra.QRFactors(unit, 3 * unit)}
+        )
+        cases = [
+            (copies, lambda s: s.multi_evidence_simq(Evidence.of({"v0": 1, "v3": 0}))),
+            (copies, lambda s: s.query(1, Evidence.of({"v0": 1, "v3": 0}))),
+            (copies, lambda s: s.query(2, Evidence.of({"v0": 1, "v1": 1, "v3": 1}))),
+            (copies, lambda s: s.instantiate(2, {"v2": 0})),
+            (copies, lambda s: s.query(3, Evidence.of({"v0": 1}))),
+            (copies, lambda s: s.query(0, Evidence.of({"v3": 1}))),
+            (wild, lambda s: s.query(1, Evidence.of({"v0": 1}))),
+            (wild, lambda s: s.multi_evidence_simq(Evidence.of({"v0": 0}))),
+        ]
+        seen = set()
+        for tree, case in cases:
+            outcomes = []
+            for force in (False, True):
+                with monkeypatch.context() as patch:
+                    if force:
+                        patch.setattr(engine, "_choose_kernel", lambda t: engine._ArrayKernel)
+                    s = QuerySession(tree)
+                try:
+                    case(s)
+                    outcomes.append(("ok", s.instr.messages))
+                except SensBnError as exc:
+                    outcomes.append((type(exc).__name__, str(exc)))
+            assert outcomes[0] == outcomes[1]
+            seen.add(outcomes[0][0])
+        assert seen == {"ok", "SingularWeightError", "ZeroMassError"}
+
+
+def test_deep_chains_keep_the_recursion_limit():
+    """Queries and floods on deep chains, float and array kernels, run
+    under a low recursion limit and leave it as it was."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from sensbn import algebra, compiler, engine, generators
+        from sensbn.model import Distribution, Evidence, StateSpace
+
+        sys.setrecursionlimit(300)
+        binary = generators.binary_chain_tree(np.random.default_rng(0), 20000)
+        T = np.array([[0.7, 0.2, 0.1], [0.2, 0.6, 0.3], [0.1, 0.2, 0.6]])
+        pair = algebra.qr_factor(algebra.cpt_to_sensitivity(T))
+        p, priors = np.array([0.5, 0.3, 0.2]), []
+        for _ in range(3000):
+            priors.append(Distribution(p))
+            p = T @ p
+        spaces = [StateSpace((f"t{k}",), (3,)) for k in range(3000)]
+        three = compiler.accept_precompiled(
+            spaces, priors, {(k, k - 1): pair for k in range(1, 3000)}
+        )
+        runs = [
+            (binary, engine._FloatKernel, "v", 20000),
+            (three, engine._ArrayKernel, "t", 3000),
+        ]
+        for tree, kernel, prefix, n in runs:
+            ev = Evidence.of({f"{prefix}0": 1, f"{prefix}{n - 1}": 0})
+            session = engine.QuerySession(tree)
+            assert session._kernel is kernel
+            exact = session.query(n // 2, ev).probs
+            assert len(session.instr.touched) == n
+            session.multi_evidence_simq(ev)
+            assert np.abs(session.p[n // 2] - exact).max() <= 1e-9
+        print(sys.getrecursionlimit())
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["300"]

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sensbn import compiler, fileio
-from sensbn.errors import ParseError
+from sensbn.errors import ParseError, ZeroMassError
 from sensbn.generators import random_groupings, random_tree_network
 from sensbn.model import validate_network
 
@@ -80,6 +80,13 @@ class TestTreeFormat:
         )
         with pytest.raises(ParseError, match="expected 2"):
             fileio.parse_tree(text)
+
+    @pytest.mark.parametrize("prior", ["nan 1.0", "nan nan", "inf 1.0"])
+    def test_non_finite_prior_is_refused(self, prior, tmp_path):
+        path = tmp_path / "bad.tree"
+        path.write_text(f"tree t\ncompound A members a\nprior A {prior}\n")
+        with pytest.raises(ZeroMassError):
+            fileio.load_tree(path)
 
     def test_factor_width_mismatch(self):
         text = (

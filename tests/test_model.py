@@ -109,6 +109,21 @@ class TestDistribution:
         with pytest.raises(ZeroMassError):
             Distribution(np.array([0.5, 0.4]))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [np.nan, np.nan],
+            [np.nan, 1.0],
+            [0.0, np.nan],
+            [np.inf, 0.0],
+            [1.0, -np.inf],
+            [np.inf, -np.inf],
+        ],
+    )
+    def test_rejects_non_finite_entries(self, values):
+        with pytest.raises(ZeroMassError):
+            Distribution(np.array(values))
+
     def test_normalized_factory(self):
         d = Distribution.normalized([2.0, 2.0])
         assert np.allclose(d.probs, [0.5, 0.5])
