@@ -232,7 +232,7 @@ def cmd_validate(args) -> int:
     # per-edge agreement with the enumeration oracle, named per edge
     for i, j in tree.edges:
         ci, cj = tree.compound(i), tree.compound(j)
-        want = oracle.pairwise_conditional(net, ci.space, cj.space).entries
+        want = oracle.pairwise_conditional(net, ci.space, cj.space, jt=jt).entries
         dense = compiler.reconstruct_dense(tree, i, j)
         got = dense + (ci.prior.probs - dense @ cj.prior.probs)[:, None]
         err = float(np.abs(got - want).max(initial=0.0))

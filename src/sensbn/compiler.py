@@ -8,9 +8,10 @@ adjacent clusters.  Separation in the collapsed moral graph implies the
 conditional independences the tree factorization needs, so inference on
 the compiled tree is exact.
 
-The compile step fills in priors and pairwise couplings from the
-enumeration oracle, prunes zero-probability compound states, and stores
-one mutually consistent factor pair per edge.
+The compile step computes every cluster prior and every pairwise joint of
+adjacent clusters by exact sum-product over the cluster tree (never the
+full joint), prunes zero-probability compound states, and stores one
+mutually consistent factor pair per edge.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, oracle
+from . import algebra
 from .algebra import QRFactors
 from .errors import (
     ConsistencyError,
@@ -32,6 +33,7 @@ from .model import (
     BeliefNetwork,
     BinaryScalars,
     CompoundNode,
+    ConditionalMatrix,
     DecayConstants,
     Distribution,
     StateSpace,
@@ -40,7 +42,7 @@ from .model import (
     validate_network,
 )
 
-#: compound states whose oracle prior is at or below this are discarded
+#: compound states whose prior is at or below this are discarded
 PRUNE_EPS = 1e-12
 
 CONSISTENCY_TOL = 1e-9
@@ -301,6 +303,91 @@ def _reverse_factor(q: np.ndarray, p_i: np.ndarray) -> np.ndarray:
     return algebra.center_rows(q * inv_i[..., None, :])
 
 
+def _family_table(net: BeliefNetwork, label: str, axes: tuple[str, ...]) -> np.ndarray:
+    """The CPT of ``label`` laid onto the node axes ``axes``, with length
+    one on every axis outside its family."""
+    src = (label,) + net.parents[label]
+    fam = net.cpts[label].reshape(tuple(net.card(x) for x in src))
+    position = {x: k for k, x in enumerate(axes)}
+    shape = [1] * len(axes)
+    for x in src:
+        shape[position[x]] = net.card(x)
+    return fam.transpose(sorted(range(len(src)), key=lambda k: position[src[k]])).reshape(shape)
+
+
+def _cluster_marginals(
+    net: BeliefNetwork,
+    clusters: tuple[tuple[str, ...], ...],
+    order: list[int],
+    parent_of: dict[int, int | None],
+) -> tuple[list[np.ndarray], dict[int, np.ndarray]]:
+    """Exact priors of every cluster and joints of every (child, parent)
+    cluster pair, by two-pass sum-product over the rooted cluster tree.
+
+    ``order`` lists the clusters root first, every cluster after its
+    parent.  Returns the prior of each cluster over its full (unpruned)
+    space and, keyed by child cluster, the joint p(child, parent) of each
+    edge as an (n_child, n_parent) table.
+
+    Each family lies in one cluster or in a cluster and its parent (the
+    plan invariant), so every CPT multiplies into a cluster table psi_C or
+    into the table psi_C,pa of the edge to C's parent.  The upward pass
+    sends m_C = (psi_C * prod of C's children's m) @ psi_C,pa; the downward
+    pass gives each child the rest of the tree seen from its parent, from
+    prefix and suffix products of its siblings' messages, so no division
+    is needed and exact zeros stay exact.
+    """
+    home = {m: c for c, cluster in enumerate(clusters) for m in cluster}
+    cards = [tuple(net.card(m) for m in cluster) for cluster in clusters]
+    psi = [np.ones(shape) for shape in cards]
+    edge_psi = {c: np.ones(cards[c] + cards[parent_of[c]]) for c in order[1:]}
+    for label in net.labels:
+        homes = {home[x] for x in (label,) + net.parents[label]}
+        if len(homes) == 1:
+            (c,) = homes
+            psi[c] = psi[c] * _family_table(net, label, clusters[c])
+        else:
+            c = next(h for h in homes if parent_of[h] in homes)
+            axes = clusters[c] + clusters[parent_of[c]]
+            edge_psi[c] = edge_psi[c] * _family_table(net, label, axes)
+    flat = [t.reshape(-1) for t in psi]
+    edge_psi = {c: t.reshape(flat[c].size, -1) for c, t in edge_psi.items()}
+    children: dict[int, list[int]] = {c: [] for c in order}
+    for c in order[1:]:
+        children[parent_of[c]].append(c)
+
+    # upward: inside[C] is psi_C times the messages of C's children
+    inside: dict[int, np.ndarray] = {}
+    up: dict[int, np.ndarray] = {}
+    for c in reversed(order):
+        belief = flat[c]
+        for d in children[c]:
+            belief = belief * up[d]
+        inside[c] = belief
+        if parent_of[c] is not None:
+            up[c] = belief @ edge_psi[c]
+
+    # downward: outside[C] is the message from C's parent into C
+    priors: list[np.ndarray] = [None] * len(clusters)
+    pairs: dict[int, np.ndarray] = {}
+    outside = {order[0]: np.ones(flat[order[0]].size)}
+    for pa in order:
+        priors[pa] = inside[pa] * outside[pa]
+        kids = children[pa]
+        if not kids:
+            continue
+        msgs = np.array([up[d] for d in kids])
+        before = np.ones_like(msgs)
+        after = np.ones_like(msgs)
+        before[1:] = np.cumprod(msgs[:-1], axis=0)
+        after[:-1] = np.cumprod(msgs[:0:-1], axis=0)[::-1]
+        rest = flat[pa] * outside[pa] * before * after
+        for d, beyond in zip(kids, rest):
+            pairs[d] = inside[d][:, None] * edge_psi[d] * beyond[None, :]
+            outside[d] = edge_psi[d] @ beyond
+    return priors, pairs
+
+
 def compile_network(
     net: BeliefNetwork,
     plan: ClusterPlan | None = None,
@@ -308,10 +395,13 @@ def compile_network(
     rank_tol: float = algebra.RANK_TOL,
     name: str | None = None,
 ) -> tuple[TreeNetwork, CompileReport]:
-    """Build the compound tree: oracle priors, pruning, factored couplings.
+    """Build the compound tree: sum-product priors, pruning, factored couplings.
 
     Compound nodes are named X_1.. in order of their first-declared member;
     each edge is authored in the direction child = node farther from X_1.
+    Priors and pairwise conditionals come from :func:`_cluster_marginals`,
+    in time linear in the number of edges for bounded cluster sizes; the
+    full joint is never built.
     """
     problems = validate_network(net)
     if problems:
@@ -322,12 +412,25 @@ def compile_network(
     if bad:
         raise NetworkValidationError("invalid plan: " + "; ".join(map(str, bad)))
 
-    jt = oracle.joint(net)
+    # orient every edge away from the first compound node
+    nb: dict[int, list[int]] = {c: [] for c in range(len(plan.clusters))}
+    for a, b in plan.tree_edges:
+        nb[a].append(b)
+        nb[b].append(a)
+    parent_of: dict[int, int | None] = {0: None}
+    order = [0]
+    for node in order:
+        for nxt in sorted(nb[node]):
+            if nxt not in parent_of:
+                parent_of[nxt] = node
+                order.append(nxt)
+
+    full_priors, joints = _cluster_marginals(net, plan.clusters, order, parent_of)
     compounds: list[CompoundNode] = []
     pruned_record: list[tuple[str, tuple[int, ...]]] = []
     for idx, cluster in enumerate(plan.clusters):
         cards = tuple(net.card(m) for m in cluster)
-        full = oracle.marginal(jt, cluster).reshape(-1)
+        full = full_priors[idx]
         pruned = tuple(int(i) for i in np.nonzero(full <= PRUNE_EPS)[0])
         space = StateSpace(cluster, cards, pruned)
         prior = Distribution.normalized(full[list(space.retained)])
@@ -336,29 +439,14 @@ def compile_network(
         if pruned:
             pruned_record.append((name_i, pruned))
 
-    # orient every edge away from the first compound node
-    nb: dict[int, list[int]] = {c.ident: [] for c in compounds}
-    for a, b in plan.tree_edges:
-        nb[a].append(b)
-        nb[b].append(a)
-    parent_of: dict[int, int | None] = {0: None}
-    frontier = [0]
-    order: list[int] = []
-    while frontier:
-        node = frontier.pop(0)
-        order.append(node)
-        for nxt in sorted(nb[node]):
-            if nxt not in parent_of:
-                parent_of[nxt] = node
-                frontier.append(nxt)
-
     edges: list[tuple[int, int]] = []
     factors: dict[tuple[int, int], np.ndarray] = {}
     reports: list[EdgeReport] = []
     for child_id in order[1:]:
         parent_id = parent_of[child_id]
         child, parent = compounds[child_id], compounds[parent_id]
-        cond = oracle.pairwise_conditional(net, child.space, parent.space)
+        pair_joint = joints[child_id][np.ix_(child.space.retained, parent.space.retained)]
+        cond = ConditionalMatrix.from_joint(pair_joint, child.space, parent.space)
         sens = algebra.cpt_to_sensitivity(cond)
         pair = algebra.qr_factor(sens, rank_tol)
         factors[(child_id, parent_id)] = pair.r_mat

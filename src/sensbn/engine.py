@@ -30,8 +30,12 @@ transfer.
   p = P(state 1) and a stored factor the one number c = R[0,1] - R[0,0].
   A message is ``c * dp``, an update ``p0 + p(1-p) c m``, the refreshed
   factor ``p(1-p) c / (p'(1-p'))`` and a pass-through transfer
-  ``p(1-p) c_above c_below``.  The clamp and the zero-mass, singular-weight
-  and zero-evidence rules are the array kernel's.
+  ``p(1-p) c_above c_below``.  The clamp, the dead-state rule and the
+  zero-mass and zero-evidence rules are the array kernel's.
+
+A state that an update drives to zero stays at zero: its column of the
+refreshed factor is zeroed, which is exact because that column is never
+read again (the state's weighted column and its baseline entry are zero).
 
 The tree picks the kernel.  The load pass (compiler.check_tree_consistency)
 records the float priors and factors on ``TreeNetwork.scalars`` when the
@@ -68,7 +72,6 @@ from . import algebra
 from .errors import (
     DimensionMismatchError,
     PrunedStateError,
-    SingularWeightError,
     UnknownLabelError,
     ZeroEvidenceError,
     ZeroMassError,
@@ -79,8 +82,6 @@ from .model import Distribution, Evidence, TreeNetwork, restrict_distribution
 CLAMP_EPS = 1e-12
 #: an update whose clamped entries do not sum to one within this is refused
 MASS_TOL = 1e-6
-#: factor mass a state that died may keep before its inverse weight is singular
-DEAD_COUPLING_TOL = 1e-9
 
 
 class Overlay(dict):
@@ -200,7 +201,7 @@ class Instrumentation:
 class _ArrayKernel:
     """The general arithmetic: ndarray distributions, rank x n factors.
 
-    ``update`` and ``refresh`` return None where the session must raise.
+    ``update`` returns None where the session must raise.
     """
 
     @staticmethod
@@ -226,20 +227,18 @@ class _ArrayKernel:
         return values if abs(total - 1.0) <= MASS_TOL else None
 
     @staticmethod
-    def refresh(q: np.ndarray, p: np.ndarray) -> np.ndarray | None:
+    def refresh(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Post-update factor toward the sender: q diag(p)^{-1} (I - E/n).
 
-        Columns whose probability collapsed to zero must carry no factor
-        mass; otherwise the inverse weight is undefined and the state has
-        to be pruned at compile time instead.
+        A column whose probability collapsed to zero is zeroed: a dead
+        state stays dead, since its weighted column and its baseline entry
+        are zero from then on, so that column is never read.
         """
         if p.min() > 0.0:
             return algebra.center_rows(q / p)
-        dead = p <= 0.0
-        if np.abs(q[:, dead]).max(initial=0.0) > DEAD_COUPLING_TOL:
-            return None
+        alive = p > 0.0
         out = np.zeros_like(q)
-        out[:, ~dead] = q[:, ~dead] / p[~dead]
+        out[:, alive] = q[:, alive] / p[alive]
         return algebra.center_rows(out)
 
     @staticmethod
@@ -292,12 +291,10 @@ class _FloatKernel:
         return None  # out of range, or NaN
 
     @staticmethod
-    def refresh(q: float, p: float) -> float | None:
+    def refresh(q: float, p: float) -> float:
         weight = p * (1.0 - p)
-        if weight > 0.0:
-            return q / weight
-        # a dead state: allowed only without coupling, as in the array kernel
-        return q if abs(q) <= DEAD_COUPLING_TOL else None
+        # a dead state: the array kernel's zeroed column leaves c = q
+        return q / weight if weight > 0.0 else q
 
     @staticmethod
     def transfer(c_above: float, c_below: float, p: float) -> float:
@@ -414,13 +411,6 @@ class QuerySession:
         name = self.tree.compound(node).name
         return ZeroMassError(f"update left {name} without a valid distribution")
 
-    def _singular(self, node: int) -> SingularWeightError:
-        name = self.tree.compound(node).name
-        return SingularWeightError(
-            f"a state of {name} reached probability zero but still couples "
-            "to its neighbors; re-compile with that state pruned"
-        )
-
     def _observe(self, node: int, assignment: Mapping[str, int]):
         """The node's distribution once the evidence on it is fixed."""
         kernel = self._kernel
@@ -499,11 +489,8 @@ class QuerySession:
                 value = update(p0[node], q, m)
                 if value is None:
                     raise self._zero_mass(node)
-                factor = kernel.refresh(q, value)
-                if factor is None:
-                    raise self._singular(node)
                 p[node] = value
-                r[key] = factor
+                r[key] = kernel.refresh(q, value)
                 if not flood:
                     p1[node] = value
                 if tracing:

@@ -17,6 +17,8 @@ same rule over the ordered parent list to lay out their columns.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -185,6 +187,14 @@ def state_index(assignment: Mapping[str, int], space: StateSpace) -> int:
     return space.index(assignment)
 
 
+def _refuse_non_finite(arr: np.ndarray) -> None:
+    """Raise for the first NaN or infinite entry of ``arr``, if it has one."""
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        k = int(bad[0])
+        raise ZeroMassError(f"distribution entry {k} is {float(arr.flat[k])!r}, not finite")
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A probability column: non-negative entries summing to one."""
@@ -195,11 +205,15 @@ class Distribution:
         arr = frozen_array(self.probs)
         if arr.ndim != 1:
             raise DimensionMismatchError("a distribution must be a vector")
+        # min and max are NaN or infinite iff an entry is, and unlike the
+        # sum they do not warn on inf - inf
+        lo, hi = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            _refuse_non_finite(arr)
         total = float(arr.sum())
-        # written so that a NaN or infinite entry, whose sum is not finite, fails
         if not abs(total - 1.0) <= SUM_TOL:
             raise ZeroMassError(f"distribution sums to {total!r}, not 1")
-        if arr.min(initial=0.0) < -ENTRY_TOL or arr.max(initial=0.0) > 1 + ENTRY_TOL:
+        if lo < -ENTRY_TOL or hi > 1 + ENTRY_TOL:
             raise ZeroMassError("distribution entries outside [0, 1]")
         object.__setattr__(self, "probs", arr)
 
@@ -207,6 +221,8 @@ class Distribution:
     def normalized(cls, values) -> "Distribution":
         """Build from raw non-negative weights, renormalizing exactly once."""
         arr = np.asarray(values, dtype=float)
+        if not np.isfinite(arr).all():
+            _refuse_non_finite(arr)
         total = float(arr.sum())
         if total <= 0:
             raise ZeroMassError("cannot normalize a zero-mass vector")
@@ -246,6 +262,25 @@ class ConditionalMatrix:
                 f"column {bad} of p({self.child}|{self.parent}) sums to {colsums[bad]!r}"
             )
         object.__setattr__(self, "entries", arr)
+
+    @classmethod
+    def from_joint(
+        cls, pair: np.ndarray, child: "StateSpace", parent: "StateSpace"
+    ) -> "ConditionalMatrix":
+        """p(child | parent) from the joint mass table p(child, parent)
+        over retained states; a parent state without mass is refused."""
+        colsums = pair.sum(axis=0)
+        if colsums.min(initial=np.inf) <= 0.0:
+            dead = int(np.argmin(colsums))
+            raise ZeroMassError(
+                f"parent configuration {dead} of {parent.members} has zero "
+                "probability; prune that state first"
+            )
+        return cls(
+            pair / colsums[None, :],
+            child="+".join(child.members),
+            parent="+".join(parent.members),
+        )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -323,22 +358,30 @@ class BeliefNetwork:
         object.__setattr__(self, "parents", parents)
         cpts = {l: frozen_array(t) for l, t in self.cpts.items()}
         object.__setattr__(self, "cpts", cpts)
+        # a repeated label keeps its first declaration, as a scan would find
+        cards: dict[str, int] = {}
+        index: dict[str, int] = {}
+        for i, (l, c) in enumerate(nodes):
+            cards.setdefault(l, c)
+            index.setdefault(l, i)
+        object.__setattr__(self, "_cards", cards)
+        object.__setattr__(self, "_index", index)
 
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.nodes)
 
     def card(self, label: str) -> int:
-        for l, c in self.nodes:
-            if l == label:
-                return c
-        raise UnknownLabelError(f"unknown node {label!r}")
+        try:
+            return self._cards[label]
+        except KeyError:
+            raise UnknownLabelError(f"unknown node {label!r}") from None
 
     def declaration_index(self, label: str) -> int:
-        for i, (l, _) in enumerate(self.nodes):
-            if l == label:
-                return i
-        raise UnknownLabelError(f"unknown node {label!r}")
+        try:
+            return self._index[label]
+        except KeyError:
+            raise UnknownLabelError(f"unknown node {label!r}") from None
 
     def parent_config_count(self, label: str) -> int:
         n = 1
@@ -357,16 +400,17 @@ class BeliefNetwork:
                     raise UnknownLabelError(f"parent {p!r} of {child!r} is not a node")
                 indeg[child] += 1
                 children[p].append(child)
-        ready = [l for l in labels if indeg[l] == 0]
+        # a heap of (declaration index, label): the earliest-declared ready node first
+        ready = [(self._index[l], l) for l in labels if indeg[l] == 0]
+        heapq.heapify(ready)
         order: list[str] = []
         while ready:
-            node = ready.pop(0)
+            _, node = heapq.heappop(ready)
             order.append(node)
             for c in children[node]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
-                    ready.append(c)
-            ready.sort(key=self.declaration_index)
+                    heapq.heappush(ready, (self._index[c], c))
         if len(order) != len(labels):
             raise NetworkCycleError("the graph has a directed cycle")
         return tuple(order)

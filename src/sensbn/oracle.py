@@ -172,34 +172,31 @@ def arc_reverse_cpt(
     return ConditionalMatrix(flipped, child=p_ij.parent, parent=p_ij.child), Distribution(p_i)
 
 
-def pairwise_joint(net: BeliefNetwork, child: StateSpace, parent: StateSpace) -> np.ndarray:
+def pairwise_joint(
+    net: BeliefNetwork,
+    child: StateSpace,
+    parent: StateSpace,
+    jt: JointTable | None = None,
+) -> np.ndarray:
     """Joint mass table p(child state, parent state) over retained states."""
-    if set(child.members) & set(parent.members):
-        if child.members == parent.members and child.pruned == parent.pruned:
-            jt = joint(net)
-            flat = marginal(jt, child.members).reshape(-1)
-            return np.diag(flat[list(child.retained)])
+    overlap = bool(set(child.members) & set(parent.members))
+    if overlap and (child.members, child.pruned) != (parent.members, parent.pruned):
         raise UnknownLabelError("overlapping member sets are not supported")
-    jt = joint(net)
+    if jt is None:
+        jt = joint(net)
+    if overlap:
+        flat = marginal(jt, child.members).reshape(-1)
+        return np.diag(flat[list(child.retained)])
     table = marginal(jt, child.members + parent.members)
     flat = table.reshape(child.full_cardinality, parent.full_cardinality)
     return flat[np.ix_(list(child.retained), list(parent.retained))]
 
 
 def pairwise_conditional(
-    net: BeliefNetwork, child: StateSpace, parent: StateSpace
+    net: BeliefNetwork,
+    child: StateSpace,
+    parent: StateSpace,
+    jt: JointTable | None = None,
 ) -> ConditionalMatrix:
     """p(child set | parent set) computed from the joint; unit-sum columns."""
-    pair = pairwise_joint(net, child, parent)
-    colsums = pair.sum(axis=0)
-    if colsums.min(initial=np.inf) <= 0.0:
-        dead = int(np.argmin(colsums))
-        raise ZeroMassError(
-            f"parent configuration {dead} of {parent.members} has zero "
-            "probability; prune that state first"
-        )
-    return ConditionalMatrix(
-        pair / colsums[None, :],
-        child="+".join(child.members),
-        parent="+".join(parent.members),
-    )
+    return ConditionalMatrix.from_joint(pairwise_joint(net, child, parent, jt), child, parent)

@@ -4,8 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from sensbn import cli, fileio
+from sensbn import cli, fileio, oracle
 from sensbn.fixtures import FIXTURE_DIR
+from sensbn.generators import random_tree_network
 
 
 def run(capsys, *argv):
@@ -192,6 +193,32 @@ class TestValidate:
             capsys, "validate", "asia.net", str(out_file), "--samples", "1", "--seed", "3"
         )
         assert code == 0
+
+    def test_builds_the_joint_once(self, capsys, tmp_path, monkeypatch):
+        out_file = tmp_path / "asia.tree"
+        run(
+            capsys,
+            "compile", str(FIXTURE_DIR / "asia.net"),
+            "--group", "x_C,x_E,x_G", "-o", str(out_file),
+        )
+        calls = []
+        joint = oracle.joint
+        monkeypatch.setattr(oracle, "joint", lambda net: calls.append(net) or joint(net))
+        code, out, err = run(capsys, "validate", "asia.net", str(out_file), "--samples", "10")
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_tree_past_the_size_guard_compiles_but_is_not_validated(self, capsys, tmp_path):
+        net = random_tree_network(np.random.default_rng(0), 23)
+        src = tmp_path / "tree23.net"
+        fileio.save(src, fileio.serialize_network(net))
+        code, out, err = run(capsys, "compile", str(src))
+        assert code == 0
+        compiled = tmp_path / "tree23.tree"
+        assert len(fileio.load_tree(compiled).compounds) == 23
+        code, out, err = run(capsys, "validate", str(src), str(compiled), "--samples", "5")
+        assert code == cli.EXIT_GUARD
+        assert f"joint table would exceed {oracle.SIZE_GUARD} states" in err
 
 
 class TestBench:

@@ -15,8 +15,16 @@ from sensbn.compiler import (
     plan_violations,
     reconstruct_dense,
 )
-from sensbn.errors import ConsistencyError, DimensionMismatchError
-from sensbn.generators import binary_chain_tree, random_cpt, random_tree_network
+from sensbn.errors import ConsistencyError, DimensionMismatchError, ZeroEvidenceError
+from sensbn.engine import QuerySession
+from sensbn.generators import (
+    binary_chain_network,
+    binary_chain_tree,
+    random_cpt,
+    random_evidence,
+    random_groupings,
+    random_tree_network,
+)
 from sensbn.model import BeliefNetwork, Distribution, Evidence, StateSpace, TreeNetwork
 from tests.conftest import table1_priors
 
@@ -165,6 +173,117 @@ class TestCompile:
         tree, report = compile_network(net)
         assert len(tree.edges) == 1
         assert report.edges[0].rank == 0
+
+
+def random_network(rng, n_nodes, components=1):
+    """Random DAG of two- and three-state nodes with up to two parents,
+    split into ``components`` unconnected parts, where some CPT columns
+    are deterministic so that some compound states have no mass."""
+    labels = [f"v{i}" for i in range(n_nodes)]
+    cards = [int(rng.integers(2, 4)) for _ in labels]
+    part = [i % components for i in range(n_nodes)]
+    parents, cpts = {}, {}
+    for i, label in enumerate(labels):
+        earlier = [j for j in range(i) if part[j] == part[i]]
+        k = int(rng.integers(0, min(len(earlier), 2) + 1))
+        ps = tuple(labels[j] for j in rng.choice(earlier, size=k, replace=False)) if k else ()
+        cols = int(np.prod([cards[labels.index(p)] for p in ps], dtype=int))
+        table = random_cpt(rng, cards[i], cols)
+        for col in range(cols):
+            if rng.random() < 0.3:
+                table[:, col] = np.eye(cards[i])[int(rng.integers(0, cards[i]))]
+        parents[label], cpts[label] = ps, table
+    return BeliefNetwork(tuple(zip(labels, cards)), parents, cpts, name="random")
+
+
+def assert_matches_oracle(net, tree, rng, tol=1e-12):
+    """Priors, pruning, pairwise conditionals, and posteriors from the
+    query and from the flood, of a compiled tree against the oracle."""
+    jt = oracle.joint(net)
+    for comp in tree.compounds:
+        full = oracle.marginal(jt, comp.space.members).reshape(-1)
+        assert comp.space.pruned == tuple(np.flatnonzero(full <= compiler.PRUNE_EPS))
+        want = full[list(comp.space.retained)]
+        assert np.abs(comp.prior.probs - want / want.sum()).max() <= tol
+    for i, j in tree.edges:
+        ci, cj = tree.compound(i), tree.compound(j)
+        want = oracle.pairwise_conditional(net, ci.space, cj.space, jt).entries
+        dense = reconstruct_dense(tree, i, j)
+        got = dense + (ci.prior.probs - dense @ cj.prior.probs)[:, None]
+        assert np.abs(got - want).max() <= 1e-9
+    for size in (1, 2, 3):
+        ev = random_evidence(rng, net, min(size, len(net.labels)))
+        query = str(rng.choice(net.labels))
+        try:
+            want = oracle.posterior(net, ev, query).probs
+        except ZeroEvidenceError:
+            continue
+        home = tree.member_home(query)
+        got = tree.member_marginal(home, query, QuerySession(tree).query(home, ev).probs)
+        assert np.abs(got - want).max() <= 1e-9
+        flood = QuerySession(tree).multi_evidence_simq(ev)
+        assert np.abs(flood.member_posterior(query).probs - want).max() <= 1e-9
+
+
+class TestSumProductCompile:
+    """compile_network works from the CPTs along the cluster tree; the
+    full joint is never built."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_grouped_networks_match_the_oracle(self, seed):
+        rng = np.random.default_rng([seed, 17])
+        pruned = 0
+        for components in (1, 1, 2):
+            net = random_network(rng, int(rng.integers(4, 10)), components)
+            tree, report = compile_network(net, forced_groups=random_groupings(rng, net))
+            pruned += len(report.pruned)
+            assert_matches_oracle(net, tree, rng)
+        assert seed != 0 or pruned > 0
+
+    def test_random_trees_match_the_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(8):
+            net = random_tree_network(rng, int(rng.integers(2, 13)), max_states=3)
+            tree, _ = compile_network(net, forced_groups=random_groupings(rng, net))
+            assert_matches_oracle(net, tree, rng)
+
+    def test_asia_matches_the_oracle(self, asia_net, asia_compiled):
+        assert_matches_oracle(asia_net, asia_compiled[0], np.random.default_rng(4))
+        tree, _ = compile_network(asia_net)
+        assert_matches_oracle(asia_net, tree, np.random.default_rng(5))
+
+    def test_compile_never_builds_the_joint(self, asia_net, monkeypatch):
+        def refuse(net):
+            raise AssertionError("compile built the joint")
+
+        monkeypatch.setattr(oracle, "joint", refuse)
+        assert not hasattr(compiler, "oracle")
+        compile_network(asia_net, forced_groups=(("x_C", "x_E", "x_G"),))
+        compile_network(random_network(np.random.default_rng(2), 8, components=2))
+        compile_network(random_tree_network(np.random.default_rng(0), 40))
+
+    def test_chain_past_the_size_guard_matches_the_direct_tree(self):
+        """A 2000-node chain, whose joint has 2**2000 states, compiles to
+        the tree that binary_chain_tree builds from the same draws."""
+        n = 2000
+        net = binary_chain_network(np.random.default_rng(8), n)
+        direct = binary_chain_tree(np.random.default_rng(8), n)
+        tree, _ = compile_network(net)
+        assert [c.space.members for c in tree.compounds] == [
+            c.space.members for c in direct.compounds
+        ]
+        got = np.array([c.prior.probs for c in tree.compounds])
+        want = np.array([c.prior.probs for c in direct.compounds])
+        assert np.abs(got - want).max() <= 1e-12
+        for i, j in tree.edges:
+            assert (i, j) in direct.r_factors
+            diff = reconstruct_dense(tree, i, j) - reconstruct_dense(direct, i, j)
+            assert np.abs(diff).max() <= 1e-12
+        ev = Evidence.of({"v3": 1, "v900": 0, "v1999": 1})
+        for node in (0, 1000, 1999):
+            a = QuerySession(tree).query(node, ev).probs
+            b = QuerySession(direct).query(node, ev).probs
+            assert np.abs(a - b).max() <= 1e-12
 
 
 class TestAcceptPrecompiled:

@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 import textwrap
@@ -459,6 +460,24 @@ class TestKernelEquivalence:
             fast, slow = on_both_kernels(monkeypatch, tree, lambda s: s.multi_evidence_simq(ev))
             assert_same_state(fast, slow)
 
+    def test_states_that_evidence_kills(self, monkeypatch):
+        """A chain of copies and one 0.5 coupling: evidence drives states to
+        zero that still couple to their neighbors, and both kernels refresh
+        those factors alike."""
+        spaces = [StateSpace.binary((f"v{i}",)) for i in range(4)]
+        priors = [Distribution(np.array([0.6, 0.4]))] * 4
+        unit = np.array([[-1.0, 1.0]]) / np.sqrt(2.0)
+        copy, half = algebra.QRFactors(unit, unit), algebra.QRFactors(unit, 0.5 * unit)
+        pairs = {(1, 0): copy, (2, 1): half, (3, 2): copy}
+        tree = compiler.accept_precompiled(spaces, priors, pairs)
+        for ev in ({"v0": 1}, {"v3": 0}, {"v0": 1, "v3": 1}, {"v1": 0, "v2": 1}):
+            ev = Evidence.of(ev)
+            fast, slow = on_both_kernels(monkeypatch, tree, lambda s: s.multi_evidence_simq(ev))
+            assert_same_state(fast, slow)
+            for node in range(4):
+                fast, slow = on_both_kernels(monkeypatch, tree, lambda s: s.query(node, ev))
+                assert_same_state(fast, slow)
+
     def test_compiled_binary_random_trees(self, monkeypatch):
         rng = np.random.default_rng(31)
         for _ in range(8):
@@ -614,7 +633,7 @@ class TestFloatKernelSessions:
                     outcomes.append((type(exc).__name__, str(exc)))
             assert outcomes[0] == outcomes[1]
             seen.add(outcomes[0][0])
-        assert seen == {"ok", "SingularWeightError", "ZeroMassError"}
+        assert seen == {"ok", "ZeroEvidenceError", "ZeroMassError"}
 
 
 def test_deep_chains_keep_the_recursion_limit():
@@ -657,3 +676,31 @@ def test_deep_chains_keep_the_recursion_limit():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["300"]
+
+
+def test_flood_answers_every_asia_evidence_set_the_oracle_answers(asia_net, asia_compiled):
+    """Every set of one to three evidence nodes, in every state, on the
+    asia tree with x_C, x_E, x_G grouped: the flood's posterior of every
+    node matches the oracle, and evidence of probability zero is refused
+    as such.  States that evidence kills keep couplings on this tree."""
+    tree, _ = asia_compiled
+    labels = asia_net.labels
+    answered = refused = 0
+    for k in (1, 2, 3):
+        for nodes in itertools.combinations(labels, k):
+            for states in itertools.product((0, 1), repeat=k):
+                ev = Evidence.of(dict(zip(nodes, states)))
+                try:
+                    oracle.posterior(asia_net, ev, labels[0])
+                except ZeroEvidenceError:
+                    with pytest.raises(ZeroEvidenceError):
+                        fresh(tree).multi_evidence_simq(ev)
+                    refused += 1
+                    continue
+                s = fresh(tree).multi_evidence_simq(ev)
+                for q in labels:
+                    want = oracle.posterior(asia_net, ev, q).probs
+                    assert np.abs(s.member_posterior(q).probs - want).max() <= 1e-12, (ev, q)
+                    answered += 1
+    assert answered == 4400
+    assert refused == 26

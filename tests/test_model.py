@@ -59,6 +59,51 @@ class TestValidateNetwork:
         assert "cycle" in kinds
 
 
+def kahn_by_rescan(net):
+    """Topological order by re-sorting the ready list after every pop."""
+    indeg = {l: len(net.parents[l]) for l in net.labels}
+    ready = [l for l in net.labels if indeg[l] == 0]
+    order = []
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        for c in net.labels:
+            if node in net.parents[c]:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    ready.append(c)
+        ready.sort(key=net.labels.index)
+    return tuple(order)
+
+
+class TestBeliefNetworkLookups:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_topological_order_breaks_ties_by_declaration(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        names = [f"n{i}" for i in range(n)]
+        parents = {}
+        for i in range(1, n):
+            k = int(rng.integers(0, min(i, 3) + 1))
+            parents[names[i]] = tuple(names[j] for j in rng.choice(i, size=k, replace=False))
+        declared = list(rng.permutation(names))
+        net = BeliefNetwork(tuple((l, 2) for l in declared), parents, {})
+        order = net.topological_order()
+        assert order == kahn_by_rescan(net)
+        assert [net.declaration_index(l) for l in declared] == list(range(n))
+        assert all(net.card(l) == 2 for l in declared)
+
+    def test_unknown_labels_raise(self):
+        net = two_node_chain()
+        with pytest.raises(UnknownLabelError):
+            net.card("nope")
+        with pytest.raises(UnknownLabelError):
+            net.declaration_index("nope")
+        bad = BeliefNetwork((("x1", 2),), {"x1": ("ghost",)}, {"x1": np.eye(2)})
+        with pytest.raises(UnknownLabelError):
+            bad.topological_order()
+
+
 class TestStateIndex:
     def asia_x3(self):
         return StateSpace.binary(("x_C", "x_E", "x_G"), pruned=(2, 3))
@@ -123,6 +168,20 @@ class TestDistribution:
     def test_rejects_non_finite_entries(self, values):
         with pytest.raises(ZeroMassError):
             Distribution(np.array(values))
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([0.5, np.nan, 0.5], "entry 1 is nan"),
+            ([np.inf, -np.inf], "entry 0 is inf"),
+            ([1.0, 0.0, -np.inf], "entry 2 is -inf"),
+        ],
+    )
+    def test_non_finite_entry_is_named(self, values, message):
+        with pytest.raises(ZeroMassError, match=message):
+            Distribution(np.array(values))
+        with pytest.raises(ZeroMassError, match=message):
+            Distribution.normalized(values)
 
     def test_normalized_factory(self):
         d = Distribution.normalized([2.0, 2.0])

@@ -175,6 +175,14 @@ class TestPairwiseConditional:
         )
         assert np.allclose(cond.entries, [[0.3, 0.3], [0.7, 0.7]])
 
+    def test_a_given_joint_gives_the_same_tables(self, asia_net):
+        jt = oracle.joint(asia_net)
+        child = StateSpace.binary(("x_C", "x_E", "x_G"), pruned=(2, 3))
+        for parent in (StateSpace.binary(("x_B",)), child):
+            want = oracle.pairwise_conditional(asia_net, child, parent).entries
+            got = oracle.pairwise_conditional(asia_net, child, parent, jt=jt).entries
+            assert np.array_equal(got, want)
+
     def test_same_set_gives_identity(self):
         net = chain3()
         space = StateSpace.binary(("x1", "x2"))
