@@ -211,11 +211,10 @@ def cmd_query(args) -> int:
             dist = session.query(ident, evidence)
         mode = f"exact engine={engine}"
     names, post, prior = _tree_posterior(tree, args.query, dist)
-    ranks = sorted({r for _, r in session.instr.messages})
+    instr = session.instr
     instrumentation = (
-        f"instrumentation messages={len(session.instr.messages)} ranks={ranks} "
-        f"edge_traversals={sum(session.instr.traversals.values())} "
-        f"nodes_touched={len(session.instr.touched)}"
+        f"instrumentation messages={instr.message_count} ranks={instr.ranks} "
+        f"edge_traversals={instr.crossings} nodes_touched={instr.touched_count}"
     )
     result = QueryResult(
         args.query, evidence.as_dict(), mode, names, post, prior, bound, instrumentation
@@ -328,7 +327,7 @@ def cmd_bench(args) -> int:
                 np.max(np.abs(approx.probs[mask] - exact[mask]) / exact[mask])
             ) if mask.any() else 0.0
             print(
-                f"{length}\t{eps}\t{plan.radius}\t{len(session.instr.touched)}"
+                f"{length}\t{eps}\t{plan.radius}\t{session.instr.touched_count}"
                 f"\t{wall:.6f}\t{rel:.6e}\t{bound:.6e}"
             )
     return EXIT_OK

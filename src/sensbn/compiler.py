@@ -601,8 +601,9 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
     failing edge in ``tree.edges`` order is named.  When every edge
     agrees, records the tree's decay constants, read off the same dense
     couplings, on ``tree.decay``; and when every compound has two states
-    and every edge rank 1, the tree's float form on ``tree.scalars``, with
-    one slice per shape group, for the engine's float kernel.
+    and every edge rank 1, the tree's columnar float form and its runs on
+    ``tree.scalars`` (see :class:`BinaryScalars`), for the engine's float
+    kernel.
 
     Edges are checked per shape: those of one (n_a, n_b, rank) are
     stacked into 3-D arrays, and one batched product per direction
@@ -617,7 +618,8 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
     first_bad, bad_err = len(tree.edges), math.nan
     couplings: list[float] = []
     scalar = all_binary and all(shape == (2, 2, 1) for shape in groups)
-    factors: dict[tuple[int, int], float] = {}
+    c_fwd = np.empty(len(tree.edges))
+    c_bwd = np.empty(len(tree.edges))
     for positions in groups.values():
         pairs = [tree.edges[pos] for pos in positions]
         r_ab = np.array([tree.r_factors[(a, b)] for a, b in pairs])
@@ -638,11 +640,8 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
         if all_binary:
             couplings.append(float(np.abs(s_ab[:, 1, 1] - s_ab[:, 1, 0]).max()))
         if scalar:
-            c_ab = (r_ab[:, 0, 1] - r_ab[:, 0, 0]).tolist()
-            c_ba = (r_ba[:, 0, 1] - r_ba[:, 0, 0]).tolist()
-            for pair, x, y in zip(pairs, c_ab, c_ba):
-                factors[pair] = x
-                factors[pair[::-1]] = y
+            c_fwd[positions] = r_ab[:, 0, 1] - r_ab[:, 0, 0]
+            c_bwd[positions] = r_ba[:, 0, 1] - r_ba[:, 0, 0]
     if first_bad < len(tree.edges):
         a, b = tree.edges[first_bad]
         # a zero prior entry fails its edge; report it as the scalar check does
@@ -657,7 +656,7 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
             True, float(np.max(couplings, initial=0.0)), float((p[:, 0] * p[:, 1]).min())
         )
         if scalar:
-            scalars = BinaryScalars(dict(enumerate(p[:, 1].tolist())), factors)
+            scalars = BinaryScalars.from_tree(tree, p[:, 1].copy(), c_fwd, c_bwd)
     else:
         decay = DecayConstants(False, math.nan, math.nan)
     tree.record_decay(decay, scalars)

@@ -38,11 +38,25 @@ refreshed factor is zeroed, which is exact because that column is never
 read again (the state's weighted column and its baseline entry are zero).
 
 The tree picks the kernel.  The load pass (compiler.check_tree_consistency)
-records the float priors and factors on ``TreeNetwork.scalars`` when the
-tree qualifies, so a session chooses in O(1); a tree that skipped the
-load pass runs the array kernel.  Callers see ndarrays either way: when a
-public operation returns, ``p`` and ``p0`` hold ndarray posteriors,
-converted once per operation, and ``r`` and ``p1`` convert on read.
+records the float form on ``TreeNetwork.scalars`` when the tree qualifies,
+so a session chooses in O(1); a tree that skipped the load pass runs the
+array kernel.
+
+Walking by runs.  On the float kernel a message is one number, so a run
+of the tree (a maximal path whose interior nodes have degree 2, see
+:class:`~sensbn.model.BinaryScalars`) is crossed as a whole.  A flood
+entering a run with message m changes its nodes by the prefix products
+``dp = m * cumprod(p(1-p) c_in * c_out of the node before)`` and refreshes
+their factors ``q / (p'(1-p'))`` with ``q = p(1-p) c_in``, in a few numpy
+calls; a query collapses each stretch of pass-through nodes, cut at
+evidence nodes, at the query node and at the live boundary, into the one
+product ``prod p(1-p) c_above c_below``.  Junctions, run ends and evidence
+nodes take the scalar steps.  The arithmetic only differs in rounding, so
+a walk by runs keeps every value inside the clamp-free band
+[CLAMP_EPS, 1 - CLAMP_EPS] (a value already exactly 0 or 1 that does not
+move excepted); if one leaves it, the operation starts over one node at a
+time, so clamped values, error types and error texts are those of the
+scalar steps.  ``record_trace=True`` always walks one node at a time.
 
 Messages between adjacent nodes are always the factored form
 ``r_factor @ delta_p`` and therefore exactly rank-of-the-edge numbers
@@ -50,21 +64,27 @@ long.  Updates are exact, not approximate: a conditional distribution is
 linear in the distribution it conditions on, so pushing a change through
 the stored factors reproduces brute-force posteriors to rounding error.
 
-The session's distributions and factors are copy-on-write overlays over
-the tree's own dicts, so setting up a session costs O(1) whatever the
-size of the tree, and entries are replaced, never mutated in place, so
-many sessions can share one immutable TreeNetwork.  Every ``query`` and
-every ``instantiate`` starts from the committed baseline (the priors plus
-whatever :meth:`QuerySession.commit` froze), so one session can answer
-any number of queries.  A session itself is single-writer: never call
-into one session from two threads.
+Session state never writes the tree's own, so setting up a session costs
+O(1) whatever the size of the tree and many sessions can share one
+immutable TreeNetwork.  On the array kernel the distributions and factors
+are copy-on-write overlays over the tree's dicts.  On the float kernel
+they are columns: the committed baseline is a pair of arrays (the tree's
+own until the first commit), and an operation writes single values into
+small layers over them, copying the arrays only when it writes whole runs.
+Restart drops the layers; commit moves them into the arrays and makes
+those the baseline.  ``p``, ``p0``, ``r`` and ``p1`` read the float state
+as ndarrays, converted on every read.  Every ``query`` and every
+``instantiate`` starts from the committed baseline (the priors plus
+whatever :meth:`QuerySession.commit` froze), so one session can answer any
+number of queries.  A session itself is single-writer: never call into
+one session from two threads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Collection, Container, Iterator, Mapping
 
 import numpy as np
 
@@ -125,12 +145,12 @@ class Overlay(dict):
 
 
 class BarrenMarks(Mapping):
-    """Read-only ``node -> barren`` map over the set of non-barren nodes.
+    """Read-only ``node -> barren`` map over the non-barren nodes.
 
     ``live=None`` marks nothing barren.
     """
 
-    def __init__(self, size: int, live: set[int] | None = None):
+    def __init__(self, size: int, live: Container[int] | None = None):
         self._size = size
         self._live = live
 
@@ -146,56 +166,173 @@ class BarrenMarks(Mapping):
         return self._size
 
 
-class _Converted(Mapping):
-    """ndarray view of a float-kernel dict, converted on every read.
+class _Layer(dict):
+    """Float-kernel writes over an array of committed or working values.
 
-    The own entries of ``floats`` are converted with ``convert``; any other
-    key is read from ``arrays``.
+    ``layer[key]`` is the value written under ``key``, or else the array's
+    entry at ``key`` itself, or at ``index[key]`` when an index is given.
     """
 
-    def __init__(self, floats: dict, arrays: Mapping, convert: Callable):
-        self._floats = floats
-        self._arrays = arrays
-        self._convert = convert
+    __slots__ = ("array", "index")
+
+    def __init__(self, array: np.ndarray, index: Mapping | None = None):
+        super().__init__()
+        self.array = array
+        self.index = index
+
+    def __missing__(self, key) -> float:
+        return self.array.item(key if self.index is None else self.index[key])
+
+    def flush(self) -> None:
+        """Move the written values into the array, which must be writable."""
+        if self:
+            keys = list(self)
+            at = keys if self.index is None else [self.index[k] for k in keys]
+            self.array[at] = list(self.values())
+            self.clear()
+
+
+class _StateView(Mapping):
+    """Read-only ndarray view of float-kernel state, converted on every read."""
+
+    def __init__(self, keys: Callable[[], Collection], read: Callable):
+        self._keys = keys
+        self._read = read
 
     def __getitem__(self, key):
-        value = dict.get(self._floats, key)
-        return self._arrays[key] if value is None else self._convert(value)
+        if key not in self._keys():
+            raise KeyError(key)
+        return self._read(key)
 
     def __iter__(self) -> Iterator:
-        return iter(self._floats)
+        return iter(self._keys())
 
     def __len__(self) -> int:
-        return len(self._floats)
+        return len(self._keys())
 
 
-@dataclass
+class _RunLive:
+    """The live nodes of a query, by runs: the nodes in ``ends``, and each
+    interior node whose position lies in its run's ``spans`` entry."""
+
+    __slots__ = ("ends", "spans", "run_of", "place")
+
+    def __init__(self, ends: set[int], spans: dict, run_of: np.ndarray, place: np.ndarray):
+        self.ends = ends
+        self.spans = spans
+        self.run_of = run_of
+        self.place = place
+
+    def __contains__(self, node) -> bool:
+        if node in self.ends:
+            return True
+        run = self.run_of.item(node)
+        span = self.spans.get(run) if run >= 0 else None
+        return span is not None and span[0] <= self.place.item(node) <= span[1]
+
+
+class _LeftBand(Exception):
+    """A value of a walk by runs left the clamp-free band."""
+
+
 class Instrumentation:
-    """Counters exposed for the message-economy and traversal contracts.
+    """The record of the most recent public operation.
 
-    ``messages`` (one ``((sender, receiver), length)`` per message) and
-    ``touched`` describe the most recent public operation (``query``,
-    ``instantiate`` or ``multi_evidence_simq``, which counts all of its
-    floods), so they stay bounded on a reused session.  ``mode`` says
-    whether that was a single query ("misq", which promises at most two
-    crossings per edge) or an instantiation flood ("simq", which revisits
-    edges once per evidence node).
+    ``query``, ``instantiate`` and ``multi_evidence_simq`` (which counts
+    all of its floods) each start a new record, so it stays bounded on a
+    reused session.  ``mode`` says whether the operation was a single
+    query ("misq", which promises at most two crossings per edge) or an
+    instantiation flood ("simq", which revisits edges once per evidence
+    node).
+
+    ``log`` holds what was sent, in order: ``((sender, receiver),
+    length)`` for one message, or ``(first, count, step)`` for a stretch of
+    ``count`` one-number messages along a run, sent by the nodes at
+    positions ``first, first + step, ...`` of ``runs`` (the tree's
+    ``BinaryScalars.run_nodes``), each to the node ``step`` further on.
+    ``roots`` holds the node each walk started from.  ``messages``,
+    ``touched`` and ``traversals`` are built from the record when read; the
+    counts are read off it without building them.
     """
 
-    messages: list[tuple[tuple[int, int], int]] = field(default_factory=list)
-    touched: set = field(default_factory=set)
-    mode: str | None = None
+    def __init__(self, runs: np.ndarray | None = None):
+        self.runs = runs
+        self.log: list[tuple] = []
+        self.roots: list[int] = []
+        self.mode: str | None = None
+
+    def start_operation(self, mode: str):
+        """Forget the previous operation's record."""
+        self.log = []
+        self.roots = []
+        self.mode = mode
+
+    def mark(self) -> tuple[int, int]:
+        return len(self.log), len(self.roots)
+
+    def rewind(self, mark: tuple[int, int]) -> None:
+        """Drop what was recorded since ``mark``."""
+        del self.log[mark[0] :]
+        del self.roots[mark[1] :]
+
+    def _stretch(self, item: tuple[int, int, int]) -> np.ndarray:
+        """The nodes of a stretch, from its first sender to its last receiver."""
+        first, count, step = item
+        return self.runs[first + step * np.arange(count + 1)]
+
+    @property
+    def messages(self) -> list[tuple[tuple[int, int], int]]:
+        """One ``((sender, receiver), length)`` per message, in order."""
+        out = []
+        for item in self.log:
+            if len(item) == 2:
+                out.append(item)
+            else:
+                seq = self._stretch(item).tolist()
+                out.extend(((a, b), 1) for a, b in zip(seq, seq[1:]))
+        return out
+
+    @property
+    def touched(self) -> set[int]:
+        """Every node a walk started from or sent a message to."""
+        out = set(self.roots)
+        for item in self.log:
+            if len(item) == 2:
+                out.add(item[0][1])
+            else:
+                out.update(self._stretch(item)[1:].tolist())
+        return out
 
     @property
     def traversals(self) -> Counter:
         """Crossings of every undirected edge, counted from ``messages``."""
         return Counter(frozenset(edge) for edge, _ in self.messages)
 
-    def start_operation(self, mode: str):
-        """Forget the previous operation's record."""
-        self.messages = []
-        self.touched = set()
-        self.mode = mode
+    @property
+    def message_count(self) -> int:
+        return sum(1 if len(item) == 2 else item[1] for item in self.log)
+
+    @property
+    def crossings(self) -> int:
+        """Edge crossings summed over the edges: one per message."""
+        return self.message_count
+
+    @property
+    def ranks(self) -> list[int]:
+        """The distinct message lengths, sorted."""
+        return sorted({item[1] if len(item) == 2 else 1 for item in self.log})
+
+    @property
+    def touched_count(self) -> int:
+        """``len(touched)``, counted in numpy."""
+        parts = [
+            np.array(self.roots, dtype=np.intp),
+            np.array([item[0][1] for item in self.log if len(item) == 2], dtype=np.intp),
+        ]
+        parts.extend(self._stretch(item)[1:] for item in self.log if len(item) == 3)
+        # sorted, not np.unique, which imports numpy.ma into every CLI process
+        nodes = np.sort(np.concatenate(parts))
+        return int(nodes.size and 1 + np.count_nonzero(nodes[1:] != nodes[:-1]))
 
 
 class _ArrayKernel:
@@ -203,10 +340,6 @@ class _ArrayKernel:
 
     ``update`` returns None where the session must raise.
     """
-
-    @staticmethod
-    def bases(tree: TreeNetwork) -> tuple[Mapping, Mapping]:
-        return tree.prior_probs, tree.r_factors
 
     @staticmethod
     def message(r: np.ndarray, p: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -268,10 +401,6 @@ class _FloatKernel:
     docstring); the rules are those of :class:`_ArrayKernel`."""
 
     @staticmethod
-    def bases(tree: TreeNetwork) -> tuple[Mapping, Mapping]:
-        return tree.scalars.priors, tree.scalars.factors
-
-    @staticmethod
     def message(c: float, p: float, base: float) -> float:
         return c * (p - base)
 
@@ -289,6 +418,26 @@ class _FloatKernel:
         if 1.0 - p < CLAMP_EPS and p - 1.0 <= MASS_TOL:
             return 1.0
         return None  # out of range, or NaN
+
+    @staticmethod
+    def banded(base: float, q: float, m: float) -> float:
+        """:meth:`update` for a walk by runs, which leaves it where the
+        value would leave the clamp-free band."""
+        p = base + q * m
+        if p >= CLAMP_EPS and 1.0 - p >= CLAMP_EPS:
+            return p
+        if p == base and (p == 0.0 or p == 1.0):
+            return p
+        raise _LeftBand
+
+    @staticmethod
+    def check_band(values: np.ndarray, bases: np.ndarray) -> None:
+        """:meth:`banded` for the values of a run against their bases."""
+        inside = (values >= CLAMP_EPS) & (1.0 - values >= CLAMP_EPS)
+        if not inside.all():
+            held = (values == bases) & ((bases == 0.0) | (bases == 1.0))
+            if not (inside | held).all():
+                raise _LeftBand
 
     @staticmethod
     def refresh(q: float, p: float) -> float:
@@ -324,52 +473,83 @@ def _choose_kernel(tree: TreeNetwork) -> type:
     return _ArrayKernel if tree.scalars is None else _FloatKernel
 
 
-def _posterior_arrays(floats: Overlay, shown_floats: Overlay, shown: Overlay) -> Overlay:
-    """``shown``, the ndarray form of the float overlay ``shown_floats``,
-    brought up to date with ``floats``: one conversion per changed entry."""
-    out = shown.fork()
-    changed = [
-        (node, p) for node, p in dict.items(floats) if dict.get(shown_floats, node) is not p
-    ]
-    if changed:
-        probs = np.array([p for _, p in changed])
-        rows = np.stack((1.0 - probs, probs), axis=1)
-        for (node, _), row in zip(changed, rows):
-            out[node] = row
-    return out
+def _stop_ahead(positions: list[int] | None, at: int, step: int, end: int) -> int:
+    """The first of the sorted ``positions`` from ``at`` on in the
+    direction ``step``, or ``end`` if there is none."""
+    if positions:
+        if step > 0:
+            k = bisect_left(positions, at)
+            if k < len(positions):
+                return positions[k]
+        else:
+            k = bisect_right(positions, at) - 1
+            if k >= 0:
+                return positions[k]
+    return end
 
 
 class QuerySession:
     """Mutable inference state layered over an immutable TreeNetwork.
 
     ``p``, ``p0``, ``r`` and ``p1`` show the state of the last public
-    operation as ndarrays.  On a float-kernel session they are converted
-    copies of the kernel's state, so writing to them does not feed later
-    operations.
+    operation as ndarrays.  On a float-kernel session they are read-only
+    views that convert the kernel's state on every read.
     """
 
     def __init__(self, tree: TreeNetwork, record_trace: bool = False):
         self.tree = tree
         self._kernel = _choose_kernel(tree)
-        priors, factors = self._kernel.bases(tree)
         #: kernel state: the committed baseline (distributions, and factors
-        #: refreshed by floods) and the current operation's working copy
-        self._p0 = Overlay(priors)
-        self._r0 = Overlay(factors)
-        self._p = self._p0.fork()
-        self._r = self._r0.fork()
-        self._p1: dict = {}
-        #: the float baseline that ``p0`` shows (float kernel only)
-        self._shown = self._p0
-        self.p0 = Overlay(tree.prior_probs)
-        self._live: set[int] = set()
+        #: refreshed by floods) and the current operation's working state
+        if self._kernel is _ArrayKernel:
+            self._p0 = Overlay(tree.prior_probs)
+            self._r0 = Overlay(tree.r_factors)
+            self.instr = Instrumentation()
+        else:
+            scalars = tree.scalars
+            self._p0 = _Layer(scalars.prior)
+            self._r0 = _Layer(scalars.factor.reshape(-1), scalars.slot)
+            self.instr = Instrumentation(scalars.run_nodes)
+        self._restart()
+        self._live: Container[int] = set()
         self.barren: Mapping[int, bool] = BarrenMarks(len(tree.compounds))
-        self.instr = Instrumentation()
         self.trace: list[tuple[str, int, np.ndarray]] = []
         self._record_trace = record_trace
-        self._publish()
 
     # -- accessors ---------------------------------------------------------
+
+    @property
+    def p(self) -> Mapping[int, np.ndarray]:
+        """Working distributions."""
+        if self._kernel is _ArrayKernel:
+            return self._p
+        return self._nodes_view(lambda node: _FloatKernel.to_array(self._p[node]))
+
+    @property
+    def p0(self) -> Mapping[int, np.ndarray]:
+        """Committed distributions."""
+        if self._kernel is _ArrayKernel:
+            return self._p0
+        return self._nodes_view(lambda node: _FloatKernel.to_array(self._p0[node]))
+
+    @property
+    def r(self) -> Mapping[tuple[int, int], np.ndarray]:
+        """Working factors."""
+        if self._kernel is _ArrayKernel:
+            return self._r
+        keys = self.tree.r_factors
+        return _StateView(lambda: keys, lambda key: _FloatKernel.factor_array(self._r[key]))
+
+    @property
+    def p1(self) -> Mapping[int, np.ndarray]:
+        """A query's distributions as updated on entry, before any reply."""
+        if self._kernel is _ArrayKernel:
+            return self._p1
+        return _StateView(lambda: self._p1, lambda node: _FloatKernel.to_array(self._p1[node]))
+
+    def _nodes_view(self, read: Callable) -> _StateView:
+        nodes = range(len(self.tree.compounds))
+        return _StateView(lambda: nodes, read)
 
     def posterior(self, ident: int) -> Distribution:
         return Distribution(self.p[ident])
@@ -388,21 +568,31 @@ class QuerySession:
 
     def _restart(self) -> None:
         """Drop uncommitted work, so the operation starts from the baseline."""
-        self._p = self._p0.fork()
-        self._r = self._r0.fork()
-        self._p1 = {}
-
-    def _publish(self) -> None:
-        """Show the kernel state as ``p``, ``p0``, ``r`` and ``p1``."""
         if self._kernel is _ArrayKernel:
-            self.p, self.p0, self.r, self.p1 = self._p, self._p0, self._r, self._p1
+            self._p = self._p0.fork()
+            self._r = self._r0.fork()
+        else:
+            self._p = _Layer(self._p0.array)
+            self._r = _Layer(self._r0.array, self._r0.index)
+        self._p1: dict = {}
+
+    def _settle(self, own: bool) -> None:
+        """Move the float layers' writes into working arrays of the
+        session's own, copied from the baseline's on first write; ``own``
+        copies them even when nothing is written."""
+        for layer, committed in ((self._p, self._p0), (self._r, self._r0)):
+            if (own or layer) and layer.array is committed.array:
+                layer.array = layer.array.copy()
+            layer.flush()
+
+    def _commit(self) -> None:
+        if self._kernel is _ArrayKernel:
+            self._p0 = self._p.fork()
+            self._r0 = self._r.fork()
             return
-        if self._p0 is not self._shown:  # committed since p0 was shown
-            self.p0 = _posterior_arrays(self._p0, self._shown, self.p0)
-            self._shown = self._p0
-        self.p = _posterior_arrays(self._p, self._p0, self.p0)
-        self.r = _Converted(self._r, self.tree.r_factors, _FloatKernel.factor_array)
-        self.p1 = _Converted(self._p1, {}, _FloatKernel.to_array)
+        self._settle(own=False)
+        self._p0 = _Layer(self._p.array)
+        self._r0 = _Layer(self._r.array, self._r.index)
 
     def _trace(self, event: str, node: int):
         self.trace.append((event, node, np.array(self._kernel.to_array(self._p[node]))))
@@ -439,9 +629,38 @@ class QuerySession:
         except ZeroMassError as exc:
             raise ZeroEvidenceError(str(exc)) from exc
 
+    def _evidence_stops(self, nodes) -> dict[int, list[int]]:
+        """The run positions of those of ``nodes`` inside runs, sorted per run."""
+        scalars = self.tree.scalars
+        stops: dict[int, list[int]] = {}
+        for node in nodes:
+            run = scalars.run_of.item(node)
+            if run >= 0:
+                stops.setdefault(run, []).append(scalars.place.item(node))
+        for positions in stops.values():
+            positions.sort()
+        return stops
+
     # -- the traversal ------------------------------------------------------
 
-    def _walk(self, root: int, above: int | None, payload, grouped) -> None:
+    def _propagate(self, root: int, grouped, start: Callable[[], None], stops) -> None:
+        """``start()``, then the walk from ``root``: by runs where the
+        session can, and over again one node at a time if a value leaves
+        the clamp-free band."""
+        if self._kernel is _FloatKernel and not self._record_trace:
+            mark = self.instr.mark()
+            start()
+            try:
+                # the band check refuses what overflows or turns NaN
+                with np.errstate(all="ignore"):
+                    self._walk(root, None, None, grouped, stops)
+                return
+            except _LeftBand:
+                self.instr.rewind(mark)
+        start()
+        self._walk(root, None, None, grouped)
+
+    def _walk(self, root: int, above: int | None, payload, grouped, stops=None) -> None:
         """Depth-first propagation from ``root``, entered from ``above``.
 
         ``grouped=None`` runs the flood: every node reached is updated from
@@ -454,25 +673,39 @@ class QuerySession:
         which is not updated on entry: the instantiated node of a flood,
         or the query node, which accumulates and never replies.
 
+        ``stops`` (float kernel only) walks by runs: each run interior the
+        walk enters is crossed by :meth:`_stretch`, and a query's stretch
+        ends at the run positions ``stops[run]`` of its evidence nodes.
+        ``None`` walks one node at a time.
+
         A frame is ``[node, above, children, next child, transfer or None,
-        message received]``; a node's next message is computed only when
-        its previous branch has replied, as a recursion would.
+        message received, reply stretch or None]``; a node's next message
+        is computed only when its previous branch has replied, as a
+        recursion would.
         """
         kernel = self._kernel
         flat = kernel is _FloatKernel
-        message, weighted, update = kernel.message, kernel.weighted, kernel.update
+        message, weighted = kernel.message, kernel.weighted
+        update = kernel.update if stops is None else _FloatKernel.banded
         p, p0, r, p1 = self._p, self._p0, self._r, self._p1
         neighbors = self.tree.neighbors
-        sent = self.instr.messages.append
-        touch = self.instr.touched.add
+        sent = self.instr.log.append
+        self.instr.roots.append(root)
         flood = grouped is None
         live = self._live
         tracing = self._record_trace
+        run_of = None if stops is None else self.tree.scalars.run_of
         stack: list[list] = []
         node, parent, m = root, above, payload
         while True:
+            if (
+                run_of is not None
+                and parent is not None
+                and run_of.item(node) >= 0
+                and (flood or node not in grouped)
+            ):
+                node, parent, m = self._stretch(node, parent, m, stops, flood, stack)
             # enter `node` from `parent` with the message `m`
-            touch(node)
             if flood:
                 children = [n for n in neighbors(node) if n != parent]
             else:
@@ -495,11 +728,11 @@ class QuerySession:
                     p1[node] = value
                 if tracing:
                     self._trace("simq-update" if flood else "misq-enter", node)
-            stack.append([node, parent, children, 0, transfer, m])
+            stack.append([node, parent, children, 0, transfer, m, None])
             # resume the innermost frame until one sends a message down
             while stack:
                 frame = stack[-1]
-                node, parent, children, i, transfer, m = frame
+                node, parent, children, i, transfer, m, stretch = frame
                 if i < len(children):
                     child = children[i]
                     frame[3] = i + 1
@@ -526,7 +759,10 @@ class QuerySession:
                     if parent is None:
                         continue
                     reply = message(r[(parent, node)], p[node], p1[node])
-                sent(((node, parent), 1 if flat else reply.shape[0]))
+                if stretch is None:
+                    sent(((node, parent), 1 if flat else reply.shape[0]))
+                else:
+                    sent(stretch)
                 if stack[-1][4] is None:
                     # a junction or the query node takes the reply in now; a
                     # pass-through turns it into its own reply when it finishes
@@ -541,6 +777,56 @@ class QuerySession:
             else:
                 return
 
+    def _stretch(self, node: int, parent: int, m: float, stops, flood: bool, stack: list):
+        """Cross the run of the interior node ``node``, entered from
+        ``parent`` with the message ``m``, up to the run's end or, in a
+        query, to the first evidence node on the way.
+
+        A flood updates the stretch's nodes and refreshes their factors; a
+        query collapses them into one transfer and pushes their frame.
+        Returns the node the stretch reaches, the stretch's last node and
+        the message the reached node receives.
+        """
+        scalars = self.tree.scalars
+        nodes = scalars.run_nodes
+        run = scalars.run_of.item(node)
+        at = scalars.place.item(node)
+        step = 1 if nodes.item(at - 1) == parent else -1
+        end = scalars.run_start.item(run + 1) - 1 if step > 0 else scalars.run_start.item(run)
+        if not flood:
+            end = _stop_ahead(stops.get(run), at, step, end)
+        count = (end - at) * step
+        # positions lo..hi-1 ascending, taken in walk order
+        lo, hi, order = (at, end, slice(None)) if step > 0 else (end + 1, at + 1, slice(None, None, -1))
+        ids = nodes[lo:hi][order]
+        last, reached = ids.item(-1), nodes.item(end)
+        self.instr.log.append((at, count, step))
+        if flood:
+            self._settle(own=True)
+        probs, factors = self._p.array, self._r.array
+        # each node's factors toward its run neighbors: edge g - run joins
+        # positions g and g + 1, and the key toward the lower one is in row 0
+        offset = scalars.factor.shape[1] - run
+        lower = factors[lo - 1 - run : hi - 1 - run][order]
+        upper = factors[lo + offset : hi + offset][order]
+        c_in, c_out = (lower, upper) if step > 0 else (upper, lower)
+        old = probs[ids]
+        if flood:
+            base = self._p0.array[ids]
+            q = old * (1.0 - old) * c_in
+            gain = q.copy()
+            gain[1:] *= c_out[:-1]
+            values = base + m * np.cumprod(gain)
+            _FloatKernel.check_band(values, base)
+            weight = values * (1.0 - values)
+            c_in[:] = np.divide(q, weight, out=q, where=weight > 0.0)
+            probs[ids] = values
+            sent = _FloatKernel.message(c_out.item(-1), values.item(-1), base.item(-1))
+            return reached, last, sent
+        transfer = float(np.prod(old * (1.0 - old) * c_in * c_out))
+        stack.append([node, parent, [reached], 1, transfer, m, (end - step, count, -step)])
+        return reached, last, transfer * m
+
     # -- single instantiation, all posteriors (flood) -----------------------
 
     def instantiate(self, node: int, assignment: Mapping[str, int]) -> "QuerySession":
@@ -551,18 +837,17 @@ class QuerySession:
         uncommitted work of an earlier operation is dropped.
         """
         self.instr.start_operation("simq")
-        try:
-            self._flood(node, assignment)
-        finally:
-            self._publish()
+        self._flood(node, assignment)
         return self
 
     def _flood(self, node: int, assignment: Mapping[str, int]) -> None:
-        self._restart()
-        self._p[node] = self._observe(node, assignment)
-        if self._record_trace:
-            self._trace("instantiate", node)
-        self._walk(node, None, None, None)
+        def start():
+            self._restart()
+            self._p[node] = self._observe(node, assignment)
+            if self._record_trace:
+                self._trace("instantiate", node)
+
+        self._propagate(node, None, start, {})
 
     def simq_step(self, receiver: int, sender: int, payload: np.ndarray) -> None:
         """One received update: refresh this node, then fan out.
@@ -570,7 +855,7 @@ class QuerySession:
         ``payload`` is the message from ``sender``, an ndarray of the
         edge's rank.  The factor toward the sender is recomputed from the
         post-update distribution so a later instantiation sees posterior
-        couplings.
+        couplings.  It walks one node at a time.
         """
         expected = self.tree.rank(receiver, sender)
         if np.shape(payload) != (expected,):
@@ -580,20 +865,12 @@ class QuerySession:
             )
         if self._kernel is _FloatKernel:
             payload = float(payload[0])
-        try:
-            self._walk(receiver, sender, payload, None)
-        finally:
-            self._publish()
-
-    def _commit(self) -> None:
-        self._p0 = self._p.fork()
-        self._r0 = self._r.fork()
+        self._walk(receiver, sender, payload, None)
 
     def commit(self) -> "QuerySession":
         """Freeze the current posteriors and factors as the baseline for
         more evidence."""
         self._commit()
-        self._publish()
         return self
 
     def multi_evidence_simq(self, evidence: Evidence, order=None) -> "QuerySession":
@@ -606,12 +883,9 @@ class QuerySession:
             if sorted(order) != sorted(grouped):
                 raise UnknownLabelError("order must list exactly the evidence nodes")
         self.instr.start_operation("simq")
-        try:
-            for node in order:
-                self._flood(node, grouped[node])
-                self._commit()
-        finally:
-            self._publish()
+        for node in order:
+            self._flood(node, grouped[node])
+            self._commit()
         return self
 
     # -- many instantiations, one query (barren-pruned walk) ----------------
@@ -629,8 +903,10 @@ class QuerySession:
         self.barren = BarrenMarks(len(self.tree.compounds), self._live)
         return self.barren
 
-    def _live_nodes(self, query: int, evidence_nodes, within: set[int] | None) -> set[int]:
+    def _live_nodes(self, query: int, evidence_nodes, within: set[int] | None) -> Container[int]:
         """The query plus every node whose branch away from it holds evidence."""
+        if within is None and self._kernel is _FloatKernel:
+            return self._run_live(query, evidence_nodes)
         live = {query}
         if within is not None and query not in within:
             return live
@@ -649,6 +925,53 @@ class QuerySession:
                     live.add(parent[node])
         return live
 
+    def _run_live(self, query: int, evidence_nodes) -> _RunLive:
+        """:meth:`_live_nodes` over whole runs, visiting only the query and
+        the run ends: a run is live from the end nearer the query up to its
+        farthest evidence node, or throughout if its far end is live."""
+        scalars = self.tree.scalars
+        nodes, run_start = scalars.run_nodes, scalars.run_start
+        run_of, place = scalars.run_of, scalars.place
+        evidence = set(evidence_nodes)
+        stops = self._evidence_stops(evidence)
+        neighbors = self.tree.neighbors
+        ends, entered = [query], [None]
+        # (from end, to end, run or -1, first interior position, last one,
+        # farthest evidence position between them or None)
+        hops: list[tuple] = []
+        for i, x in enumerate(ends):
+            for y in neighbors(x):
+                if y == entered[i]:
+                    continue
+                run = run_of.item(y)
+                if run < 0:
+                    hops.append((i, len(ends), -1, 0, 0, None))
+                    ends.append(y)
+                    entered.append(x)
+                    continue
+                at = place.item(y)
+                step = 1 if nodes.item(at - 1) == x else -1
+                end = run_start.item(run + 1) - 1 if step > 0 else run_start.item(run)
+                ahead = [g for g in stops.get(run, ()) if (g - at) * step >= 0]
+                deepest = (max(ahead) if step > 0 else min(ahead)) if ahead else None
+                hops.append((i, len(ends), run, at, end - step, deepest))
+                ends.append(nodes.item(end))
+                entered.append(nodes.item(end - step))
+        live = [x in evidence for x in ends]
+        live[0] = True
+        spans: dict[int, tuple[int, int]] = {}
+        for i, j, run, near, far, deepest in reversed(hops):
+            reach = far if live[j] else deepest
+            if reach is None:
+                continue
+            live[i] = True
+            if run >= 0:
+                lo, hi = min(near, reach), max(near, reach)
+                if run in spans:  # the query's own run, from both sides
+                    lo, hi = min(lo, spans[run][0]), max(hi, spans[run][1])
+                spans[run] = (lo, hi)
+        return _RunLive({x for x, on in zip(ends, live) if on}, spans, run_of, place)
+
     def query(
         self,
         query_node: int,
@@ -660,11 +983,8 @@ class QuerySession:
         grouped = self.tree.group_evidence(evidence)
         if within is not None:
             grouped = {n: a for n, a in grouped.items() if n in within}
-        self._restart()
         self.instr.start_operation("misq")
-        try:
-            self.mark_barren(query_node, grouped.keys(), within)
-            self._walk(query_node, None, None, grouped)
-        finally:
-            self._publish()
+        self.mark_barren(query_node, grouped.keys(), within)
+        stops = self._evidence_stops(grouped) if self._kernel is _FloatKernel else None
+        self._propagate(query_node, grouped, self._restart, stops)
         return Distribution(self.p[query_node])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -500,19 +501,166 @@ class DecayConstants:
     min_prior_product: float
 
 
+class _RunSlots(Mapping):
+    """``slot[(i, j)]`` of :class:`BinaryScalars`, read off the runs: the
+    key's edge and row follow from the run position of i or j, and only
+    the edges between two run ends are listed in ``direct``."""
+
+    def __init__(self, edges, run_nodes, run_of, place, direct: dict):
+        self._edges = edges
+        self._nodes = run_nodes
+        self._run_of = run_of
+        self._place = place
+        self._direct = direct
+
+    def __getitem__(self, key) -> int:
+        i, j = key
+        size = self._run_of.size
+        if not (0 <= i < size and 0 <= j < size):
+            raise KeyError(key)
+        offset = len(self._edges)
+        # the key (i, j) lives at j: row 0 when i precedes j in the run
+        run = self._run_of.item(j)
+        if run >= 0:
+            g = self._place.item(j)
+            if self._nodes.item(g - 1) == i:
+                return g - 1 - run
+            if self._nodes.item(g + 1) == i:
+                return offset + g - run
+            raise KeyError(key)
+        run = self._run_of.item(i)
+        if run >= 0:
+            g = self._place.item(i)
+            if self._nodes.item(g + 1) == j:
+                return g - run
+            if self._nodes.item(g - 1) == j:
+                return offset + g - 1 - run
+            raise KeyError(key)
+        return self._direct[key]
+
+    def __iter__(self):
+        for a, b in self._edges:
+            yield a, b
+            yield b, a
+
+    def __len__(self) -> int:
+        return 2 * len(self._edges)
+
+
 @dataclass(frozen=True)
 class BinaryScalars:
-    """Float form of an all-binary tree whose edges all have rank 1.
+    """Columnar float form of an all-binary tree whose edges all have rank 1.
 
-    Recorded by the load-time consistency pass.  ``priors[i]`` is the prior
-    probability of state 1 of node i, and ``factors[(i, j)]`` is the stored
-    factor under key (i, j) as the one number c = R[0, 1] - R[0, 0]: the
-    message from j toward i is c times the change in j's probability of
-    state 1.
+    Recorded by the load-time consistency pass.
+
+    * ``prior[i]`` is the prior probability of state 1 of node i.
+    * Runs: the tree's edges split into maximal paths whose interior nodes
+      have degree 2.  ``run_nodes`` lists every run's nodes in order, both
+      ends included, run after run, and run r fills positions
+      ``run_start[r]`` to ``run_start[r + 1] - 1``.  A node of degree 2 is
+      interior to exactly one run: ``run_of[i]`` is that run and
+      ``place[i]`` its position; both are -1 for any other node.
+    * Edge ids follow the runs: the edge from position g to g + 1 of run r
+      has id ``g - r``.  ``factor[0, e]`` is the stored factor under key
+      (x, y) and ``factor[1, e]`` the one under (y, x), where x precedes y
+      in the run, each as the one number c = R[0, 1] - R[0, 0]: the
+      message from y toward x is c times the change in y's probability of
+      state 1.  ``slot[(i, j)]`` is the index of key (i, j) in
+      ``factor.ravel()``.
+
+    ``priors`` and ``factors`` copy the same numbers into dicts by node
+    and by key.
     """
 
-    priors: Mapping[int, float]
-    factors: Mapping[tuple[int, int], float]
+    prior: np.ndarray
+    factor: np.ndarray
+    slot: Mapping[tuple[int, int], int]
+    run_nodes: np.ndarray
+    run_start: np.ndarray
+    run_of: np.ndarray
+    place: np.ndarray
+
+    @property
+    def priors(self) -> dict[int, float]:
+        return dict(enumerate(self.prior.tolist()))
+
+    @property
+    def factors(self) -> dict[tuple[int, int], float]:
+        flat = self.factor.reshape(-1).tolist()
+        return {key: flat[at] for key, at in self.slot.items()}
+
+    @classmethod
+    def from_tree(
+        cls, tree: "TreeNetwork", prior: np.ndarray, c_fwd: np.ndarray, c_bwd: np.ndarray
+    ) -> "BinaryScalars":
+        """The float form of ``tree``: ``c_fwd[k]`` is the factor under key
+        ``tree.edges[k]`` and ``c_bwd[k]`` the one under its reverse."""
+        n, n_edges = len(tree.compounds), len(tree.edges)
+        nb = tree._neighbors
+        degree = [len(nb[i]) for i in range(n)]
+        # walk each run from an end of degree other than 2; one started from
+        # its other end already holds its first interior node
+        taken = bytearray(n)
+        order: list[int] = []
+        lengths: list[int] = []
+        for a in range(n):
+            if degree[a] == 2:
+                continue
+            for b in nb[a]:
+                if degree[b] == 2:
+                    if taken[b]:
+                        continue
+                elif b < a:
+                    continue
+                size = len(order)
+                order.append(a)
+                prev, cur = a, b
+                while degree[cur] == 2:
+                    taken[cur] = 1
+                    order.append(cur)
+                    x, y = nb[cur]
+                    prev, cur = cur, (y if x == prev else x)
+                order.append(cur)
+                lengths.append(len(order) - size)
+        run_nodes = np.array(order, dtype=np.intp)
+        run_start = np.zeros(len(lengths) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=run_start[1:])
+        last = np.zeros(run_nodes.size, dtype=bool)
+        last[run_start[1:] - 1] = True
+        inner = ~last
+        inner[run_start[:-1]] = False
+        run_id = np.repeat(np.arange(len(lengths)), lengths)
+        run_of = np.full(n, -1, dtype=np.intp)
+        place = np.full(n, -1, dtype=np.intp)
+        run_of[run_nodes[inner]] = run_id[inner]
+        place[run_nodes[inner]] = np.flatnonzero(inner)
+        # edge e = g - r joins positions g and g + 1; sorting both edge lists
+        # by their unordered end pairs finds its tree edge
+        below = np.flatnonzero(~last)
+        x, y = run_nodes[below], run_nodes[below + 1]
+        ends = np.fromiter(chain.from_iterable(tree.edges), np.intp, 2 * n_edges).reshape(-1, 2)
+        position = np.empty(n_edges, dtype=np.intp)
+        position[np.argsort(np.minimum(x, y) * n + np.maximum(x, y))] = np.argsort(
+            ends.min(axis=1) * n + ends.max(axis=1)
+        )
+        same = ends[position, 0] == x
+        factor = np.empty((2, n_edges))
+        factor[0] = np.where(same, c_fwd[position], c_bwd[position])
+        factor[1] = np.where(same, c_bwd[position], c_fwd[position])
+        arrays = (prior, factor, run_nodes, run_start, run_of, place)
+        for arr in arrays:
+            arr.setflags(write=False)
+        # an edge between two run ends is a run of two nodes
+        short = np.flatnonzero(np.diff(run_start) == 2)
+        first = run_start[short]
+        direct = {}
+        for e, a, b in zip(
+            (first - short).tolist(), run_nodes[first].tolist(), run_nodes[first + 1].tolist()
+        ):
+            direct[(a, b)] = e
+            direct[(b, a)] = n_edges + e
+        slot = _RunSlots(tree.edges, run_nodes, run_of, place, direct)
+        return cls(prior, factor, slot, run_nodes, run_start, run_of, place)
 
 
 @dataclass(frozen=True)

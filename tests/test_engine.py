@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 import subprocess
 import sys
 import textwrap
@@ -704,3 +705,465 @@ def test_flood_answers_every_asia_evidence_set_the_oracle_answers(asia_net, asia
                     answered += 1
     assert answered == 4400
     assert refused == 26
+
+
+# -- walking by runs ----------------------------------------------------------
+
+
+def binary_tree(rng, parents, flip=0.5):
+    """An all-binary tree with rank-1 edges from ``accept_precompiled``:
+    node k > 0 hangs off ``parents[k - 1]``, with random priors and
+    couplings whose conditional tables stay inside [0.02, 0.98].  Node ids
+    are shuffled, and each edge is given in a random direction."""
+    n = len(parents) + 1
+    ident = rng.permutation(n)
+    p = [float(rng.uniform(0.2, 0.8))]
+    unit = np.array([[-1.0, 1.0]]) / np.sqrt(2.0)
+    factors = {}
+    for k in range(1, n):
+        j = parents[k - 1]
+        s = float(rng.uniform(0.3, 0.9)) * (1 if rng.random() < 0.5 else -1)
+        a = float(rng.uniform(max(0.02, 0.02 - s), min(0.98, 0.98 - s)))
+        p.append(a + s * p[j])
+        if rng.random() < flip:
+            # the coupling of the parent with respect to the child
+            s = s * p[j] * (1 - p[j]) / (p[k] * (1 - p[k]))
+            factors[(int(ident[j]), int(ident[k]))] = algebra.QRFactors(unit, s * unit)
+        else:
+            factors[(int(ident[k]), int(ident[j]))] = algebra.QRFactors(unit, s * unit)
+    spaces = [StateSpace.binary((f"v{i}",)) for i in range(n)]
+    priors = [None] * n
+    for k in range(n):
+        priors[int(ident[k])] = Distribution(np.array([1 - p[k], p[k]]))
+    return compiler.accept_precompiled(spaces, priors, factors)
+
+
+def spider(rng, arms):
+    parents = []
+    for length in arms:
+        parents.append(0)
+        parents.extend(range(len(parents), len(parents) + length - 1))
+    return binary_tree(rng, parents)
+
+
+def caterpillar(rng, spine, legs):
+    """A path of ``spine`` nodes; spine node k carries a leg of
+    ``legs[k % len(legs)]`` nodes."""
+    parents = list(range(spine - 1))
+    for k in range(spine):
+        hook = k
+        for _ in range(legs[k % len(legs)]):
+            parents.append(hook)
+            hook = len(parents)
+    return binary_tree(rng, parents)
+
+
+def branching_trees():
+    rng = np.random.default_rng(71)
+    return {
+        "spider": spider(rng, (1, 7, 60)),
+        "caterpillar": caterpillar(rng, 30, (1, 0, 3, 0, 0)),
+        "spider-of-spiders": binary_tree(
+            rng, [0, 0, 0, 1, 4, 5, 5, 7, 8, 9, 6, 11, 12, 2, 14, 15, 16, 16, 18]
+        ),
+    }
+
+
+def node_kinds(tree):
+    """The tree's nodes by degree: leaves, run interiors, junctions."""
+    kinds = {"leaf": [], "interior": [], "junction": []}
+    for i in range(len(tree.compounds)):
+        degree = len(tree.neighbors(i))
+        kinds["leaf" if degree == 1 else "interior" if degree == 2 else "junction"].append(i)
+    return kinds
+
+
+def label(node):
+    return f"v{node}"
+
+
+class TestRuns:
+    """The run decomposition recorded at load."""
+
+    @pytest.mark.parametrize("name", ["spider", "caterpillar", "spider-of-spiders"])
+    def test_runs_cover_every_edge_once(self, name):
+        tree = branching_trees()[name]
+        sc = tree.scalars
+        assert sc is not None
+        seen = set()
+        for run in range(sc.run_start.size - 1):
+            seq = sc.run_nodes[sc.run_start[run] : sc.run_start[run + 1]].tolist()
+            assert len(seq) >= 2
+            assert len(tree.neighbors(seq[0])) != 2 and len(tree.neighbors(seq[-1])) != 2
+            for g, node in enumerate(seq[1:-1], start=int(sc.run_start[run]) + 1):
+                assert len(tree.neighbors(node)) == 2
+                assert sc.run_of[node] == run and sc.place[node] == g
+            for a, b in zip(seq, seq[1:]):
+                seen.add(frozenset((a, b)))
+                e = int(sc.run_start[run]) + seq.index(a) - run
+                assert sc.slot[(a, b)] == e and sc.slot[(b, a)] == len(tree.edges) + e
+        assert seen == {frozenset(edge) for edge in tree.edges}
+        ends = [i for i in range(len(tree.compounds)) if len(tree.neighbors(i)) != 2]
+        assert all(sc.run_of[i] == -1 and sc.place[i] == -1 for i in ends)
+        factors = sc.factors
+        assert factors == {key: float(r[0, 1] - r[0, 0]) for key, r in tree.r_factors.items()}
+        assert (0, 0) not in sc.slot and (len(tree.compounds), 0) not in sc.slot
+
+    def test_one_and_two_node_trees(self):
+        unit = np.array([[-1.0, 1.0]]) / np.sqrt(2.0)
+        prior = Distribution(np.array([0.3, 0.7]))
+        one = compiler.accept_precompiled([StateSpace.binary(("v0",))], [prior], {})
+        assert one.scalars.run_nodes.size == 0
+        s = QuerySession(one)
+        assert np.allclose(s.query(0, Evidence.of({"v0": 1})).probs, [0.0, 1.0])
+        s.multi_evidence_simq(Evidence.of({"v0": 0}))
+        assert s.instr.messages == [] and s.instr.touched == {0}
+        spaces = [StateSpace.binary((f"v{i}",)) for i in range(2)]
+        two = compiler.accept_precompiled(
+            spaces, [prior, prior], {(1, 0): algebra.QRFactors(unit, 0.2 * unit)}
+        )
+        assert two.scalars.run_nodes.tolist() == [0, 1]
+        assert two.scalars.slot[(0, 1)] == 0 and two.scalars.slot[(1, 0)] == 1
+
+
+class TestBranchingTreesOnBothKernels:
+    """Walks by runs on trees with junctions compute what the array kernel
+    computes, with the same messages in the same order."""
+
+    @pytest.mark.parametrize("name", ["spider", "caterpillar", "spider-of-spiders"])
+    def test_floods(self, monkeypatch, name):
+        tree = branching_trees()[name]
+        kinds = node_kinds(tree)
+        rng = np.random.default_rng(72)
+        starts = [kinds[kind][0] for kind in ("leaf", "interior", "junction")]
+        starts += [kinds["interior"][-1], kinds["leaf"][-1]]
+        for node in starts:
+            fast, slow = on_both_kernels(
+                monkeypatch, tree, lambda s: s.instantiate(node, {label(node): 1})
+            )
+            assert_same_state(fast, slow)
+        for _ in range(3):
+            nodes = rng.choice(len(tree.compounds), size=4, replace=False).tolist()
+            ev = Evidence.of({label(n): int(rng.integers(0, 2)) for n in nodes})
+            order = [int(n) for n in rng.permutation(nodes)]
+            fast, slow = on_both_kernels(
+                monkeypatch, tree, lambda s: s.multi_evidence_simq(ev, order=order)
+            )
+            assert_same_state(fast, slow)
+
+        junction, interior = kinds["junction"][0], kinds["interior"][3]
+
+        def steps(s):
+            s.instantiate(interior, {label(interior): 0})
+            s.commit()
+            s.instantiate(junction, {label(junction): 1})
+            s.simq_step(tree.neighbors(junction)[0], junction, np.array([0.02]))
+            s.commit()
+            s.multi_evidence_simq(Evidence.of({label(kinds["leaf"][1]): 1}))
+
+        fast, slow = on_both_kernels(monkeypatch, tree, steps)
+        assert_same_state(fast, slow)
+
+    @pytest.mark.parametrize("name", ["spider", "caterpillar", "spider-of-spiders"])
+    def test_queries(self, monkeypatch, name):
+        tree = branching_trees()[name]
+        kinds = node_kinds(tree)
+        rng = np.random.default_rng(73)
+        for _ in range(4):
+            # evidence inside runs, at a junction and at a leaf
+            nodes = set(rng.choice(kinds["interior"], size=3, replace=False).tolist())
+            nodes |= {int(rng.choice(kinds["junction"])), int(rng.choice(kinds["leaf"]))}
+            ev = Evidence.of({label(n): int(rng.integers(0, 2)) for n in nodes})
+            queries = {kinds[kind][int(rng.integers(0, len(kinds[kind])))] for kind in kinds}
+            queries.add(sorted(nodes)[0])
+            for node in sorted(queries):
+                fast, slow = on_both_kernels(monkeypatch, tree, lambda s: s.query(node, ev))
+                assert_same_state(fast, slow)
+                assert dict(fast.barren) == dict(slow.barren)
+
+    def test_queries_after_committed_floods(self, monkeypatch):
+        tree = branching_trees()["spider"]
+        kinds = node_kinds(tree)
+
+        def steps(s):
+            s.multi_evidence_simq(Evidence.of({"v5": 1, label(kinds["leaf"][2]): 0}))
+            s.query(kinds["junction"][0], Evidence.of({label(kinds["interior"][30]): 1}))
+
+        fast, slow = on_both_kernels(monkeypatch, tree, steps)
+        assert_same_state(fast, slow)
+
+    def test_truncated_query_balls_cut_runs(self, monkeypatch):
+        tree = branching_trees()["spider"]
+        kinds = node_kinds(tree)
+        profile = truncation.DecayProfile(0.95, 0.01, 0.1)
+        rng = np.random.default_rng(74)
+        for radius in (2, 5, 12, 30):
+            nodes = rng.choice(len(tree.compounds), size=5, replace=False).tolist()
+            ev = Evidence.of({label(n): int(rng.integers(0, 2)) for n in nodes})
+            for node in (kinds["junction"][0], kinds["interior"][20], int(nodes[0])):
+                fast, slow = on_both_kernels(
+                    monkeypatch,
+                    tree,
+                    lambda s: truncation.truncated_query(
+                        s, node, ev, profile, radius=radius, verified=True
+                    ),
+                )
+                assert_same_state(fast, slow)
+                ball = truncation.hop_distances(tree, node, limit=radius)
+                assert fast.instr.touched <= set(ball)
+
+    def test_live_nodes_match_the_node_by_node_marking(self):
+        for tree in branching_trees().values():
+            rng = np.random.default_rng(75)
+            n = len(tree.compounds)
+            for _ in range(20):
+                evidence = set(rng.choice(n, size=int(rng.integers(0, 5)), replace=False).tolist())
+                query = int(rng.integers(0, n))
+                s = QuerySession(tree)
+                by_runs = dict(s.mark_barren(query, evidence))
+                by_nodes = {
+                    i: i not in engine.QuerySession._live_nodes(s, query, evidence, set(range(n)))
+                    for i in range(n)
+                }
+                assert by_runs == by_nodes
+
+
+def walk_modes(monkeypatch):
+    """Record, for every call of ``_walk``, whether it walked by runs."""
+    modes = []
+    original = QuerySession._walk
+
+    def spy(self, root, above, payload, grouped, stops=None):
+        modes.append("runs" if stops is not None else "nodes")
+        return original(self, root, above, payload, grouped, stops)
+
+    monkeypatch.setattr(QuerySession, "_walk", spy)
+    return modes
+
+
+class TestLeavingTheBand:
+    """A walk by runs whose values leave the clamp-free band starts over
+    one node at a time, so both kernels clamp and refuse alike."""
+
+    @staticmethod
+    def chain(coupling, length=8):
+        spaces = [StateSpace.binary((f"v{i}",)) for i in range(length)]
+        priors = [Distribution(np.array([0.6, 0.4]))] * length
+        unit = np.array([[-1.0, 1.0]]) / np.sqrt(2.0)
+        pair = algebra.QRFactors(unit, coupling * unit)
+        return compiler.accept_precompiled(
+            spaces, priors, {(k, k - 1): pair for k in range(1, length)}
+        )
+
+    def outcomes(self, monkeypatch, tree, case):
+        """Each kernel's outcome and the float session's walk modes."""
+        results, modes = [], None
+        for force in (False, True):
+            with monkeypatch.context() as patch:
+                if force:
+                    patch.setattr(engine, "_choose_kernel", lambda t: engine._ArrayKernel)
+                s = QuerySession(tree)
+                seen = walk_modes(patch)
+                try:
+                    case(s)
+                    results.append(("ok", s.instr.messages, s))
+                except SensBnError as exc:
+                    results.append((type(exc).__name__, str(exc), None))
+            modes = modes if force else seen
+        return results, modes
+
+    def test_values_clamped_to_zero_inside_a_run(self, monkeypatch):
+        # a chain of copies: evidence drives every interior node to 0 or 1,
+        # up to rounding, so the clamp decides what they hold
+        tree = self.chain(1.0)
+        cases = [
+            lambda s: s.multi_evidence_simq(Evidence.of({"v0": 0})),
+            lambda s: s.multi_evidence_simq(Evidence.of({"v7": 1})),
+            lambda s: s.instantiate(3, {"v3": 0}),
+        ]
+        for case in cases:
+            (fast, slow), modes = self.outcomes(monkeypatch, tree, case)
+            assert modes[:2] == ["runs", "nodes"]
+            assert fast[0] == slow[0] == "ok" and fast[1] == slow[1]
+            assert_same_state(fast[2], slow[2], tol=0.0)
+            values = [fast[2].p[i][1] for i in range(8)]
+            assert set(values) <= {0.0, 1.0}
+
+    def test_values_out_of_range_inside_a_run(self, monkeypatch):
+        # a coupling of 3 pushes the flood's values out of [0, 1]
+        tree = self.chain(3.0)
+        cases = [
+            lambda s: s.multi_evidence_simq(Evidence.of({"v0": 0})),
+            lambda s: s.instantiate(4, {"v4": 1}),
+        ]
+        for case in cases:
+            (fast, slow), modes = self.outcomes(monkeypatch, tree, case)
+            assert modes == ["runs", "nodes"]
+            assert fast[:2] == slow[:2]
+            assert fast[0] == "ZeroMassError"
+
+    def test_queries_whose_updates_leave_the_band(self, monkeypatch):
+        copies, wild = self.chain(1.0), self.chain(3.0)
+        cases = [
+            (copies, lambda s: s.query(5, Evidence.of({"v0": 1}))),
+            (copies, lambda s: s.query(3, Evidence.of({"v0": 1, "v7": 0}))),
+            (wild, lambda s: s.query(6, Evidence.of({"v0": 1}))),
+        ]
+        seen = set()
+        for tree, case in cases:
+            (fast, slow), modes = self.outcomes(monkeypatch, tree, case)
+            assert modes == ["runs", "nodes"]
+            assert fast[:2] == slow[:2]
+            if fast[0] == "ok":
+                assert_same_state(fast[2], slow[2])
+            seen.add(fast[0])
+        assert seen == {"ok", "ZeroEvidenceError", "ZeroMassError"}
+
+    def test_walks_inside_the_band_do_not_start_over(self, monkeypatch):
+        tree = binary_chain_tree(np.random.default_rng(3), 500)
+        modes = walk_modes(monkeypatch)
+        s = QuerySession(tree)
+        s.multi_evidence_simq(Evidence.of({"v0": 1, "v250": 0, "v499": 1}))
+        s.query(100, Evidence.of({"v0": 1, "v250": 0, "v499": 1}))
+        assert modes == ["runs"] * 4
+        s._record_trace = True
+        s.query(100, Evidence.of({"v0": 1}))
+        assert modes[-1] == "nodes"
+
+
+class TestSizeIndependence:
+    """Floods and exact queries take the same Python-level steps on a
+    chain ten times longer, with the evidence at the same positions."""
+
+    STEPS = ("message", "weighted", "update", "banded", "refresh", "transfer", "check_band")
+
+    def count_steps(self, monkeypatch, length, operation):
+        from sensbn.model import TreeNetwork
+
+        tree = binary_chain_tree(np.random.default_rng(9), length, alpha=0.9, coupling_lo=0.8)
+        calls = Counter()
+        with monkeypatch.context() as patch:
+            original = TreeNetwork.neighbors
+
+            def neighbors(self, ident):
+                calls["neighbors"] += 1
+                return original(self, ident)
+
+            patch.setattr(TreeNetwork, "neighbors", neighbors)
+            for name in self.STEPS:
+                step = getattr(engine._FloatKernel, name)
+
+                def counted(*args, name=name, step=step):
+                    calls[name] += 1
+                    return step(*args)
+
+                patch.setattr(engine._FloatKernel, name, staticmethod(counted))
+            session = QuerySession(tree)
+            result = operation(session)
+        return calls, result
+
+    def test_flood_and_query(self, monkeypatch):
+        ev = Evidence.of({"v3": 1, "v400": 0, "v1500": 1})
+        runs = {
+            "flood": lambda s: s.multi_evidence_simq(ev).p[900],
+            "query": lambda s: s.query(900, ev).probs,
+        }
+        for name, operation in runs.items():
+            short, at_short = self.count_steps(monkeypatch, 2_000, operation)
+            long, at_long = self.count_steps(monkeypatch, 20_000, operation)
+            assert short == long, name
+            assert short["neighbors"] > 0 and short["message"] > 0
+            # nothing beyond the last evidence node changes the answer
+            assert np.abs(at_short - at_long).max() <= 1e-12
+
+
+class TestReusedFloatSessions:
+    def test_truncated_query_after_a_committed_flood(self, monkeypatch):
+        tree = binary_chain_tree(np.random.default_rng(12), 10_000, alpha=0.9, coupling_lo=0.8)
+        profile = truncation.DecayProfile(0.9, 0.09, 0.1)
+        committed = Evidence.of({"v100": 1, "v5000": 0, "v9000": 1})
+        asked = Evidence.of({"v4960": 1, "v4700": 0})
+        s = QuerySession(tree)
+        s.multi_evidence_simq(committed)
+        forks = []
+        fork = Overlay.fork
+        monkeypatch.setattr(Overlay, "fork", lambda self: forks.append(self) or fork(self))
+        baseline = s._p0.array, s._r0.array
+        got, _, plan = truncation.truncated_query(s, 4950, asked, profile, verified=True)
+        assert plan.retained_evidence == (4960,)
+        # the restart forked nothing, and the query wrote single values only
+        assert not forks
+        assert (s._p.array, s._r.array) == baseline
+        assert len(s._p) + len(s._r) <= 2 * len(s.instr.touched)
+        want = fresh(tree).query(
+            4950, Evidence.of({**committed.as_dict(), "v4960": 1})
+        ).probs
+        assert np.abs(got.probs - want).max() <= 1e-9
+        # and a later query still starts from the committed flood
+        again = s.query(4950, Evidence.of({"v4960": 1})).probs
+        assert np.abs(again - want).max() <= 1e-9
+
+
+class TestOperationRecord:
+    """The record's counts agree with the messages it expands to."""
+
+    def check(self, s):
+        messages = s.instr.messages
+        assert s.instr.message_count == len(messages)
+        assert s.instr.crossings == sum(s.instr.traversals.values())
+        assert s.instr.ranks == sorted({length for _, length in messages})
+        assert s.instr.touched_count == len(s.instr.touched)
+
+    def test_counts_on_both_kernels(self, asia_tables):
+        ev = Evidence.of({"x_A": 1, "x_D": 1})
+        s = fresh(asia_tables)
+        s.query(5, ev)
+        self.check(s)
+        s.multi_evidence_simq(ev)
+        self.check(s)
+        tree = branching_trees()["caterpillar"]
+        s = fresh(tree)
+        s.query(0, Evidence.of({"v3": 1, "v40": 0}))
+        self.check(s)
+        s.multi_evidence_simq(Evidence.of({"v3": 1, "v40": 0}))
+        self.check(s)
+
+    def test_record_is_one_entry_per_stretch(self):
+        tree = binary_chain_tree(np.random.default_rng(4), 20_000)
+        s = fresh(tree)
+        ev = Evidence.of({"v0": 1, "v9000": 0, "v19999": 1})
+        s.query(5000, ev)
+        assert s.instr.message_count == 2 * 19_999 and len(s.instr.log) <= 16
+        assert s.instr.touched_count == 20_000
+        s.multi_evidence_simq(ev)
+        assert s.instr.message_count == 3 * 19_999 and len(s.instr.log) <= 16
+
+    def test_cli_prints_the_line_without_building_messages(self, capsys, tmp_path, monkeypatch):
+        from sensbn import cli, fileio
+
+        tree = binary_chain_tree(np.random.default_rng(8), 3000)
+        path = tmp_path / "chain.tree"
+        fileio.save(path, fileio.serialize_tree(tree))
+        ev = {"v0": 1, "v1700": 0, "v2999": 1}
+        for engine_name in ("misq", "simq"):
+            s = fresh(tree)
+            if engine_name == "misq":
+                s.query(1200, Evidence.of(ev))
+            else:
+                s.multi_evidence_simq(Evidence.of(ev))
+            ranks = sorted({r for _, r in s.instr.messages})
+            want = (
+                f"instrumentation messages={len(s.instr.messages)} ranks={ranks} "
+                f"edge_traversals={sum(s.instr.traversals.values())} "
+                f"nodes_touched={len(s.instr.touched)}"
+            )
+            with monkeypatch.context() as patch:
+                for name in ("messages", "touched", "traversals"):
+                    patch.setattr(engine.Instrumentation, name, property(lambda self: 1 / 0))
+                code = cli.main([
+                    "query", str(path), "--query", "v1200",
+                    "--evidence", ",".join(f"{k}={v}" for k, v in ev.items()),
+                    "--engine", engine_name,
+                ])
+            assert code == 0
+            assert want in capsys.readouterr().out.splitlines()
