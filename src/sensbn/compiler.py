@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +38,8 @@ from .model import (
     ConditionalMatrix,
     DecayConstants,
     Distribution,
+    FactorStack,
+    NodeColumns,
     StateSpace,
     TreeNetwork,
     Violation,
@@ -470,7 +474,7 @@ class EdgeBatch:
     :func:`accept_batches` with the batch.
     """
 
-    positions: tuple[int, ...]
+    positions: Sequence[int]
     q: np.ndarray
     r: np.ndarray
 
@@ -494,66 +498,50 @@ def accept_precompiled(
     re-centering, deriving the reverse factors and the consistency check
     cost a few numpy calls per group (see :func:`accept_batches`).
     """
+    nodes = NodeColumns.of(spaces, priors, names)
     grouped: dict[tuple, tuple[list[int], list, list]] = {}
-    for pos, pair in enumerate(edge_factors.values()):
+    for pos, ((i, j), pair) in enumerate(edge_factors.items()):
+        if pair.q.shape[1] != nodes.size[i] or pair.r_mat.shape[1] != nodes.size[j]:
+            raise DimensionMismatchError(
+                f"edge ({i},{j}): factor shapes {pair.q.shape}x{pair.r_mat.shape} "
+                f"do not match cardinalities {nodes.size[i]}, {nodes.size[j]}"
+            )
         positions, qs, rs = grouped.setdefault((pair.q.shape, pair.r_mat.shape), ([], [], []))
         positions.append(pos)
         qs.append(pair.q)
         rs.append(pair.r_mat)
     batches = [
-        EdgeBatch(tuple(positions), np.array(qs), np.array(rs))
+        EdgeBatch(positions, np.array(qs), np.array(rs))
         for positions, qs, rs in grouped.values()
     ]
-    return accept_batches(spaces, priors, list(edge_factors), batches, names, name)
+    return accept_batches(nodes, list(edge_factors), batches, name)
 
 
 def accept_batches(
-    spaces: list[StateSpace],
-    priors: list[Distribution],
+    nodes: NodeColumns,
     edges: list[tuple[int, int]],
     batches: list[EdgeBatch],
-    names: list[str] | None = None,
     name: str = "tree",
 ) -> TreeNetwork:
     """Build a TreeNetwork from factor pairs already stacked by edge shape.
 
     ``edges[k]`` is (i, j) for the coupling of node i with respect to node
-    j, and every position of ``edges`` appears in exactly one batch.  Each
+    j, every position of ``edges`` appears in exactly one batch, and a
+    batch's factor widths are the sizes of its edges' nodes.  Each
     batch is re-centered and its reverse factors derived with one
-    broadcast, then :func:`check_tree_consistency` checks the tree.  The
-    result is what :func:`accept_precompiled` returns for the same pairs.
+    broadcast into the tree's :class:`FactorStack` of that shape, then
+    :func:`check_tree_consistency` checks the tree.  The result is what
+    :func:`accept_precompiled` returns for the same pairs.
     """
-    if len(spaces) != len(priors):
-        raise DimensionMismatchError("one prior per compound node is required")
-    compounds = tuple(
-        CompoundNode(i, names[i] if names else f"X_{i + 1}", sp, pr)
-        for i, (sp, pr) in enumerate(zip(spaces, priors))
-    )
-    located: list[tuple[EdgeBatch, int]] = [None] * len(edges)
+    ends = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
+    stacks = []
     for batch in batches:
-        for k, pos in enumerate(batch.positions):
-            located[pos] = (batch, k)
-    for (i, j), (batch, _) in zip(edges, located):
-        ni = compounds[i].space.cardinality
-        nj = compounds[j].space.cardinality
-        if batch.q.shape[2] != ni or batch.r.shape[2] != nj:
-            raise DimensionMismatchError(
-                f"edge ({i},{j}): factor shapes {batch.q.shape[1:]}x{batch.r.shape[1:]} "
-                f"do not match cardinalities {ni}, {nj}"
-            )
-    derived: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for batch in batches:
-        p_i = np.array([compounds[edges[pos][0]].prior.probs for pos in batch.positions])
+        pos = np.array(batch.positions, dtype=np.intp)
+        p_i = nodes.prior_stack(ends[pos, 0], batch.q.shape[2])
         r_ij = algebra.center_rows(batch.r)
         r_ji = _reverse_factor(algebra.center_rows(batch.q), p_i)
-        # frozen before any view is taken, so no view of them is writable
-        r_ij.setflags(write=False)
-        r_ji.setflags(write=False)
-        derived.update(zip(batch.positions, zip(r_ij, r_ji)))
-    stored: dict[tuple[int, int], np.ndarray] = {}
-    for pos, (i, j) in enumerate(edges):
-        stored[(i, j)], stored[(j, i)] = derived[pos]
-    tree = TreeNetwork(compounds, tuple(edges), stored, name=name)
+        stacks.append(FactorStack(pos, r_ij, r_ji))
+    tree = TreeNetwork.from_columns(nodes, edges, ends, stacks, name)
     check_tree_consistency(tree)
     return tree
 
@@ -588,7 +576,16 @@ def reconstruct_dense(tree: TreeNetwork, i: int, j: int) -> np.ndarray:
     """
     r_ij = tree.r_factors[(i, j)]
     r_ji = tree.r_factors[(j, i)]
-    return _dense_couplings(r_ij[None], r_ji[None], tree.compound(i).prior.probs[None])[0]
+    return _dense_couplings(r_ij[None], r_ji[None], tree.node_columns.prior(i)[None])[0]
+
+
+def binary_couplings(tree: TreeNetwork, stack: FactorStack) -> np.ndarray:
+    """|s[1, 1] - s[1, 0]| of the dense coupling s of every edge (a, b) of
+    a stack of binary edges, a with respect to b: what
+    :func:`reconstruct_dense` gives edge by edge."""
+    a = tree.edge_ends[stack.edges, 0]
+    s_ab = _dense_couplings(stack.fwd, stack.bwd, tree.node_columns.prior_stack(a, 2))
+    return np.abs(s_ab[:, 1, 1] - s_ab[:, 1, 0])
 
 
 def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> None:
@@ -605,27 +602,20 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
     ``tree.scalars`` (see :class:`BinaryScalars`), for the engine's float
     kernel.
 
-    Edges are checked per shape: those of one (n_a, n_b, rank) are
-    stacked into 3-D arrays, and one batched product per direction
-    rebuilds all their couplings.
+    Edges are checked per shape, on the tree's factor stacks: one batched
+    product per direction rebuilds all the couplings of a stack.
     """
-    card = [c.space.cardinality for c in tree.compounds]
-    all_binary = all(n == 2 for n in card)
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for pos, (a, b) in enumerate(tree.edges):
-        groups.setdefault((card[a], card[b], tree.rank(a, b)), []).append(pos)
-    priors = [c.prior.probs for c in tree.compounds]
-    first_bad, bad_err = len(tree.edges), math.nan
+    nodes, ends, n_edges = tree.node_columns, tree.edge_ends, len(tree.edges)
+    all_binary = set(nodes.priors) == {2}
+    first_bad, bad_err = n_edges, math.nan
     couplings: list[float] = []
-    scalar = all_binary and all(shape == (2, 2, 1) for shape in groups)
-    c_fwd = np.empty(len(tree.edges))
-    c_bwd = np.empty(len(tree.edges))
-    for positions in groups.values():
-        pairs = [tree.edges[pos] for pos in positions]
-        r_ab = np.array([tree.r_factors[(a, b)] for a, b in pairs])
-        r_ba = np.array([tree.r_factors[(b, a)] for a, b in pairs])
-        p_a = np.array([priors[a] for a, _ in pairs])
-        p_b = np.array([priors[b] for _, b in pairs])
+    scalar = all_binary and all(st.fwd.shape[1] == 1 for st in tree.factor_stacks)
+    c_fwd = np.empty(n_edges)
+    c_bwd = np.empty(n_edges)
+    for stack in tree.factor_stacks:
+        positions, r_ab, r_ba = stack.edges, stack.fwd, stack.bwd
+        p_a = nodes.prior_stack(ends[positions, 0], r_ba.shape[2])
+        p_b = nodes.prior_stack(ends[positions, 1], r_ab.shape[2])
         s_ab = _dense_couplings(r_ab, r_ba, p_a)
         s_ba = _dense_couplings(r_ba, r_ab, p_b)
         with np.errstate(invalid="ignore"):
@@ -636,22 +626,23 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
         scale = np.maximum(1.0, np.abs(s_ab).max(axis=(1, 2)))
         failed = np.flatnonzero(~(err <= tol * scale))
         if failed.size and positions[failed[0]] < first_bad:
-            first_bad, bad_err = positions[failed[0]], float(err[failed[0]])
+            first_bad, bad_err = int(positions[failed[0]]), float(err[failed[0]])
         if all_binary:
             couplings.append(float(np.abs(s_ab[:, 1, 1] - s_ab[:, 1, 0]).max()))
         if scalar:
             c_fwd[positions] = r_ab[:, 0, 1] - r_ab[:, 0, 0]
             c_bwd[positions] = r_ba[:, 0, 1] - r_ba[:, 0, 0]
-    if first_bad < len(tree.edges):
+    if first_bad < n_edges:
         a, b = tree.edges[first_bad]
         # a zero prior entry fails its edge; report it as the scalar check does
-        algebra.inverse_weights(priors[a])
-        algebra.inverse_weights(priors[b])
-        na, nbm = tree.compound(a).name, tree.compound(b).name
-        raise ConsistencyError(f"edge {na} - {nbm}: stored factors disagree by {bad_err:.3g}")
+        algebra.inverse_weights(nodes.prior(a))
+        algebra.inverse_weights(nodes.prior(b))
+        raise ConsistencyError(
+            f"edge {nodes.names[a]} - {nodes.names[b]}: stored factors disagree by {bad_err:.3g}"
+        )
     scalars = None
     if all_binary:
-        p = np.array(priors)
+        p = nodes.prior_stack(np.arange(tree.node_count), 2)
         decay = DecayConstants(
             True, float(np.max(couplings, initial=0.0)), float((p[:, 0] * p[:, 1]).min())
         )

@@ -512,7 +512,7 @@ class QuerySession:
             self.instr = Instrumentation(scalars.run_nodes)
         self._restart()
         self._live: Container[int] = set()
-        self.barren: Mapping[int, bool] = BarrenMarks(len(tree.compounds))
+        self.barren: Mapping[int, bool] = BarrenMarks(tree.node_count)
         self.trace: list[tuple[str, int, np.ndarray]] = []
         self._record_trace = record_trace
 
@@ -548,7 +548,7 @@ class QuerySession:
         return _StateView(lambda: self._p1, lambda node: _FloatKernel.to_array(self._p1[node]))
 
     def _nodes_view(self, read: Callable) -> _StateView:
-        nodes = range(len(self.tree.compounds))
+        nodes = range(self.tree.node_count)
         return _StateView(lambda: nodes, read)
 
     def posterior(self, ident: int) -> Distribution:
@@ -900,7 +900,7 @@ class QuerySession:
         only nodes inside it are visited.
         """
         self._live = self._live_nodes(query, evidence_nodes, within)
-        self.barren = BarrenMarks(len(self.tree.compounds), self._live)
+        self.barren = BarrenMarks(self.tree.node_count, self._live)
         return self.barren
 
     def _live_nodes(self, query: int, evidence_nodes, within: set[int] | None) -> Container[int]:

@@ -33,12 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from . import compiler
-from .errors import ParseError
+from .errors import ParseError, SensBnError
 from .model import (
     BeliefNetwork,
     Distribution,
-    StateSpace,
+    NodeColumns,
     TreeNetwork,
+    normalized_rows,
+    space_cardinality,
 )
 
 _RT2 = math.sqrt(2.0)
@@ -167,138 +169,267 @@ def load_network(path) -> BeliefNetwork:
 
 
 def parse_tree(text: str, path=None) -> TreeNetwork:
+    """Load a tree file into columns, without one object per node.
+
+    One pass over the lines collects flat lists: compound names, member
+    labels and their offsets, cards and pruned states where a line gives
+    them, prior numbers in one list per number of states, and factor
+    rows in one list per (n_i, n_j, rank) edge shape.  The priors are
+    then checked and normalised one stack per size, and
+    :func:`compiler.accept_batches` derives and checks the factors.
+
+    Errors are raised in file order: a prior that
+    :meth:`Distribution.normalized` refuses or a token that is not a
+    number raises before any error of a later line, and errors that need
+    the whole file (missing priors, then row widths, then the tree's
+    structure) come after.
+    """
+    nodes, edges, batches, name = _tree_columns(text, path)
+    return compiler.accept_batches(nodes, edges, batches, name=name)
+
+
+def _tree_columns(text: str, path):
+    """The columns of a tree file: (nodes, edges, edge batches, name)."""
     name = "tree"
-    comp_names: list[str] = []
-    spaces: dict[str, StateSpace] = {}
-    priors: dict[str, Distribution] = {}
-    edges: list[tuple[str, str, int, int]] = []  # (name_i, name_j, rank, line)
-    matrix_rows: list[list[list[float]]] = []  # per edge: [q rows, r rows]
-    current_edge = None  # (rank, q_rows, r_rows, line)
+    names: list[str] = []
+    index: dict[str, int] = {}
+    members: list[str] = []
+    member_start = [0]
+    cards: dict[int, tuple[int, ...]] = {}
+    pruned: dict[int, tuple[int, ...]] = {}
+    size: list[int] = []
+    # node -> its row among the prior rows of its size (-1: no prior yet);
+    # size -> (numbers, line of each row)
+    prior_at: list[int] = []
+    prior_rows: dict[int, tuple[list[float], list[int]]] = {}
+    edges: list[tuple[int, int]] = []
+    edge_at: dict[tuple[int, int], int] = {}
+    # shape -> (edge positions, q numbers, r numbers), each a flat list
+    groups: dict[tuple[int, int, int], tuple[list[int], list[float], list[float]]] = {}
+    # the last block of a repeated edge wins, at the place of its first
+    repeated: dict[int, tuple[tuple[int, int, int], list, list]] = {}
+    bad_width: ParseError | None = None
+    # the open edge block: (i, j, rank, line), its rows so far, the lists
+    # its numbers go to, and (tag, length) of each row of a wrong width
+    block = None
+    q_count = r_count = q_width = r_width = 0
+    q_out = r_out = wrong = None
 
-    def flush_edge(line):
-        nonlocal current_edge
-        if current_edge is None:
-            return
-        rank, q_rows, r_rows, at = current_edge
-        if len(q_rows) != rank or len(r_rows) != rank:
-            raise ParseError(
-                f"edge block needs {rank} q rows and {rank} r rows", path, at
+    def close_block():
+        nonlocal block, bad_width
+        i, j, rank, at = block
+        block = None
+        if q_count != rank or r_count != rank:
+            raise ParseError(f"edge block needs {rank} q rows and {rank} r rows", path, at)
+        if wrong and bad_width is None:
+            # q rows are checked before r rows
+            tag, length = min(wrong, key=lambda row: row[0] == "r")
+            bad_width = ParseError(
+                f"edge {names[i]} {names[j]}: {tag} row has {length} values, "
+                f"expected {q_width if tag == 'q' else r_width}",
+                path,
+                at,
             )
-        matrix_rows.append([q_rows, r_rows])
-        current_edge = None
 
-    for line, tokens in _lines(text):
-        key = tokens[0]
-        if key == "tree":
-            flush_edge(line)
-            name = tokens[1] if len(tokens) > 1 else name
-        elif key == "compound":
-            flush_edge(line)
-            if len(tokens) < 4 or tokens[2] != "members":
-                raise ParseError(
-                    "compound line needs: compound <name> members <label...>", path, line
-                )
-            cname = tokens[1]
-            rest = tokens[3:]
-            members: list[str] = []
-            cards: list[int] = []
-            pruned: list[int] = []
-            bucket = "members"
-            for tok in rest:
-                if tok in ("cards", "pruned"):
-                    bucket = tok
-                elif bucket == "members":
-                    members.append(tok)
-                elif bucket == "cards":
-                    cards.append(int(tok))
+    try:
+        for line, raw in enumerate(text.splitlines(), start=1):
+            if "#" in raw:
+                raw = raw[: raw.index("#")]
+            tokens = raw.split()
+            if not tokens:
+                continue
+            key = tokens[0]
+            if key == "q" or key == "r":
+                if block is None:
+                    raise ParseError("factor row outside an edge block", path, line)
+                values = _nums(tokens[1:], path, line)
+                if len(values) != (q_width if key == "q" else r_width):
+                    wrong = (wrong or []) + [(key, len(values))]
+                if key == "q":
+                    q_count += 1
+                    q_out.extend(values)
                 else:
-                    pruned.append(int(tok))
-            if not cards:
-                cards = [2] * len(members)
-            if cname in spaces:
-                raise ParseError(f"duplicate compound {cname!r}", path, line)
-            spaces[cname] = StateSpace(tuple(members), tuple(cards), tuple(pruned))
-            comp_names.append(cname)
-        elif key == "prior":
-            flush_edge(line)
-            if len(tokens) < 3 or tokens[1] not in spaces:
-                raise ParseError("prior line needs a declared compound name", path, line)
-            values = _nums(tokens[2:], path, line)
-            if len(values) != spaces[tokens[1]].cardinality:
-                raise ParseError(
-                    f"prior for {tokens[1]} has {len(values)} values, expected "
-                    f"{spaces[tokens[1]].cardinality}",
-                    path,
-                    line,
-                )
-            priors[tokens[1]] = Distribution.normalized(values)
-        elif key == "edge":
-            flush_edge(line)
-            if len(tokens) != 5 or tokens[3] != "rank":
-                raise ParseError(
-                    "edge line needs: edge <name_i> <name_j> rank <r>", path, line
-                )
-            for cname in tokens[1:3]:
-                if cname not in spaces:
+                    r_count += 1
+                    r_out.extend(values)
+            elif key == "edge":
+                if block is not None:
+                    close_block()
+                if len(tokens) != 5 or tokens[3] != "rank":
+                    raise ParseError(
+                        "edge line needs: edge <name_i> <name_j> rank <r>", path, line
+                    )
+                i = index.get(tokens[1])
+                j = index.get(tokens[2])
+                if i is None or j is None:
+                    cname = tokens[1] if i is None else tokens[2]
                     raise ParseError(f"edge names unknown compound {cname!r}", path, line)
-            rank = int(tokens[4])
-            edges.append((tokens[1], tokens[2], rank, line))
-            current_edge = (rank, [], [], line)
-        elif key in ("q", "r"):
-            if current_edge is None:
-                raise ParseError("factor row outside an edge block", path, line)
-            rank, q_rows, r_rows, at = current_edge
-            values = _nums(tokens[1:], path, line)
-            (q_rows if key == "q" else r_rows).append(values)
-        else:
-            raise ParseError(f"unknown directive {key!r}", path, line)
-    flush_edge(None)
-
-    if len(matrix_rows) != len(edges):
-        raise ParseError("incomplete edge block at end of file", path)
-    missing = [c for c in comp_names if c not in priors]
+                rank = int(tokens[4])
+                q_width, r_width = size[i], size[j]
+                shape = (q_width, r_width, rank)
+                pair = (i, j)
+                pos = edge_at.get(pair)
+                if pos is None:
+                    edge_at[pair] = len(edges)
+                    group = groups.get(shape)
+                    if group is None:
+                        group = groups[shape] = ([], [], [])
+                    positions, q_out, r_out = group
+                    positions.append(len(edges))
+                    edges.append(pair)
+                else:
+                    q_out, r_out = [], []
+                    repeated[pos] = (shape, q_out, r_out)
+                block = (i, j, rank, line)
+                q_count = r_count = 0
+                wrong = None
+            elif key == "prior":
+                if block is not None:
+                    close_block()
+                if len(tokens) < 3 or tokens[1] not in index:
+                    raise ParseError("prior line needs a declared compound name", path, line)
+                ident = index[tokens[1]]
+                values = _nums(tokens[2:], path, line)
+                k = size[ident]
+                if len(values) != k:
+                    raise ParseError(
+                        f"prior for {tokens[1]} has {len(values)} values, expected {k}",
+                        path,
+                        line,
+                    )
+                rows = prior_rows.get(k)
+                if rows is None:
+                    rows = prior_rows[k] = ([], [])
+                numbers, lines = rows
+                prior_at[ident] = len(lines)
+                lines.append(line)
+                numbers.extend(values)
+            elif key == "compound":
+                if block is not None:
+                    close_block()
+                if len(tokens) < 4 or tokens[2] != "members":
+                    raise ParseError(
+                        "compound line needs: compound <name> members <label...>", path, line
+                    )
+                cname, listed = tokens[1], tokens[3:]
+                given: dict[str, list[int]] = {}
+                if "cards" in listed or "pruned" in listed:
+                    labels: list[str] = []
+                    bucket = None
+                    for tok in listed:
+                        if tok in ("cards", "pruned"):
+                            bucket = given.setdefault(tok, [])
+                        elif bucket is None:
+                            labels.append(tok)
+                        else:
+                            bucket.append(int(tok))
+                    listed = labels
+                if cname in index:
+                    raise ParseError(f"duplicate compound {cname!r}", path, line)
+                ident = len(names)
+                given_cards, given_pruned = given.get("cards"), given.get("pruned")
+                if given_cards or given_pruned:
+                    k = space_cardinality(
+                        listed, given_cards or [2] * len(listed), given_pruned or ()
+                    )
+                    if given_cards:
+                        cards[ident] = tuple(given_cards)
+                    if given_pruned:
+                        pruned[ident] = tuple(given_pruned)
+                else:
+                    # binary members, nothing pruned
+                    k = 1 << len(listed)
+                index[cname] = ident
+                names.append(cname)
+                members.extend(listed)
+                member_start.append(len(members))
+                size.append(k)
+                prior_at.append(-1)
+            elif key == "tree":
+                if block is not None:
+                    close_block()
+                name = tokens[1] if len(tokens) > 1 else name
+            else:
+                raise ParseError(f"unknown directive {key!r}", path, line)
+        if block is not None:
+            close_block()
+    except (SensBnError, ValueError) as exc:
+        error = exc
+    else:
+        error = None
+    # a prior refused on an earlier line raises before the error, if any
+    priors = _prior_stacks(prior_rows)
+    if error is not None:
+        raise error
+    missing = [c for c, at in zip(names, prior_at) if at < 0]
     if missing:
         raise ParseError(f"compounds without a prior: {missing}", path)
-    index = {c: i for i, c in enumerate(comp_names)}
-    # the last block of a repeated edge wins, at the place of its first
-    blocks: dict[tuple[int, int], tuple[int, int, int, list, list]] = {}
-    for (ni, nj, rank, at), (q_rows, r_rows) in zip(edges, matrix_rows):
-        n_i = spaces[ni].cardinality
-        n_j = spaces[nj].cardinality
-        for rows, width, tag in ((q_rows, n_i, "q"), (r_rows, n_j, "r")):
-            for row in rows:
-                if len(row) != width:
-                    raise ParseError(
-                        f"edge {ni} {nj}: {tag} row has {len(row)} values, expected {width}",
-                        path,
-                        at,
-                    )
-        blocks[(index[ni], index[nj])] = (n_i, n_j, rank, q_rows, r_rows)
-    # numbers go straight into one flat list per edge shape
-    grouped: dict[tuple[int, int, int], tuple[list[int], list[float], list[float]]] = {}
-    for pos, (n_i, n_j, rank, q_rows, r_rows) in enumerate(blocks.values()):
-        positions, qs, rs = grouped.setdefault((n_i, n_j, rank), ([], [], []))
-        positions.append(pos)
-        for row in q_rows:
-            qs.extend(row)
-        for row in r_rows:
-            rs.extend(row)
+    if bad_width is not None:
+        raise bad_width
+    stacked = {
+        shape: (positions, np.array(qs), np.array(rs))
+        for shape, (positions, qs, rs) in groups.items()
+    }
+    if repeated:
+        stacked = _regroup(
+            stacked,
+            {
+                pos: (shape, np.array(qs), np.array(rs))
+                for pos, (shape, qs, rs) in repeated.items()
+            },
+        )
     batches = [
         compiler.EdgeBatch(
-            tuple(positions),
-            np.array(qs).reshape(len(positions), rank, n_i),
-            np.array(rs).reshape(len(positions), rank, n_j),
+            positions,
+            qs.reshape(len(positions), rank, n_i),
+            rs.reshape(len(positions), rank, n_j),
         )
-        for (n_i, n_j, rank), (positions, qs, rs) in grouped.items()
+        for (n_i, n_j, rank), (positions, qs, rs) in stacked.items()
     ]
-    return compiler.accept_batches(
-        [spaces[c] for c in comp_names],
-        [priors[c] for c in comp_names],
-        list(blocks),
-        batches,
-        names=comp_names,
-        name=name,
+    nodes = NodeColumns(
+        names, members, member_start, cards, pruned, size, priors,
+        np.array(prior_at, dtype=np.intp),
     )
+    return nodes, edges, batches, name
+
+
+def _prior_stacks(rows: dict[int, tuple[list[float], list[int]]]) -> dict[int, np.ndarray]:
+    """The prior rows of each size normalised as one stack.
+
+    Rows that :meth:`Distribution.normalized` refuses are passed to it in
+    file order, so the first of them raises that method's own error.
+    """
+    stacks: dict[int, np.ndarray] = {}
+    refused: list[tuple[int, np.ndarray]] = []
+    for k, (numbers, lines) in rows.items():
+        raw = np.array(numbers).reshape(len(lines), k)
+        probs, bad = normalized_rows(raw)
+        refused.extend((lines[r], raw[r]) for r in np.flatnonzero(bad).tolist())
+        stacks[k] = probs
+    for _, row in sorted(refused, key=lambda item: item[0]):
+        Distribution.normalized(row)
+    return stacks
+
+
+def _regroup(groups, repeated):
+    """``groups`` of (positions, q numbers, r numbers) with the blocks of
+    ``repeated`` edges in place of their first blocks, every group's edges
+    in file order."""
+    blocks: dict[int, tuple] = {}
+    for shape, (positions, qs, rs) in groups.items():
+        for pos, q, r in zip(positions, np.split(qs, len(positions)), np.split(rs, len(positions))):
+            blocks[pos] = (shape, q, r)
+    blocks.update(repeated)
+    out: dict[tuple[int, int, int], tuple[list[int], list, list]] = {}
+    for pos in sorted(blocks):
+        shape, q, r = blocks[pos]
+        positions, q_parts, r_parts = out.setdefault(shape, ([], [], []))
+        positions.append(pos)
+        q_parts.append(q)
+        r_parts.append(r)
+    return {
+        shape: (positions, np.concatenate(q_parts), np.concatenate(r_parts))
+        for shape, (positions, q_parts, r_parts) in out.items()
+    }
 
 
 def serialize_tree(tree: TreeNetwork) -> str:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import chain
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,24 +46,6 @@ def frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _unaliased_frozen(arr) -> bool:
-    """True for a read-only float64 ndarray whose base arrays are read-only
-    too, so that no writable array reaches its memory through the base."""
-    if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
-        return False
-    while isinstance(arr, np.ndarray):
-        if arr.flags.writeable:
-            return False
-        arr = arr.base
-    return arr is None
-
-
-def _as_bool_int(value) -> int:
-    if isinstance(value, bool):
-        return int(value)
-    return int(value)
-
-
 @dataclass(frozen=True)
 class Violation:
     """One structural defect found by :func:`validate_network`."""
@@ -73,6 +56,26 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.kind} at {self.where}: {self.detail}"
+
+
+def space_cardinality(
+    members: Sequence[str], cards: Sequence[int], pruned: Iterable[int] = ()
+) -> int:
+    """Number of retained states of a space whose ``members`` have the
+    cardinalities ``cards`` once the original states ``pruned`` are
+    discarded; refuses what :class:`StateSpace` refuses for them."""
+    if len(members) != len(cards):
+        raise DimensionMismatchError(f"{len(members)} members but {len(cards)} cardinalities")
+    if any(c < 2 for c in cards):
+        raise DimensionMismatchError("member cardinalities must be >= 2")
+    full = math.prod(cards)
+    bad = [p for p in sorted(pruned) if not 0 <= p < full]
+    if bad:
+        raise PrunedStateError(f"pruned indices {bad} outside [0, {full})")
+    kept = full - len(set(pruned))
+    if not kept:
+        raise ZeroMassError("all states of the space are pruned")
+    return kept
 
 
 @dataclass(frozen=True)
@@ -94,20 +97,9 @@ class StateSpace:
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(self, "cards", tuple(int(c) for c in self.cards))
         object.__setattr__(self, "pruned", tuple(sorted(int(p) for p in self.pruned)))
-        if len(self.members) != len(self.cards):
-            raise DimensionMismatchError(
-                f"{len(self.members)} members but {len(self.cards)} cardinalities"
-            )
-        if any(c < 2 for c in self.cards):
-            raise DimensionMismatchError("member cardinalities must be >= 2")
-        full = self.full_cardinality
-        bad = [p for p in self.pruned if not 0 <= p < full]
-        if bad:
-            raise PrunedStateError(f"pruned indices {bad} outside [0, {full})")
+        space_cardinality(self.members, self.cards, self.pruned)
         pruned_set = set(self.pruned)
-        retained = tuple(i for i in range(full) if i not in pruned_set)
-        if not retained:
-            raise ZeroMassError("all states of the space are pruned")
+        retained = tuple(i for i in range(self.full_cardinality) if i not in pruned_set)
         object.__setattr__(self, "_retained", retained)
         object.__setattr__(self, "_compact", {o: c for c, o in enumerate(retained)})
 
@@ -118,10 +110,7 @@ class StateSpace:
 
     @property
     def full_cardinality(self) -> int:
-        n = 1
-        for c in self.cards:
-            n *= c
-        return n
+        return math.prod(self.cards)
 
     @property
     def cardinality(self) -> int:
@@ -141,7 +130,7 @@ class StateSpace:
             raise UnknownLabelError(f"assignment names non-members {extra}")
         idx = 0
         for member, card in zip(self.members, self.cards):
-            state = _as_bool_int(assignment[member])
+            state = int(assignment[member])
             if not 0 <= state < card:
                 raise PrunedStateError(
                     f"state {state} of {member} outside [0, {card})"
@@ -168,18 +157,21 @@ class StateSpace:
             orig //= card
         return {m: out[m] for m in self.members}
 
+    def member_states(self, member: str) -> np.ndarray:
+        """The state of ``member`` in every retained state, in state order:
+        its mixed-radix digit of each retained original index."""
+        k = self.members.index(member)
+        stride = math.prod(self.cards[k + 1 :])
+        return np.array(self._retained) // stride % self.cards[k]
+
     def consistent_mask(self, partial: Mapping[str, int]) -> np.ndarray:
         """Boolean mask over retained states matching a partial assignment."""
         extra = [k for k in partial if k not in self.members]
         if extra:
             raise UnknownLabelError(f"partial assignment names non-members {extra}")
         mask = np.ones(self.cardinality, dtype=bool)
-        for i in range(self.cardinality):
-            assign = self.assignment(i)
-            for member, value in partial.items():
-                if assign[member] != _as_bool_int(value):
-                    mask[i] = False
-                    break
+        for member, value in partial.items():
+            mask &= self.member_states(member) == int(value)
         return mask
 
 
@@ -196,6 +188,28 @@ def _refuse_non_finite(arr: np.ndarray) -> None:
         raise ZeroMassError(f"distribution entry {k} is {float(arr.flat[k])!r}, not finite")
 
 
+# The rules of Distribution, stated once on the least entry, the greatest
+# entry and the sum of one vector (floats) or of every row of a stack
+# (arrays): the class checks one vector with them, normalized_rows a stack.
+# NaN fails every comparison, so a NaN entry is not finite.
+
+
+def _finite(lo, hi):
+    return (lo > -math.inf) & (hi < math.inf)
+
+
+def _has_mass(total):
+    return total > 0.0
+
+
+def _sums_to_one(total):
+    return abs(total - 1.0) <= SUM_TOL
+
+
+def _in_unit_range(lo, hi):
+    return (lo >= -ENTRY_TOL) & (hi <= 1.0 + ENTRY_TOL)
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A probability column: non-negative entries summing to one."""
@@ -209,12 +223,12 @@ class Distribution:
         # min and max are NaN or infinite iff an entry is, and unlike the
         # sum they do not warn on inf - inf
         lo, hi = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        if not _finite(lo, hi):
             _refuse_non_finite(arr)
         total = float(arr.sum())
-        if not abs(total - 1.0) <= SUM_TOL:
+        if not _sums_to_one(total):
             raise ZeroMassError(f"distribution sums to {total!r}, not 1")
-        if lo < -ENTRY_TOL or hi > 1 + ENTRY_TOL:
+        if not _in_unit_range(lo, hi):
             raise ZeroMassError("distribution entries outside [0, 1]")
         object.__setattr__(self, "probs", arr)
 
@@ -222,12 +236,20 @@ class Distribution:
     def normalized(cls, values) -> "Distribution":
         """Build from raw non-negative weights, renormalizing exactly once."""
         arr = np.asarray(values, dtype=float)
-        if not np.isfinite(arr).all():
+        if not _finite(float(arr.min(initial=0.0)), float(arr.max(initial=0.0))):
             _refuse_non_finite(arr)
         total = float(arr.sum())
-        if total <= 0:
+        if not _has_mass(total):
             raise ZeroMassError("cannot normalize a zero-mass vector")
         return cls(arr / total)
+
+    @classmethod
+    def _of_checked(cls, probs: np.ndarray) -> "Distribution":
+        """Wrap ``probs``, a read-only vector that has already passed the
+        checks of this class, without copying or checking it again."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "probs", probs)
+        return dist
 
     @classmethod
     def indicator(cls, size: int, state: int) -> "Distribution":
@@ -240,6 +262,25 @@ class Distribution:
 
     def __getitem__(self, i: int) -> float:
         return float(self.probs[i])
+
+
+def normalized_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of the weights ``raw`` divided by its sum, bit for bit as
+    :meth:`Distribution.normalized` divides it, and a mask of the rows
+    that method refuses, by the same rules (pass those to it for the
+    error)."""
+    with np.errstate(all="ignore"):
+        total = raw.sum(axis=1)
+        probs = raw / total[:, None]
+        lo, hi = probs.min(axis=1, initial=0.0), probs.max(axis=1, initial=0.0)
+        accepted = (
+            _finite(raw.min(axis=1, initial=0.0), raw.max(axis=1, initial=0.0))
+            & _has_mass(total)
+            & _finite(lo, hi)
+            & _sums_to_one(probs.sum(axis=1))
+            & _in_unit_range(lo, hi)
+        )
+    return probs, ~accepted
 
 
 @dataclass(frozen=True)
@@ -316,7 +357,7 @@ class Evidence:
     assignments: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        pairs = tuple((str(k), _as_bool_int(v)) for k, v in self.assignments)
+        pairs = tuple((str(k), int(v)) for k, v in self.assignments)
         labels = [k for k, _ in pairs]
         if len(set(labels)) != len(labels):
             raise UnknownLabelError("a label appears more than once in the evidence")
@@ -595,9 +636,10 @@ class BinaryScalars:
     ) -> "BinaryScalars":
         """The float form of ``tree``: ``c_fwd[k]`` is the factor under key
         ``tree.edges[k]`` and ``c_bwd[k]`` the one under its reverse."""
-        n, n_edges = len(tree.compounds), len(tree.edges)
-        nb = tree._neighbors
-        degree = [len(nb[i]) for i in range(n)]
+        n, n_edges = tree.node_count, len(tree.edges)
+        offsets, adjacent = tree.csr
+        start, nb = offsets.tolist(), adjacent.tolist()
+        degree = np.diff(offsets).tolist()
         # walk each run from an end of degree other than 2; one started from
         # its other end already holds its first interior node
         taken = bytearray(n)
@@ -606,7 +648,7 @@ class BinaryScalars:
         for a in range(n):
             if degree[a] == 2:
                 continue
-            for b in nb[a]:
+            for b in nb[start[a] : start[a + 1]]:
                 if degree[b] == 2:
                     if taken[b]:
                         continue
@@ -618,7 +660,7 @@ class BinaryScalars:
                 while degree[cur] == 2:
                     taken[cur] = 1
                     order.append(cur)
-                    x, y = nb[cur]
+                    x, y = nb[start[cur]], nb[start[cur] + 1]
                     prev, cur = cur, (y if x == prev else x)
                 order.append(cur)
                 lengths.append(len(order) - size)
@@ -638,7 +680,7 @@ class BinaryScalars:
         # by their unordered end pairs finds its tree edge
         below = np.flatnonzero(~last)
         x, y = run_nodes[below], run_nodes[below + 1]
-        ends = np.fromiter(chain.from_iterable(tree.edges), np.intp, 2 * n_edges).reshape(-1, 2)
+        ends = tree.edge_ends
         position = np.empty(n_edges, dtype=np.intp)
         position[np.argsort(np.minimum(x, y) * n + np.maximum(x, y))] = np.argsort(
             ends.min(axis=1) * n + ends.max(axis=1)
@@ -664,13 +706,134 @@ class BinaryScalars:
 
 
 @dataclass(frozen=True)
+class NodeColumns:
+    """The compound nodes of a tree, one column per attribute.
+
+    * ``names[i]`` names node i, and its member labels are
+      ``members[member_start[i]:member_start[i + 1]]``.
+    * ``cards[i]`` and ``pruned[i]`` are the member cardinalities and the
+      pruned original states of node i, listed only for the nodes that
+      have them: members are binary and nothing is pruned otherwise.
+    * ``size[i]`` is the number of retained states of node i.  Its prior
+      is row ``prior_row[i]`` of ``priors[size[i]]``, the stack of the
+      priors of that size.
+
+    The columns are read-only: the lists are kept as tuples, the dicts as
+    mapping proxies and the arrays with their write flag cleared.
+    """
+
+    names: tuple[str, ...]
+    members: tuple[str, ...]
+    member_start: tuple[int, ...]
+    cards: Mapping[int, tuple[int, ...]]
+    pruned: Mapping[int, tuple[int, ...]]
+    size: tuple[int, ...]
+    priors: Mapping[int, np.ndarray]
+    prior_row: np.ndarray
+
+    def __post_init__(self):
+        for key in ("names", "members", "member_start", "size"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+        for key in ("cards", "pruned", "priors"):
+            object.__setattr__(self, key, MappingProxyType(dict(getattr(self, key))))
+        for arr in (self.prior_row, *self.priors.values()):
+            arr.setflags(write=False)
+
+    @classmethod
+    def of(
+        cls,
+        spaces: Sequence[StateSpace],
+        priors: Sequence[Distribution],
+        names: Sequence[str] | None = None,
+    ) -> "NodeColumns":
+        """The columns of per-node objects; node i is named ``X_{i+1}``
+        unless ``names`` is given."""
+        if len(spaces) != len(priors):
+            raise DimensionMismatchError("one prior per compound node is required")
+        names = list(names) if names else [f"X_{i + 1}" for i in range(len(spaces))]
+        members: list[str] = []
+        member_start = [0]
+        cards: dict[int, tuple[int, ...]] = {}
+        pruned: dict[int, tuple[int, ...]] = {}
+        size: list[int] = []
+        rows: dict[int, list[np.ndarray]] = {}
+        prior_row: list[int] = []
+        for i, (space, prior) in enumerate(zip(spaces, priors)):
+            if len(prior) != space.cardinality:
+                raise DimensionMismatchError(
+                    f"{names[i]}: prior length {len(prior)} != "
+                    f"cardinality {space.cardinality}"
+                )
+            members.extend(space.members)
+            member_start.append(len(members))
+            if any(c != 2 for c in space.cards):
+                cards[i] = space.cards
+            if space.pruned:
+                pruned[i] = space.pruned
+            size.append(space.cardinality)
+            stack = rows.setdefault(space.cardinality, [])
+            prior_row.append(len(stack))
+            stack.append(prior.probs)
+        return cls(
+            names, members, member_start, cards, pruned, size,
+            {k: np.array(v) for k, v in rows.items()},
+            np.array(prior_row, dtype=np.intp),
+        )
+
+    def prior(self, i: int) -> np.ndarray:
+        """The prior of node i, a read-only view into its stack."""
+        return self.priors[self.size[i]][self.prior_row[i]]
+
+    def prior_stack(self, nodes: np.ndarray, size: int) -> np.ndarray:
+        """The priors of ``nodes``, all of ``size`` states, as one array."""
+        return self.priors[size][self.prior_row[nodes]]
+
+    def space(self, i: int) -> StateSpace:
+        members = tuple(self.members[self.member_start[i] : self.member_start[i + 1]])
+        cards = self.cards.get(i, (2,) * len(members))
+        return StateSpace(members, cards, self.pruned.get(i, ()))
+
+
+@dataclass(frozen=True)
+class FactorStack:
+    """The stored factors of the tree edges that share one (n_i, n_j, rank)
+    shape, stacked and read-only.
+
+    Row k belongs to edge ``(i, j) = tree.edges[edges[k]]``, for both of
+    its directions: ``fwd[k]`` (rank x n_j) is the factor under key
+    (i, j) and ``bwd[k]`` (rank x n_i) the one under (j, i).
+    """
+
+    edges: np.ndarray
+    fwd: np.ndarray
+    bwd: np.ndarray
+
+    def __post_init__(self):
+        # frozen before any view is taken, so no view of them is writable
+        for arr in (self.edges, self.fwd, self.bwd):
+            arr.setflags(write=False)
+
+
+def _first_bad_edge(ends: np.ndarray, n: int) -> int:
+    """Position of the first edge that is a loop, leaves 0..n-1 or repeats
+    an earlier edge in either direction; ``len(ends)`` if there is none."""
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    bad = (lo == hi) | (lo < 0) | (hi >= n)
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    # a stable sort keeps the first of equal keys first
+    bad[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    hit = np.flatnonzero(bad)
+    return int(hit[0]) if hit.size else len(ends)
+
+
 class TreeNetwork:
     """A tree of compound nodes with low-rank factored edge couplings.
 
     For every undirected edge {i, j} two matrices are stored.  The factor
     under key ``(i, j)`` lives at node j and is the R part of the coupling
     of node i with respect to node j; a message from j toward i is the
-    vector ``r_factors[(i, j)] @ delta_p_j`` of length ``ranks[(i, j)]``.
+    vector ``r_factors[(i, j)] @ delta_p_j`` of length ``rank(i, j)``.
     The two directions of an edge must be mutually consistent: together
     with the node priors each one determines the full dense coupling of
     the other (see compiler.check_tree_consistency).
@@ -678,93 +841,211 @@ class TreeNetwork:
     ``edges`` keeps the canonical direction (i, j) in which the coupling
     was authored; serialization writes that direction.
 
+    The tree is stored by columns, not by node objects:
+
+    * ``node_columns``: names, member labels, and the priors stacked per
+      number of states (see :class:`NodeColumns`);
+    * ``factor_stacks``: the stored factors, one :class:`FactorStack` per
+      (n_i, n_j, rank) shape of the edges;
+    * ``edge_ends``, the edges as an (E, 2) array, and ``csr``, the
+      adjacency as compressed sparse rows: the neighbours of node i are
+      ``adjacent[offsets[i]:offsets[i + 1]]`` in edge order.
+
+    ``compound(i)``, ``compounds``, ``prior_probs`` and ``r_factors`` are
+    read-only views built from the columns on first use and kept.
+
     ``decay`` is None until compiler.check_tree_consistency has passed on
     the tree; that pass records the tree's :class:`DecayConstants`, and
     ``scalars``, the tree's :class:`BinaryScalars` when every compound has
     two states and every edge rank 1 (None otherwise).
     """
 
-    compounds: tuple[CompoundNode, ...]
-    edges: tuple[tuple[int, int], ...]
-    r_factors: Mapping[tuple[int, int], np.ndarray]
-    name: str = "tree"
-
-    def __post_init__(self):
-        comps = tuple(self.compounds)
-        object.__setattr__(self, "compounds", comps)
-        idents = [c.ident for c in comps]
-        if sorted(idents) != list(range(len(comps))):
+    def __init__(
+        self,
+        compounds: Iterable[CompoundNode],
+        edges: Iterable[tuple[int, int]],
+        r_factors: Mapping[tuple[int, int], np.ndarray],
+        name: str = "tree",
+    ):
+        comps = tuple(compounds)
+        if sorted(c.ident for c in comps) != list(range(len(comps))):
             raise DimensionMismatchError("compound idents must be 0..n-1")
-        edges = tuple((int(a), int(b)) for a, b in self.edges)
-        object.__setattr__(self, "edges", edges)
-        if len(edges) != len(comps) - 1:
-            raise DimensionMismatchError(
-                f"{len(edges)} edges cannot form a tree over {len(comps)} nodes"
-            )
-        # factors that are already frozen, such as the loader's, are shared
+        comps = tuple(sorted(comps, key=lambda c: c.ident))
+        nodes = NodeColumns.of(
+            [c.space for c in comps], [c.prior for c in comps], [c.name for c in comps]
+        )
+        edges = tuple((int(a), int(b)) for a, b in edges)
+        ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        _check_edge_count(len(edges), len(comps))
         factors = {
-            (int(a), int(b)): m if _unaliased_frozen(m) else frozen_array(m)
-            for (a, b), m in self.r_factors.items()
+            (int(a), int(b)): np.asarray(m, dtype=float) for (a, b), m in r_factors.items()
         }
-        object.__setattr__(self, "r_factors", factors)
-        nb: dict[int, list[int]] = {c.ident: [] for c in comps}
-        card = [c.space.cardinality for c in comps]
-        seen = set()
-        for a, b in edges:
-            if a == b or frozenset((a, b)) in seen:
-                raise DimensionMismatchError(f"bad edge ({a}, {b})")
-            seen.add(frozenset((a, b)))
-            nb[a].append(b)
-            nb[b].append(a)
+        bad = _first_bad_edge(ends, len(comps))
+        shapes: dict[tuple[int, int, int], list[int]] = {}
+        for pos, (a, b) in enumerate(edges[:bad]):
             for i, j in ((a, b), (b, a)):
                 mat = factors.get((i, j))
                 if mat is None:
                     raise DimensionMismatchError(f"edge ({a},{b}) missing factor ({i},{j})")
-                if mat.shape[1] != card[j]:
+                if mat.shape[1] != nodes.size[j]:
                     raise DimensionMismatchError(
-                        f"factor ({i},{j}) has width {mat.shape[1]}, expected {card[j]}"
+                        f"factor ({i},{j}) has width {mat.shape[1]}, expected {nodes.size[j]}"
                     )
-            if factors[(a, b)].shape[0] != factors[(b, a)].shape[0]:
+            rank = factors[(a, b)].shape[0]
+            if rank != factors[(b, a)].shape[0]:
                 raise DimensionMismatchError(f"edge ({a},{b}) factor ranks disagree")
-        # connectivity
-        if comps:
-            stack, reached = [comps[0].ident], {comps[0].ident}
+            shapes.setdefault((nodes.size[a], nodes.size[b], rank), []).append(pos)
+        if bad < len(edges):
+            raise DimensionMismatchError(f"bad edge {edges[bad]}")
+        stacks = []
+        for positions in shapes.values():
+            fwd = np.array([factors[edges[k]] for k in positions])
+            bwd = np.array([factors[edges[k][::-1]] for k in positions])
+            stacks.append(FactorStack(np.array(positions, dtype=np.intp), fwd, bwd))
+        self._assemble(nodes, edges, ends, stacks, name)
+        self._built.update(enumerate(comps))
+
+    @classmethod
+    def from_columns(
+        cls,
+        nodes: NodeColumns,
+        edges: Sequence[tuple[int, int]],
+        ends: np.ndarray,
+        stacks: Sequence[FactorStack],
+        name: str = "tree",
+    ) -> "TreeNetwork":
+        """The tree of columns that are already stacked: ``ends`` holds
+        ``edges`` as an (E, 2) array, and every edge is in one stack."""
+        _check_edge_count(len(edges), len(nodes.names))
+        bad = _first_bad_edge(ends, len(nodes.names))
+        if bad < len(edges):
+            raise DimensionMismatchError(f"bad edge {tuple(edges[bad])}")
+        tree = cls.__new__(cls)
+        tree._assemble(nodes, tuple(edges), ends, stacks, name)
+        return tree
+
+    def _assemble(self, nodes, edges, ends, stacks, name) -> None:
+        """Store the columns, with the adjacency and the label lookups,
+        once the edges are known to be loop-free and distinct."""
+        n = len(nodes.names)
+        ends.setflags(write=False)
+        # neighbours in edge order: a stable sort of the half edges by source
+        src = ends.reshape(-1)
+        order = np.argsort(src, kind="stable")
+        adjacent = ends[:, ::-1].reshape(-1)[order]
+        offsets = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        flat, start = adjacent.tolist(), offsets.tolist()
+        neighbors = [tuple(flat[start[i] : start[i + 1]]) for i in range(n)]
+        if n:
+            reached = bytearray(n)
+            reached[0] = 1
+            stack, count = [0], 1
             while stack:
-                for n in nb[stack.pop()]:
-                    if n not in reached:
-                        reached.add(n)
-                        stack.append(n)
-            if len(reached) != len(comps):
+                for m in neighbors[stack.pop()]:
+                    if not reached[m]:
+                        reached[m] = 1
+                        count += 1
+                        stack.append(m)
+            if count != n:
                 raise DimensionMismatchError("the edge set is not connected")
-        object.__setattr__(self, "_neighbors", {k: tuple(v) for k, v in nb.items()})
-        object.__setattr__(self, "_prior_probs", {c.ident: c.prior.probs for c in comps})
-        object.__setattr__(self, "_decay", None)
-        object.__setattr__(self, "_scalars", None)
-        object.__setattr__(self, "_by_name", {c.name: c for c in comps})
-        home: dict[str, int] = {}
-        for c in comps:
-            for m in c.space.members:
-                if m in home:
+        counts = np.diff(nodes.member_start)
+        home = dict(zip(nodes.members, np.repeat(np.arange(n), counts).tolist()))
+        if len(home) != len(nodes.members):
+            seen: set[str] = set()
+            for m in nodes.members:
+                if m in seen:
                     raise DimensionMismatchError(f"member {m!r} appears in two compounds")
-                home[m] = c.ident
-        object.__setattr__(self, "_member_home", home)
+                seen.add(m)
+        for arr in (offsets, adjacent):
+            arr.setflags(write=False)
+        vars(self).update(
+            name=name,
+            edges=edges,
+            _nodes=nodes,
+            _stacks=tuple(stacks),
+            _ends=ends,
+            _csr=(offsets, adjacent),
+            _neighbors=neighbors,
+            _by_name=dict(zip(nodes.names, range(n))),
+            _member_home=home,
+            _built={},
+            _decay=None,
+            _scalars=None,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a TreeNetwork is read-only; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"TreeNetwork({self.name!r}, {self.node_count} nodes)"
+
+    @property
+    def node_count(self) -> int:
+        return len(self._nodes.names)
+
+    @property
+    def node_columns(self) -> NodeColumns:
+        return self._nodes
+
+    @property
+    def factor_stacks(self) -> tuple[FactorStack, ...]:
+        return self._stacks
+
+    @property
+    def edge_ends(self) -> np.ndarray:
+        return self._ends
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, adjacent): the neighbours of node i are
+        ``adjacent[offsets[i]:offsets[i + 1]]``."""
+        return self._csr
 
     def compound(self, ident: int) -> CompoundNode:
-        return self.compounds[ident]
+        node = self._built.get(ident)
+        if node is None:
+            nodes = self._nodes
+            prior = Distribution._of_checked(nodes.prior(ident))
+            node = CompoundNode(ident, nodes.names[ident], nodes.space(ident), prior)
+            self._built[ident] = node
+        return node
+
+    @cached_property
+    def compounds(self) -> tuple[CompoundNode, ...]:
+        return tuple(self.compound(i) for i in range(self.node_count))
 
     def by_name(self, name: str) -> CompoundNode:
         try:
-            return self._by_name[name]
+            return self.compound(self._by_name[name])
         except KeyError:
             raise UnknownLabelError(f"unknown compound node {name!r}") from None
 
     def neighbors(self, ident: int) -> tuple[int, ...]:
         return self._neighbors[ident]
 
-    @property
+    @cached_property
     def prior_probs(self) -> dict[int, np.ndarray]:
-        """Prior probability vector of every node, by ident (shared; do not mutate)."""
-        return self._prior_probs
+        """Prior probability vector of every node, by ident (read-only views)."""
+        nodes = self._nodes
+        rows = {k: list(stack) for k, stack in nodes.priors.items()}
+        return {
+            i: rows[k][r] for i, (k, r) in enumerate(zip(nodes.size, nodes.prior_row.tolist()))
+        }
+
+    @cached_property
+    def r_factors(self) -> dict[tuple[int, int], np.ndarray]:
+        """Both stored factors of every edge, by key (read-only views)."""
+        fwd: list = [None] * len(self.edges)
+        bwd: list = [None] * len(self.edges)
+        for stack in self._stacks:
+            for k, f, b in zip(stack.edges.tolist(), stack.fwd, stack.bwd):
+                fwd[k], bwd[k] = f, b
+        out: dict[tuple[int, int], np.ndarray] = {}
+        for (i, j), f, b in zip(self.edges, fwd, bwd):
+            out[(i, j)] = f
+            out[(j, i)] = b
+        return out
 
     @property
     def decay(self) -> DecayConstants | None:
@@ -778,8 +1059,7 @@ class TreeNetwork:
         self, constants: DecayConstants, scalars: BinaryScalars | None = None
     ) -> None:
         """Attach what the consistency pass derived from this tree."""
-        object.__setattr__(self, "_decay", constants)
-        object.__setattr__(self, "_scalars", scalars)
+        vars(self).update(_decay=constants, _scalars=scalars)
 
     def member_home(self, label: str) -> int:
         try:
@@ -797,16 +1077,16 @@ class TreeNetwork:
     def resolve_query(self, label: str) -> tuple[int, str | None]:
         """Map a query label to (compound ident, member label or None)."""
         if label in self._by_name:
-            return self._by_name[label].ident, None
+            return self._by_name[label], None
         return self.member_home(label), label
 
     def member_marginal(self, ident: int, member: str, probs: np.ndarray) -> np.ndarray:
         """Marginal of one member from a compound distribution."""
-        comp = self.compound(ident)
-        card = comp.space.cards[comp.space.members.index(member)]
-        out = np.zeros(card)
-        for i in range(comp.space.cardinality):
-            out[comp.space.assignment(i)[member]] += probs[i]
+        space = self.compound(ident).space
+        states = space.member_states(member)
+        out = np.zeros(space.cards[space.members.index(member)])
+        # unbuffered, in state order: the sums of a loop over the states
+        np.add.at(out, states, probs)
         return out
 
     def group_evidence(self, evidence: Evidence) -> dict[int, dict[str, int]]:
@@ -814,10 +1094,14 @@ class TreeNetwork:
         grouped: dict[int, dict[str, int]] = {}
         for label, value in evidence.assignments:
             home = self.member_home(label)
-            card = self.compound(home).space.cards[
-                self.compound(home).space.members.index(label)
-            ]
+            space = self.compound(home).space
+            card = space.cards[space.members.index(label)]
             if not 0 <= value < card:
                 raise UnknownLabelError(f"state {value} outside node {label!r} range")
             grouped.setdefault(home, {})[label] = value
         return grouped
+
+
+def _check_edge_count(n_edges: int, n: int) -> None:
+    if n_edges != n - 1:
+        raise DimensionMismatchError(f"{n_edges} edges cannot form a tree over {n} nodes")

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import QuerySession
 from .errors import ApproxPreconditionError
 from .model import Evidence, TreeNetwork
@@ -71,7 +73,10 @@ def verify_profile(tree: TreeNetwork, profile: DecayProfile):
     A tree that passed the load-time consistency check is accepted from
     its recorded decay constants in O(1); the full scan below runs only
     when that shortcut cannot accept, so decisions and witnesses are the
-    scan's own.
+    scan's own.  The scan reads the prior and factor stacks in a few
+    numpy calls per stack, with the arithmetic of
+    ``compiler.reconstruct_dense``, and names the first failing node in
+    ident order, else the first failing edge in ``tree.edges`` order.
     """
     from . import compiler
 
@@ -83,25 +88,31 @@ def verify_profile(tree: TreeNetwork, profile: DecayProfile):
         and decay.max_coupling < profile.alpha
     ):
         return True, None
-    for comp in tree.compounds:
-        if comp.space.cardinality != 2:
-            raise ApproxPreconditionError(
-                f"{comp.name} has {comp.space.cardinality} states; "
-                "the decay argument needs an all-binary tree"
-            )
-    for comp in tree.compounds:
-        product = float(comp.prior.probs[0] * comp.prior.probs[1])
-        if not product > profile.eta:
-            return False, f"node {comp.name}: p(false)p(true) = {product:.4g} <= eta"
-    for a, b in tree.edges:
-        dense = compiler.reconstruct_dense(tree, a, b)
-        value = abs(float(dense[1, 1] - dense[1, 0]))
-        if not value < profile.alpha:
-            return (
-                False,
-                f"edge {tree.compound(a).name} - {tree.compound(b).name}: "
-                f"|coupling| = {value:.4g} >= alpha",
-            )
+    nodes = tree.node_columns
+    if set(nodes.priors) != {2}:
+        k = next(i for i, n in enumerate(nodes.size) if n != 2)
+        raise ApproxPreconditionError(
+            f"{nodes.names[k]} has {nodes.size[k]} states; "
+            "the decay argument needs an all-binary tree"
+        )
+    p = nodes.prior_stack(np.arange(tree.node_count), 2)
+    products = p[:, 0] * p[:, 1]
+    low = np.flatnonzero(~(products > profile.eta))
+    if low.size:
+        k = int(low[0])
+        return False, f"node {nodes.names[k]}: p(false)p(true) = {products[k]:.4g} <= eta"
+    first, value = len(tree.edges), math.nan
+    for stack in tree.factor_stacks:
+        couplings = compiler.binary_couplings(tree, stack)
+        high = np.flatnonzero(~(couplings < profile.alpha))
+        if high.size and stack.edges[high[0]] < first:
+            first, value = int(stack.edges[high[0]]), float(couplings[high[0]])
+    if first < len(tree.edges):
+        a, b = tree.edges[first]
+        return (
+            False,
+            f"edge {nodes.names[a]} - {nodes.names[b]}: |coupling| = {value:.4g} >= alpha",
+        )
     return True, None
 
 

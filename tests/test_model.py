@@ -1,15 +1,25 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sensbn.errors import PrunedStateError, UnknownLabelError, ZeroMassError
+from sensbn import fileio
+from sensbn.errors import (
+    DimensionMismatchError,
+    PrunedStateError,
+    UnknownLabelError,
+    ZeroMassError,
+)
 from sensbn.model import (
     BeliefNetwork,
     ConditionalMatrix,
     Distribution,
     Evidence,
     StateSpace,
+    TreeNetwork,
+    normalized_rows,
     restrict_distribution,
     state_index,
     validate_network,
@@ -192,6 +202,26 @@ class TestDistribution:
         with pytest.raises(ValueError):
             d.probs[0] = 1.0
 
+    def test_stacked_normalisation_refuses_what_the_class_refuses(self):
+        rows = np.array(
+            [
+                [1.0, 3.0], [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf],
+                [-1.0, -1.0], [-1.0, 3.0], [1.0, -1e-12], [1.0, -1e-6], [1e308, 1e308],
+                [5e-324, 0.0], [0.1, 0.2], [1.0, 1e-17], [-0.0, 2.0],
+            ]
+        )
+        probs, refused = normalized_rows(rows)
+        for row, got, bad in zip(rows, probs, refused):
+            try:
+                # the sum of the 1e308 row overflows, as it does in the stack
+                with np.errstate(over="ignore"):
+                    want = Distribution.normalized(row).probs
+            except ZeroMassError:
+                assert bad, row
+            else:
+                assert not bad, row
+                assert got.tobytes() == want.tobytes()
+
 
 class TestConditionalMatrix:
     def test_rejects_denormalized_column(self):
@@ -255,3 +285,136 @@ class TestEvidence:
     def test_unknown_label_rejected(self, asia_tables):
         with pytest.raises(UnknownLabelError):
             asia_tables.group_evidence(Evidence.of({"nope": 1}))
+
+
+def loop_member_marginal(space, member, probs):
+    """The member marginal as a loop over the states, one at a time."""
+    out = np.zeros(space.cards[space.members.index(member)])
+    for i in range(space.cardinality):
+        out[space.assignment(i)[member]] += probs[i]
+    return out
+
+
+def loop_consistent_mask(space, partial):
+    return np.array(
+        [all(space.assignment(i)[m] == v for m, v in partial.items())
+         for i in range(space.cardinality)]
+    )
+
+
+class TestMixedRadixDigits:
+    SPACES = [
+        StateSpace(("a", "b", "c"), (3, 2, 4), (0, 5, 6, 23)),
+        StateSpace(("x", "y"), (2, 3)),
+        StateSpace.binary(("p", "q", "r"), (2, 3)),
+    ]
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_member_states_are_the_assignments(self, space):
+        for member in space.members:
+            want = [space.assignment(i)[member] for i in range(space.cardinality)]
+            assert space.member_states(member).tolist() == want
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_consistent_mask_matches_the_state_loop(self, space):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            picked = [m for m in space.members if rng.random() < 0.6]
+            partial = {
+                m: int(rng.integers(0, space.cards[space.members.index(m)])) for m in picked
+            }
+            assert np.array_equal(
+                space.consistent_mask(partial), loop_consistent_mask(space, partial)
+            )
+
+    def test_member_marginal_is_bit_identical_to_the_state_loop(self, asia_compiled):
+        tree, _ = asia_compiled
+        rng = np.random.default_rng(8)
+        for ident in range(tree.node_count):
+            space = tree.compound(ident).space
+            for _ in range(5):
+                probs = rng.random(space.cardinality)
+                probs /= probs.sum()
+                for member in space.members:
+                    got = tree.member_marginal(ident, member, probs)
+                    assert np.array_equal(got, loop_member_marginal(space, member, probs))
+
+    def test_non_member_is_refused(self):
+        space = self.SPACES[0]
+        with pytest.raises(UnknownLabelError):
+            space.consistent_mask({"zz": 0})
+        with pytest.raises(ValueError):
+            space.member_states("zz")
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestTreeViews:
+    def test_compounds_are_built_once(self, asia_tables):
+        tree = fileio.parse_tree(fileio.serialize_tree(asia_tables))
+        assert tree.compound(2) is tree.compound(2)
+        assert tree.compounds[2] is tree.compound(2)
+        assert tree.compounds is tree.compounds
+        assert tree.by_name("X_3") is tree.compound(2)
+        assert tree.compound(2).space == asia_tables.compound(2).space
+
+    @pytest.mark.parametrize("name", ["asia_grouped", "random_grouped", "chain"])
+    def test_neighbors_are_tuples_in_edge_order(self, name):
+        tree = fileio.load_tree(DATA / f"{name}.tree")
+        want: dict[int, list[int]] = {i: [] for i in range(tree.node_count)}
+        for a, b in tree.edges:
+            want[a].append(b)
+            want[b].append(a)
+        for i in range(tree.node_count):
+            assert type(tree.neighbors(i)) is tuple
+            assert tree.neighbors(i) == tuple(want[i])
+            assert tree.neighbors(i) is tree.neighbors(i)
+        offsets, adjacent = tree.csr
+        assert [tuple(adjacent[offsets[i]:offsets[i + 1]]) for i in range(tree.node_count)] == [
+            tree.neighbors(i) for i in range(tree.node_count)
+        ]
+
+    def test_views_are_dicts_of_read_only_rows_of_the_stacks(self, asia_tables):
+        for tree in (asia_tables, TreeNetwork(
+            asia_tables.compounds, asia_tables.edges, asia_tables.r_factors
+        )):
+            assert type(tree.prior_probs) is dict and type(tree.r_factors) is dict
+            assert tree.prior_probs is tree.prior_probs
+            for probs in tree.prior_probs.values():
+                assert not probs.flags.writeable
+                assert any(np.shares_memory(probs, s) for s in tree.node_columns.priors.values())
+            for mat in tree.r_factors.values():
+                assert not mat.flags.writeable
+                assert any(
+                    np.shares_memory(mat, s.fwd) or np.shares_memory(mat, s.bwd)
+                    for s in tree.factor_stacks
+                )
+            with pytest.raises(AttributeError):
+                tree.name = "other"
+
+    def test_columns_are_read_only(self, asia_tables):
+        for tree in (asia_tables, fileio.parse_tree(fileio.serialize_tree(asia_tables))):
+            nodes = tree.node_columns
+            for column in (nodes.names, nodes.members, nodes.member_start, nodes.size):
+                with pytest.raises(TypeError):
+                    column[0] = column[1]
+            for mapping in (nodes.cards, nodes.pruned, nodes.priors):
+                with pytest.raises(TypeError):
+                    mapping[0] = None
+            for arr in (nodes.prior_row, *nodes.priors.values()):
+                assert not arr.flags.writeable
+            for stack in tree.factor_stacks:
+                assert not any(a.flags.writeable for a in (stack.edges, stack.fwd, stack.bwd))
+
+    def test_constructor_keeps_its_compounds_and_checks_as_before(self, asia_tables):
+        tree = TreeNetwork(asia_tables.compounds, asia_tables.edges, asia_tables.r_factors)
+        assert all(a is b for a, b in zip(tree.compounds, asia_tables.compounds))
+        assert tree.decay is None
+        factors = dict(asia_tables.r_factors)
+        del factors[(2, 1)]
+        with pytest.raises(DimensionMismatchError, match=r"edge \(2,1\) missing factor \(2,1\)"):
+            TreeNetwork(asia_tables.compounds, asia_tables.edges, factors)
+        loop = ((1, 0), (2, 1), (3, 2), (4, 2), (4, 4))
+        with pytest.raises(DimensionMismatchError, match=r"bad edge \(4, 4\)"):
+            TreeNetwork(asia_tables.compounds, loop, asia_tables.r_factors)

@@ -235,21 +235,69 @@ class TestDecayConstants:
             with pytest.raises(ApproxPreconditionError, match="X_3"):
                 verify_profile(tree, DecayProfile(0.9, 0.09, 0.1))
 
-    def test_accept_reads_no_dense_coupling(self, monkeypatch):
+    def test_accept_reads_no_coupling_and_the_scan_reads_the_stacks(self, monkeypatch):
         tree = chain(14, length=60)
         calls = []
-        original = compiler.reconstruct_dense
+        original = compiler.binary_couplings
 
         def spy(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(compiler, "reconstruct_dense", spy)
+        monkeypatch.setattr(compiler, "binary_couplings", spy)
+        monkeypatch.setattr(compiler, "reconstruct_dense", None)
         assert verify_profile(tree, DecayProfile(0.9, 0.09, 0.1)) == (True, None)
         assert calls == []
-        # the spy does see the scan of a tree without constants
-        assert verify_profile(scan_only(tree), DecayProfile(0.9, 0.09, 0.1)) == (True, None)
-        assert len(calls) == len(tree.edges)
+        # the scan of a tree without constants reads each factor stack once
+        bare = scan_only(tree)
+        assert verify_profile(bare, DecayProfile(0.9, 0.09, 0.1)) == (True, None)
+        assert len(calls) == len(bare.factor_stacks) == 1
+
+    @pytest.mark.parametrize("seed", [15, 16])
+    def test_scan_decides_and_names_as_edge_by_edge(self, seed):
+        """The stacked scan of a tree without constants gives the decision
+        and the witness of a scan that rebuilds one dense coupling per
+        edge, at thresholds on either side of the smallest node products
+        and of the largest couplings."""
+        tree = scan_only(chain(seed, length=40, coupling_lo=0.5))
+        p = np.array([tree.prior_probs[i] for i in range(tree.node_count)])
+        products = sorted(set((p[:, 0] * p[:, 1]).tolist()))
+        couplings = sorted({couplings_by_edge(tree)[e] for e in tree.edges})
+        profiles = [DecayProfile(0.999, eta, 0.1) for eta in products[:6]]
+        profiles += [DecayProfile(0.999, np.nextafter(eta, 0.0), 0.1) for eta in products[:3]]
+        low = 0.5 * products[0]
+        profiles += [DecayProfile(alpha, low, 0.1) for alpha in couplings[-6:]]
+        profiles += [DecayProfile(np.nextafter(alpha, 1.0), low, 0.1) for alpha in couplings[-3:]]
+        outcomes = set()
+        for profile in profiles:
+            got = verify_profile(tree, profile)
+            assert got == scan_edge_by_edge(tree, profile)
+            outcomes.add(got[1].split(":")[0] if got[1] else None)
+        assert None in outcomes and len(outcomes) > 4
+
+
+def couplings_by_edge(tree):
+    out = {}
+    for a, b in tree.edges:
+        dense = compiler.reconstruct_dense(tree, a, b)
+        out[(a, b)] = abs(float(dense[1, 1] - dense[1, 0]))
+    return out
+
+
+def scan_edge_by_edge(tree, profile):
+    """verify_profile's scan, one node and one dense coupling at a time."""
+    for comp in tree.compounds:
+        product = float(comp.prior.probs[0] * comp.prior.probs[1])
+        if not product > profile.eta:
+            return False, f"node {comp.name}: p(false)p(true) = {product:.4g} <= eta"
+    for (a, b), value in couplings_by_edge(tree).items():
+        if not value < profile.alpha:
+            return (
+                False,
+                f"edge {tree.compound(a).name} - {tree.compound(b).name}: "
+                f"|coupling| = {value:.4g} >= alpha",
+            )
+    return True, None
 
 
 class _CountedTuple(tuple):
@@ -265,7 +313,7 @@ class TestSizeIndependence:
         """One bounded-error query, profile verified as ``sensbn query
         --approx`` does, makes the same neighbor lookups on a chain ten
         times longer, and no step walks every node."""
-        from sensbn.model import TreeNetwork
+        from sensbn.model import NodeColumns, TreeNetwork
 
         profile = DecayProfile(0.9, 0.09, 0.1)
         query = 1000
@@ -279,18 +327,36 @@ class TestSizeIndependence:
             compounds = _CountedTuple(tree.compounds)
             compounds.iterations = 0
             object.__setattr__(tree, "compounds", compounds)
-            calls = []
+            # the whole-tree views and the prior stack, each O(N) to read,
+            # are counted from here on
+            for attr in ("prior_probs", "r_factors"):
+                vars(tree).pop(attr, None)
+            calls, whole = [], []
 
             def spy(self, ident):
                 calls.append(ident)
                 return original(self, ident)
 
+            def counted(attr, read):
+                def wrapper(self, *args):
+                    whole.append(attr)
+                    return read(self, *args)
+
+                return wrapper
+
             monkeypatch.setattr(TreeNetwork, "neighbors", spy)
+            for attr in ("prior_probs", "r_factors"):
+                read = vars(TreeNetwork)[attr].func
+                monkeypatch.setattr(TreeNetwork, attr, property(counted(attr, read)))
+            monkeypatch.setattr(
+                NodeColumns, "prior_stack", counted("prior_stack", NodeColumns.prior_stack)
+            )
             session = QuerySession(tree)
             assert compounds.iterations == 0
             _, _, plan = truncated_query(session, query, evidence, profile)
-            monkeypatch.setattr(TreeNetwork, "neighbors", original)
+            monkeypatch.undo()
             assert compounds.iterations == 0
+            assert whole == []
             assert plan.retained_evidence == (query + 20,)
             counts[length] = len(calls)
         assert counts[2_000] == counts[20_000] > 0
