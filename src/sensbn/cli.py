@@ -348,18 +348,15 @@ def cmd_report(args) -> int:
             )
     print()
     print("edge factors (rows of q, then rows of r)")
-    for i, j in tree.edges:
+    for (i, j), pair in compiler.factor_pairs(tree).items():
         ci, cj = tree.compound(i), tree.compound(j)
-        rank = tree.rank(i, j)
-        if rank == 0:
+        if pair.rank == 0:
             print(f"S {ci.name} {cj.name}: independent")
             continue
-        r_ij = tree.r_factors[(i, j)]
-        q_ij = tree.r_factors[(j, i)] @ algebra.weight_matrix(ci.prior.probs)
-        print(f"S {ci.name} {cj.name} rank {rank}")
-        for row in q_ij:
+        print(f"S {ci.name} {cj.name} rank {pair.rank}")
+        for row in pair.q:
             print("  q " + " ".join(f"{v:+.4f}" for v in row))
-        for row in r_ij:
+        for row in pair.r_mat:
             print("  r " + " ".join(f"{v:+.4f}" for v in row))
     return EXIT_OK
 

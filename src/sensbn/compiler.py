@@ -34,7 +34,6 @@ from .errors import (
 from .model import (
     BeliefNetwork,
     BinaryScalars,
-    CompoundNode,
     ConditionalMatrix,
     DecayConstants,
     Distribution,
@@ -405,7 +404,9 @@ def compile_network(
     each edge is authored in the direction child = node farther from X_1.
     Priors and pairwise conditionals come from :func:`_cluster_marginals`,
     in time linear in the number of edges for bounded cluster sizes; the
-    full joint is never built.
+    full joint is never built.  The per-edge factor pairs, keyed (child,
+    parent), then go through :func:`accept_precompiled`, which stores and
+    checks them as it does for a loaded tree.
     """
     problems = validate_network(net)
     if problems:
@@ -430,38 +431,33 @@ def compile_network(
                 order.append(nxt)
 
     full_priors, joints = _cluster_marginals(net, plan.clusters, order, parent_of)
-    compounds: list[CompoundNode] = []
+    spaces: list[StateSpace] = []
+    priors: list[Distribution] = []
+    names = [f"X_{idx + 1}" for idx in range(len(plan.clusters))]
     pruned_record: list[tuple[str, tuple[int, ...]]] = []
     for idx, cluster in enumerate(plan.clusters):
         cards = tuple(net.card(m) for m in cluster)
         full = full_priors[idx]
         pruned = tuple(int(i) for i in np.nonzero(full <= PRUNE_EPS)[0])
         space = StateSpace(cluster, cards, pruned)
-        prior = Distribution.normalized(full[list(space.retained)])
-        name_i = f"X_{idx + 1}"
-        compounds.append(CompoundNode(idx, name_i, space, prior))
+        spaces.append(space)
+        priors.append(Distribution.normalized(full[list(space.retained)]))
         if pruned:
-            pruned_record.append((name_i, pruned))
+            pruned_record.append((names[idx], pruned))
 
-    edges: list[tuple[int, int]] = []
-    factors: dict[tuple[int, int], np.ndarray] = {}
+    factors: dict[tuple[int, int], QRFactors] = {}
     reports: list[EdgeReport] = []
     for child_id in order[1:]:
         parent_id = parent_of[child_id]
-        child, parent = compounds[child_id], compounds[parent_id]
-        pair_joint = joints[child_id][np.ix_(child.space.retained, parent.space.retained)]
-        cond = ConditionalMatrix.from_joint(pair_joint, child.space, parent.space)
+        child, parent = spaces[child_id], spaces[parent_id]
+        pair_joint = joints[child_id][np.ix_(child.retained, parent.retained)]
+        cond = ConditionalMatrix.from_joint(pair_joint, child, parent)
         sens = algebra.cpt_to_sensitivity(cond)
         pair = algebra.qr_factor(sens, rank_tol)
-        factors[(child_id, parent_id)] = pair.r_mat
-        factors[(parent_id, child_id)] = _reverse_factor(pair.q, child.prior.probs)
-        edges.append((child_id, parent_id))
-        reports.append(
-            EdgeReport(child.name, parent.name, sens.shape, pair.rank)
-        )
+        factors[(child_id, parent_id)] = pair
+        reports.append(EdgeReport(names[child_id], names[parent_id], sens.shape, pair.rank))
 
-    tree = TreeNetwork(tuple(compounds), tuple(edges), factors, name=name or net.name)
-    check_tree_consistency(tree)
+    tree = accept_precompiled(spaces, priors, factors, names, name=name or net.name)
     return tree, CompileReport(tuple(reports), tuple(pruned_record))
 
 
@@ -541,7 +537,7 @@ def accept_batches(
         r_ij = algebra.center_rows(batch.r)
         r_ji = _reverse_factor(algebra.center_rows(batch.q), p_i)
         stacks.append(FactorStack(pos, r_ij, r_ji))
-    tree = TreeNetwork.from_columns(nodes, edges, ends, stacks, name)
+    tree = TreeNetwork(nodes, edges, ends, stacks, name)
     check_tree_consistency(tree)
     return tree
 
@@ -552,12 +548,31 @@ def _weights(p: np.ndarray) -> np.ndarray:
     return column * np.eye(p.shape[1]) - column * p[:, None, :]
 
 
+def _q_factors(r_ba: np.ndarray, p_a: np.ndarray) -> np.ndarray:
+    """Q factors of a stack of edges, R_ba W(p_a), from the stored factors
+    toward each a, (E, r, n_a), and the priors of the a, (E, n_a)."""
+    return r_ba @ _weights(p_a)
+
+
 def _dense_couplings(r_ab: np.ndarray, r_ba: np.ndarray, p_a: np.ndarray) -> np.ndarray:
     """Dense couplings of a stack of edges: the coupling of each a with
     respect to its b, (R_ba W(p_a))^T R_ab, from stored factors of shapes
     (E, r, n_b) and (E, r, n_a) and priors of shape (E, n_a)."""
-    q_ab = r_ba @ _weights(p_a)
-    return q_ab.transpose(0, 2, 1) @ r_ab
+    return _q_factors(r_ba, p_a).transpose(0, 2, 1) @ r_ab
+
+
+def factor_pairs(tree: TreeNetwork) -> dict[tuple[int, int], QRFactors]:
+    """The factor pair of every edge (i, j), Q = R_ji W(p_i) and R_ij, in
+    ``tree.edges`` order: what a tree file holds, and what
+    :func:`accept_precompiled` takes to rebuild ``tree``.  Q is computed
+    with one batched product per factor stack."""
+    nodes, ends = tree.node_columns, tree.edge_ends
+    pairs: list = [None] * len(tree.edges)
+    for stack in tree.factor_stacks:
+        p_i = nodes.prior_stack(ends[stack.edges, 0], stack.bwd.shape[2])
+        for k, q, r in zip(stack.edges.tolist(), _q_factors(stack.bwd, p_i), stack.fwd):
+            pairs[k] = QRFactors(q, r)
+    return dict(zip(tree.edges, pairs))
 
 
 def _reversed_dense(s: np.ndarray, p_i: np.ndarray, p_j: np.ndarray) -> np.ndarray:

@@ -433,37 +433,30 @@ def _regroup(groups, repeated):
 
 
 def serialize_tree(tree: TreeNetwork) -> str:
+    """The tree file of ``tree``, written from its columns: no node
+    object is built, and the q rows come from :func:`compiler.factor_pairs`."""
+    nodes = tree.node_columns
+    names = nodes.names
     out = [_ORDER_NOTE, f"tree {tree.name}"]
-    for comp in tree.compounds:
-        line = f"compound {comp.name} members {' '.join(comp.space.members)}"
-        if any(c != 2 for c in comp.space.cards):
-            line += " cards " + " ".join(map(str, comp.space.cards))
-        if comp.space.pruned:
-            line += " pruned " + " ".join(map(str, comp.space.pruned))
+    for i, cname in enumerate(names):
+        members = nodes.members[nodes.member_start[i] : nodes.member_start[i + 1]]
+        line = f"compound {cname} members {' '.join(members)}"
+        # as StateSpace keeps them: cards only if not all binary, pruned sorted
+        cards = nodes.cards.get(i, ())
+        if any(c != 2 for c in cards):
+            line += " cards " + " ".join(map(str, cards))
+        if i in nodes.pruned:
+            line += " pruned " + " ".join(map(str, sorted(nodes.pruned[i])))
         out.append(line)
-    for comp in tree.compounds:
-        out.append(
-            f"prior {comp.name} " + " ".join(repr(float(v)) for v in comp.prior.probs)
-        )
-    for i, j in tree.edges:
-        rank = tree.rank(i, j)
-        r_ij = tree.r_factors[(i, j)]
-        r_ji = tree.r_factors[(j, i)]
-        q_ij = r_ji @ _weight(tree, i)
-        out.append(
-            f"edge {tree.compound(i).name} {tree.compound(j).name} rank {rank}"
-        )
-        for row in q_ij:
-            out.append("q " + " ".join(repr(float(v)) for v in row))
-        for row in r_ij:
-            out.append("r " + " ".join(repr(float(v)) for v in row))
+    for i, cname in enumerate(names):
+        out.append(f"prior {cname} " + " ".join(map(repr, nodes.prior(i).tolist())))
+    for (i, j), pair in compiler.factor_pairs(tree).items():
+        out.append(f"edge {names[i]} {names[j]} rank {pair.rank}")
+        for row in pair.q.tolist():
+            out.append("q " + " ".join(map(repr, row)))
+        for row in pair.r_mat.tolist():
+            out.append("r " + " ".join(map(repr, row)))
     return "\n".join(out) + "\n"
-
-
-def _weight(tree: TreeNetwork, ident: int) -> np.ndarray:
-    from . import algebra
-
-    return algebra.weight_matrix(tree.compound(ident).prior.probs)
 
 
 def load_tree(path) -> TreeNetwork:

@@ -251,12 +251,6 @@ class Distribution:
         object.__setattr__(dist, "probs", probs)
         return dist
 
-    @classmethod
-    def indicator(cls, size: int, state: int) -> "Distribution":
-        arr = np.zeros(size)
-        arr[state] = 1.0
-        return cls(arr)
-
     def __len__(self) -> int:
         return len(self.probs)
 
@@ -608,9 +602,6 @@ class BinaryScalars:
       message from y toward x is c times the change in y's probability of
       state 1.  ``slot[(i, j)]`` is the index of key (i, j) in
       ``factor.ravel()``.
-
-    ``priors`` and ``factors`` copy the same numbers into dicts by node
-    and by key.
     """
 
     prior: np.ndarray
@@ -620,15 +611,6 @@ class BinaryScalars:
     run_start: np.ndarray
     run_of: np.ndarray
     place: np.ndarray
-
-    @property
-    def priors(self) -> dict[int, float]:
-        return dict(enumerate(self.prior.tolist()))
-
-    @property
-    def factors(self) -> dict[tuple[int, int], float]:
-        flat = self.factor.reshape(-1).tolist()
-        return {key: flat[at] for key, at in self.slot.items()}
 
     @classmethod
     def from_tree(
@@ -857,77 +839,27 @@ class TreeNetwork:
     ``decay`` is None until compiler.check_tree_consistency has passed on
     the tree; that pass records the tree's :class:`DecayConstants`, and
     ``scalars``, the tree's :class:`BinaryScalars` when every compound has
-    two states and every edge rank 1 (None otherwise).
+    two states and every edge rank 1 (None otherwise).  Compiling, loading
+    and compiler.accept_precompiled all build trees through
+    compiler.accept_batches, which runs that pass.
     """
 
     def __init__(
         self,
-        compounds: Iterable[CompoundNode],
-        edges: Iterable[tuple[int, int]],
-        r_factors: Mapping[tuple[int, int], np.ndarray],
-        name: str = "tree",
-    ):
-        comps = tuple(compounds)
-        if sorted(c.ident for c in comps) != list(range(len(comps))):
-            raise DimensionMismatchError("compound idents must be 0..n-1")
-        comps = tuple(sorted(comps, key=lambda c: c.ident))
-        nodes = NodeColumns.of(
-            [c.space for c in comps], [c.prior for c in comps], [c.name for c in comps]
-        )
-        edges = tuple((int(a), int(b)) for a, b in edges)
-        ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
-        _check_edge_count(len(edges), len(comps))
-        factors = {
-            (int(a), int(b)): np.asarray(m, dtype=float) for (a, b), m in r_factors.items()
-        }
-        bad = _first_bad_edge(ends, len(comps))
-        shapes: dict[tuple[int, int, int], list[int]] = {}
-        for pos, (a, b) in enumerate(edges[:bad]):
-            for i, j in ((a, b), (b, a)):
-                mat = factors.get((i, j))
-                if mat is None:
-                    raise DimensionMismatchError(f"edge ({a},{b}) missing factor ({i},{j})")
-                if mat.shape[1] != nodes.size[j]:
-                    raise DimensionMismatchError(
-                        f"factor ({i},{j}) has width {mat.shape[1]}, expected {nodes.size[j]}"
-                    )
-            rank = factors[(a, b)].shape[0]
-            if rank != factors[(b, a)].shape[0]:
-                raise DimensionMismatchError(f"edge ({a},{b}) factor ranks disagree")
-            shapes.setdefault((nodes.size[a], nodes.size[b], rank), []).append(pos)
-        if bad < len(edges):
-            raise DimensionMismatchError(f"bad edge {edges[bad]}")
-        stacks = []
-        for positions in shapes.values():
-            fwd = np.array([factors[edges[k]] for k in positions])
-            bwd = np.array([factors[edges[k][::-1]] for k in positions])
-            stacks.append(FactorStack(np.array(positions, dtype=np.intp), fwd, bwd))
-        self._assemble(nodes, edges, ends, stacks, name)
-        self._built.update(enumerate(comps))
-
-    @classmethod
-    def from_columns(
-        cls,
         nodes: NodeColumns,
         edges: Sequence[tuple[int, int]],
         ends: np.ndarray,
         stacks: Sequence[FactorStack],
         name: str = "tree",
-    ) -> "TreeNetwork":
+    ):
         """The tree of columns that are already stacked: ``ends`` holds
-        ``edges`` as an (E, 2) array, and every edge is in one stack."""
-        _check_edge_count(len(edges), len(nodes.names))
-        bad = _first_bad_edge(ends, len(nodes.names))
+        ``edges`` as an (E, 2) array, and every edge is in exactly one
+        stack.  The factors are taken as given, unchecked."""
+        n = len(nodes.names)
+        _check_edge_count(len(edges), n)
+        bad = _first_bad_edge(ends, n)
         if bad < len(edges):
             raise DimensionMismatchError(f"bad edge {tuple(edges[bad])}")
-        tree = cls.__new__(cls)
-        tree._assemble(nodes, tuple(edges), ends, stacks, name)
-        return tree
-
-    def _assemble(self, nodes, edges, ends, stacks, name) -> None:
-        """Store the columns, with the adjacency and the label lookups,
-        once the edges are known to be loop-free and distinct."""
-        n = len(nodes.names)
         ends.setflags(write=False)
         # neighbours in edge order: a stable sort of the half edges by source
         src = ends.reshape(-1)
@@ -935,6 +867,11 @@ class TreeNetwork:
         adjacent = ends[:, ::-1].reshape(-1)[order]
         offsets = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        # the factor stack of each half edge, in the order of ``adjacent``
+        stack_of = np.empty(len(edges), dtype=np.intp)
+        for k, group in enumerate(stacks):
+            stack_of[group.edges] = k
+        stack_at = stack_of[order // 2]
         flat, start = adjacent.tolist(), offsets.tolist()
         neighbors = [tuple(flat[start[i] : start[i + 1]]) for i in range(n)]
         if n:
@@ -957,16 +894,17 @@ class TreeNetwork:
                 if m in seen:
                     raise DimensionMismatchError(f"member {m!r} appears in two compounds")
                 seen.add(m)
-        for arr in (offsets, adjacent):
+        for arr in (offsets, adjacent, stack_at):
             arr.setflags(write=False)
         vars(self).update(
             name=name,
-            edges=edges,
+            edges=tuple(edges),
             _nodes=nodes,
             _stacks=tuple(stacks),
             _ends=ends,
             _csr=(offsets, adjacent),
             _neighbors=neighbors,
+            _stack_at=stack_at,
             _by_name=dict(zip(nodes.names, range(n))),
             _member_home=home,
             _built={},
@@ -1072,7 +1010,12 @@ class TreeNetwork:
         return tuple(self._member_home)
 
     def rank(self, i: int, j: int) -> int:
-        return self.r_factors[(i, j)].shape[0]
+        """The rank of edge {i, j}: the row count of its factor stack."""
+        try:
+            at = self._csr[0].item(i) + self._neighbors[i].index(j)
+        except ValueError:
+            raise KeyError((i, j)) from None
+        return self._stacks[self._stack_at.item(at)].fwd.shape[1]
 
     def resolve_query(self, label: str) -> tuple[int, str | None]:
         """Map a query label to (compound ident, member label or None)."""

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 
 import sensbn
 from sensbn import compiler, fixtures
+from sensbn.model import FactorStack, TreeNetwork
 
 # interpreters the tests start import the same sensbn as the tests
 _SRC = str(Path(sensbn.__file__).resolve().parent.parent)
@@ -57,3 +58,27 @@ def table1_priors():
         "X_5": np.array([0.5000, 0.5000]),
         "X_6": np.array([0.5640, 0.4360]),
     }
+
+
+def unchecked_copy(tree, stacks=None):
+    """``tree`` built again from its own columns, with ``stacks`` in place
+    of its factor stacks if given, and without the load-time check: it
+    carries no decay constants and no float form."""
+    return TreeNetwork(
+        tree.node_columns, tree.edges, tree.edge_ends, stacks or tree.factor_stacks, tree.name
+    )
+
+
+def bumped_factor(tree, key, delta):
+    """:func:`unchecked_copy` of ``tree`` with entry [0, 0] of the stored
+    factor under ``key`` moved by ``delta``."""
+    stacks = []
+    for stack in tree.factor_stacks:
+        fwd, bwd = np.array(stack.fwd), np.array(stack.bwd)
+        for k, pos in enumerate(stack.edges.tolist()):
+            if tree.edges[pos] == key:
+                fwd[k, 0, 0] += delta
+            elif tree.edges[pos] == key[::-1]:
+                bwd[k, 0, 0] += delta
+        stacks.append(FactorStack(stack.edges, fwd, bwd))
+    return unchecked_copy(tree, stacks)

@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sensbn.compiler import (
     accept_precompiled,
     check_tree_consistency,
     compile_network,
+    factor_pairs,
     moralize,
     plan_clusters,
     plan_violations,
@@ -25,8 +27,8 @@ from sensbn.generators import (
     random_groupings,
     random_tree_network,
 )
-from sensbn.model import BeliefNetwork, Distribution, Evidence, StateSpace, TreeNetwork
-from tests.conftest import table1_priors
+from sensbn.model import BeliefNetwork, Distribution, Evidence, StateSpace
+from tests.conftest import bumped_factor, table1_priors
 
 
 def chain3_net():
@@ -304,14 +306,8 @@ class TestAcceptPrecompiled:
             accept_precompiled(spaces, priors, {(0, 1): wide})
 
     def test_perturbed_factor_fails_consistency(self, asia_tables):
-        factors = dict(asia_tables.r_factors)
-        key = (1, 0)
-        bumped = np.array(factors[key])
-        bumped[0, 0] += 1e-5
-        factors[key] = bumped
-        broken = TreeNetwork(
-            asia_tables.compounds, asia_tables.edges, factors, name="broken"
-        )
+        broken = bumped_factor(asia_tables, (1, 0), 1e-5)
+        assert broken.decay is None
         with pytest.raises(ConsistencyError):
             check_tree_consistency(broken)
 
@@ -361,17 +357,6 @@ def two_binary_nodes():
     spaces = [StateSpace.binary(("a",)), StateSpace.binary(("b",))]
     priors = [Distribution(np.array([0.3, 0.7])), Distribution(np.array([0.6, 0.4]))]
     return spaces, priors
-
-
-def factor_pairs(tree):
-    """The factor pair of every edge as a tree file holds it."""
-    return {
-        (i, j): QRFactors(
-            tree.r_factors[(j, i)] @ algebra.weight_matrix(tree.compound(i).prior.probs),
-            tree.r_factors[(i, j)],
-        )
-        for i, j in tree.edges
-    }
 
 
 def mixed_shape_tree(seed):
@@ -425,11 +410,7 @@ def per_edge_factors(tree, pairs):
 def bumped(tree, edge, delta):
     """``tree`` rebuilt without the load-time check, with the stored factor
     toward the first node of ``edge`` moved by ``delta`` in one entry."""
-    factors = dict(tree.r_factors)
-    key = edge[::-1]
-    factors[key] = np.array(factors[key])
-    factors[key][0, 0] += delta
-    return TreeNetwork(tree.compounds, tree.edges, factors, name=tree.name)
+    return bumped_factor(tree, edge[::-1], delta)
 
 
 class TestBatchedLoad:
@@ -458,10 +439,14 @@ class TestBatchedLoad:
                     mat[...] = 0.0
 
     def test_writable_factors_are_copied(self, asia_tables):
-        factors = {k: np.array(v) for k, v in asia_tables.r_factors.items()}
-        tree = TreeNetwork(asia_tables.compounds, asia_tables.edges, factors)
-        for key, mat in factors.items():
-            assert not np.shares_memory(tree.r_factors[key], mat)
+        pairs = {
+            key: QRFactors(np.array(pair.q), np.array(pair.r_mat))
+            for key, pair in factor_pairs(asia_tables).items()
+        }
+        given = [a for pair in pairs.values() for a in (pair.q, pair.r_mat)]
+        tree = load(asia_tables, pairs)
+        for mat in tree.r_factors.values():
+            assert not any(np.shares_memory(mat, a) for a in given)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_factor_fails_consistency(self):
@@ -532,3 +517,72 @@ class TestBatchedLoad:
                 sys.setprofile(None)
             counts[length] = len(calls)
         assert counts[200] == counts[2000] > 0
+
+
+DATA = Path(__file__).parent / "data"
+DATA_TREES = ("asia_grouped", "random_grouped", "random_binary", "chain")
+
+
+def data_tree(name):
+    return fileio.load_tree(DATA / f"{name}.tree")
+
+
+class TestOneBuildPath:
+    """Compile, load and accept all build a tree through accept_batches."""
+
+    def built_trees(self, asia_net, asia_tables):
+        spaces, priors = two_binary_nodes()
+        three = [StateSpace.binary((f"v{i}",)) for i in range(3)]
+        yield compile_network(asia_net, forced_groups=(("x_C", "x_E", "x_G"),))[0]
+        yield compile_network(random_tree_network(np.random.default_rng(3), 12, max_states=3))[0]
+        yield compile_network(binary_chain_network(np.random.default_rng(3), 30))[0]
+        yield accept_precompiled(spaces, priors, {(0, 1): QRFactors(UNIT, 0.5 * UNIT)})
+        yield accept_precompiled(
+            three,
+            [Distribution(np.array([0.4, 0.6]))] * 3,
+            {(1, 0): QRFactors(UNIT, 0.5 * UNIT), (2, 1): QRFactors(UNIT[:0], UNIT[:0])},
+        )
+        yield asia_tables
+        for name in DATA_TREES:
+            yield data_tree(name)
+        yield binary_chain_tree(np.random.default_rng(3), 30)
+
+    def test_every_built_tree_is_checked(self, asia_net, asia_tables):
+        kinds = set()
+        for tree in self.built_trees(asia_net, asia_tables):
+            assert tree.decay is not None
+            float_form = all(c.space.cardinality == 2 for c in tree.compounds) and all(
+                tree.rank(i, j) == 1 for i, j in tree.edges
+            )
+            assert (tree.scalars is not None) == float_form
+            kinds.add(float_form)
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("name", ("compiled asia",) + DATA_TREES)
+    def test_serialized_q_rows_are_the_per_edge_products(self, name, asia_compiled):
+        tree = asia_compiled[0] if name == "compiled asia" else data_tree(name)
+        lines = fileio.serialize_tree(tree).splitlines()
+        q_rows = iter(
+            [float(v) for v in line.split()[1:]] for line in lines if line.startswith("q ")
+        )
+        for i, j in tree.edges:
+            want = tree.r_factors[(j, i)] @ algebra.weight_matrix(tree.prior_probs[i])
+            for row in want.tolist():
+                assert next(q_rows) == row
+        assert next(q_rows, None) is None
+
+    @pytest.mark.parametrize("name", ("tables", "mixed") + DATA_TREES)
+    def test_accepting_the_factor_pairs_rebuilds_the_tree(self, name, asia_tables):
+        tree = {"tables": asia_tables, "mixed": mixed_shape_tree(2)}.get(name) or data_tree(name)
+        pairs = factor_pairs(tree)
+        assert tuple(pairs) == tree.edges
+        for (i, j), pair in pairs.items():
+            assert np.array_equal(pair.r_mat, tree.r_factors[(i, j)])
+        back = load(tree, pairs)
+        assert back.edges == tree.edges
+        # Q and the reverse factor derived from it each round, so the error
+        # scales with the factor: the published tables' reverse factors
+        # reach 67 and come back 2.3e-13 apart, 3.4e-15 of their size
+        for key, mat in tree.r_factors.items():
+            scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
+            assert np.abs(back.r_factors[key] - mat).max(initial=0.0) <= 1e-14 * scale

@@ -16,7 +16,8 @@ from sensbn.generators import (
     random_groupings,
     random_tree_network,
 )
-from sensbn.model import Distribution, Evidence, StateSpace, TreeNetwork
+from sensbn.model import Distribution, Evidence, FactorStack, StateSpace, TreeNetwork
+from tests.conftest import unchecked_copy
 
 
 def fresh(tree, **kw):
@@ -279,14 +280,21 @@ class TestInstrumentation:
             assert s.r[key] is mat
 
     def test_neighbor_iteration_order_does_not_change_answers(self, asia_tables):
-        from sensbn.model import TreeNetwork
-
+        last = len(asia_tables.edges) - 1
+        # every stack keeps its rows in edge order
+        stacks = [
+            FactorStack((last - st.edges)[::-1], st.fwd[::-1], st.bwd[::-1])
+            for st in asia_tables.factor_stacks
+        ]
         reordered = TreeNetwork(
-            asia_tables.compounds,
-            tuple(reversed(asia_tables.edges)),
-            asia_tables.r_factors,
-            name=asia_tables.name,
+            asia_tables.node_columns,
+            asia_tables.edges[::-1],
+            asia_tables.edge_ends[::-1],
+            stacks,
+            asia_tables.name,
         )
+        for key, mat in asia_tables.r_factors.items():
+            assert np.array_equal(reordered.r_factors[key], mat)
         ev = Evidence.of({"x_A": 1, "x_D": 1, "x_F": 0})
         for comp in asia_tables.compounds:
             one = fresh(asia_tables).query(comp.ident, ev).probs
@@ -412,15 +420,15 @@ class TestKernelChoice:
     def test_loaded_all_binary_rank_one_trees_pick_the_float_kernel(self):
         tree = binary_chain_tree(np.random.default_rng(0), 5)
         assert engine._choose_kernel(tree) is engine._FloatKernel
-        assert tree.scalars.priors == {
-            i: float(c.prior.probs[1]) for i, c in enumerate(tree.compounds)
-        }
+        sc = tree.scalars
+        for i, c in enumerate(tree.compounds):
+            assert sc.prior[i] == c.prior.probs[1]
         for key, r in tree.r_factors.items():
-            assert tree.scalars.factors[key] == float(r[0, 1] - r[0, 0])
+            assert sc.factor.ravel()[sc.slot[key]] == r[0, 1] - r[0, 0]
 
     def test_other_trees_pick_the_array_kernel(self, asia_tables, asia_compiled):
         chain = binary_chain_tree(np.random.default_rng(0), 5)
-        unchecked = TreeNetwork(chain.compounds, chain.edges, chain.r_factors)
+        unchecked = unchecked_copy(chain)
         for tree in (asia_tables, asia_compiled[0], unchecked):
             assert tree.scalars is None
             assert engine._choose_kernel(tree) is engine._ArrayKernel
@@ -805,8 +813,10 @@ class TestRuns:
         assert seen == {frozenset(edge) for edge in tree.edges}
         ends = [i for i in range(len(tree.compounds)) if len(tree.neighbors(i)) != 2]
         assert all(sc.run_of[i] == -1 and sc.place[i] == -1 for i in ends)
-        factors = sc.factors
-        assert factors == {key: float(r[0, 1] - r[0, 0]) for key, r in tree.r_factors.items()}
+        flat = sc.factor.ravel()
+        assert len(sc.slot) == len(tree.r_factors)
+        for key, r in tree.r_factors.items():
+            assert flat[sc.slot[key]] == r[0, 1] - r[0, 0]
         assert (0, 0) not in sc.slot and (len(tree.compounds), 0) not in sc.slot
 
     def test_one_and_two_node_trees(self):

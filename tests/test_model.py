@@ -24,6 +24,7 @@ from sensbn.model import (
     state_index,
     validate_network,
 )
+from tests.conftest import unchecked_copy
 
 
 def two_node_chain():
@@ -376,9 +377,7 @@ class TestTreeViews:
         ]
 
     def test_views_are_dicts_of_read_only_rows_of_the_stacks(self, asia_tables):
-        for tree in (asia_tables, TreeNetwork(
-            asia_tables.compounds, asia_tables.edges, asia_tables.r_factors
-        )):
+        for tree in (asia_tables, unchecked_copy(asia_tables)):
             assert type(tree.prior_probs) is dict and type(tree.r_factors) is dict
             assert tree.prior_probs is tree.prior_probs
             for probs in tree.prior_probs.values():
@@ -407,14 +406,30 @@ class TestTreeViews:
             for stack in tree.factor_stacks:
                 assert not any(a.flags.writeable for a in (stack.edges, stack.fwd, stack.bwd))
 
-    def test_constructor_keeps_its_compounds_and_checks_as_before(self, asia_tables):
-        tree = TreeNetwork(asia_tables.compounds, asia_tables.edges, asia_tables.r_factors)
-        assert all(a is b for a, b in zip(tree.compounds, asia_tables.compounds))
-        assert tree.decay is None
-        factors = dict(asia_tables.r_factors)
-        del factors[(2, 1)]
-        with pytest.raises(DimensionMismatchError, match=r"edge \(2,1\) missing factor \(2,1\)"):
-            TreeNetwork(asia_tables.compounds, asia_tables.edges, factors)
+    def test_constructor_takes_columns_and_refuses_bad_edges(self, asia_tables):
+        tree = unchecked_copy(asia_tables)
+        assert tree.decay is None and tree.scalars is None
+        assert tree.compound(2).space == asia_tables.compound(2).space
+        assert tree.edges == asia_tables.edges
         loop = ((1, 0), (2, 1), (3, 2), (4, 2), (4, 4))
         with pytest.raises(DimensionMismatchError, match=r"bad edge \(4, 4\)"):
-            TreeNetwork(asia_tables.compounds, loop, asia_tables.r_factors)
+            TreeNetwork(
+                asia_tables.node_columns,
+                loop,
+                np.array(loop, dtype=np.intp),
+                asia_tables.factor_stacks,
+            )
+
+    def test_rank_reads_the_factor_stacks(self):
+        tree = fileio.load_tree(DATA / "chain.tree")
+        for i, j in tree.edges:
+            assert tree.rank(i, j) == tree.rank(j, i) == 1
+        assert "r_factors" not in vars(tree)
+        for i, j in tree.edges:
+            assert tree.rank(i, j) == tree.r_factors[(i, j)].shape[0]
+        grouped = fileio.load_tree(DATA / "random_grouped.tree")
+        for i, j in grouped.edges:
+            assert grouped.rank(i, j) == grouped.rank(j, i) == grouped.r_factors[(i, j)].shape[0]
+        assert {grouped.rank(i, j) for i, j in grouped.edges} == {1, 2, 3}
+        with pytest.raises(KeyError):
+            tree.rank(0, 2)

@@ -14,6 +14,7 @@ from sensbn.truncation import (
     truncation_radius,
     verify_profile,
 )
+from tests.conftest import unchecked_copy
 
 
 def chain(seed, length=30, alpha=0.9, coupling_lo=0.05):
@@ -182,11 +183,9 @@ class TestHopDistances:
 
 
 def scan_only(tree):
-    """The same tree built directly, without the load pass, so it carries
-    no decay constants and verify_profile runs its full scan."""
-    from sensbn.model import TreeNetwork
-
-    bare = TreeNetwork(tree.compounds, tree.edges, tree.r_factors, name=tree.name)
+    """The same tree built from its columns, without the load pass, so it
+    carries no decay constants and verify_profile runs its full scan."""
+    bare = unchecked_copy(tree)
     assert bare.decay is None
     return bare
 
