@@ -214,7 +214,7 @@ def cmd_query(args) -> int:
     instr = session.instr
     instrumentation = (
         f"instrumentation messages={instr.message_count} ranks={instr.ranks} "
-        f"edge_traversals={instr.crossings} nodes_touched={instr.touched_count}"
+        f"edge_traversals={instr.message_count} nodes_touched={instr.touched_count}"
     )
     result = QueryResult(
         args.query, evidence.as_dict(), mode, names, post, prior, bound, instrumentation

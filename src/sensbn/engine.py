@@ -66,14 +66,16 @@ the stored factors reproduces brute-force posteriors to rounding error.
 
 Session state never writes the tree's own, so setting up a session costs
 O(1) whatever the size of the tree and many sessions can share one
-immutable TreeNetwork.  On the array kernel the distributions and factors
-are copy-on-write overlays over the tree's dicts.  On the float kernel
-they are columns: the committed baseline is a pair of arrays (the tree's
-own until the first commit), and an operation writes single values into
-small layers over them, copying the arrays only when it writes whole runs.
-Restart drops the layers; commit moves them into the arrays and makes
-those the baseline.  ``p``, ``p0``, ``r`` and ``p1`` read the float state
-as ndarrays, converted on every read.  Every ``query`` and every
+immutable TreeNetwork.  On both kernels the committed baseline is a pair
+of bases, the distributions and the factors: dicts of ndarrays on the
+array kernel, flat float arrays on the float kernel, and the tree's own
+until the session first commits a write.  An operation writes single
+values into small layers over them, and copies the float arrays only when
+it writes whole runs.  Restart puts new empty layers over the baseline;
+commit copies a base only while the tree holds it, moves the layers'
+values into it and makes it the baseline, so neither copies what earlier
+operations wrote.  ``p``, ``p0``, ``r`` and ``p1`` are read-only views
+that convert the state to ndarrays on every read.  Every ``query`` and every
 ``instantiate`` starts from the committed baseline (the priors plus
 whatever :meth:`QuerySession.commit` froze), so one session can answer any
 number of queries.  A session itself is single-writer: never call into
@@ -84,6 +86,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from functools import partial
 from typing import Callable, Collection, Container, Iterator, Mapping
 
 import numpy as np
@@ -102,46 +105,6 @@ from .model import Distribution, Evidence, TreeNetwork, restrict_distribution
 CLAMP_EPS = 1e-12
 #: an update whose clamped entries do not sum to one within this is refused
 MASS_TOL = 1e-6
-
-
-class Overlay(dict):
-    """Copy-on-write view of a shared dict.
-
-    Writes land in the overlay itself; a key it does not hold is read from
-    ``base`` through ``__missing__``, so a lookup stays a plain dict
-    lookup.  Keys must be keys of ``base``.  Iteration, ``len``, ``in`` and
-    ``get`` see every key of ``base`` with the overlay's values.
-    """
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: Mapping, own: Mapping = ()):
-        super().__init__(own)
-        self.base = base
-
-    def __missing__(self, key):
-        return self.base[key]
-
-    def fork(self) -> "Overlay":
-        """An independent overlay with this one's own entries, over the same base."""
-        # dict.items, not dict.copy: a copy would go through the merged view
-        return Overlay(self.base, dict.items(self))
-
-    def get(self, key, default=None):
-        return self[key] if key in self.base else default
-
-    def __contains__(self, key) -> bool:
-        return key in self.base
-
-    def __iter__(self) -> Iterator:
-        return iter(self.base)
-
-    def __len__(self) -> int:
-        return len(self.base)
-
-    keys = Mapping.keys
-    items = Mapping.items
-    values = Mapping.values
 
 
 class BarrenMarks(Mapping):
@@ -167,42 +130,55 @@ class BarrenMarks(Mapping):
 
 
 class _Layer(dict):
-    """Float-kernel writes over an array of committed or working values.
+    """One operation's writes over a base of committed values.
 
-    ``layer[key]`` is the value written under ``key``, or else the array's
-    entry at ``key`` itself, or at ``index[key]`` when an index is given.
+    ``layer[key]`` is the value written under ``key``, or else
+    ``read(base, key)``, or ``read(base, index[key])`` when an index is
+    given.  The base is the tree's own until the session first writes to
+    it: a dict of ndarrays on the array kernel, a flat array of floats on
+    the float kernel, each read by its kernel's ``read``.
     """
 
-    __slots__ = ("array", "index")
+    __slots__ = ("base", "read", "index")
 
-    def __init__(self, array: np.ndarray, index: Mapping | None = None):
-        super().__init__()
-        self.array = array
+    def __init__(self, base, read: Callable, index: Mapping | None = None):
+        self.base = base
+        self.read = read
         self.index = index
 
-    def __missing__(self, key) -> float:
-        return self.array.item(key if self.index is None else self.index[key])
+    def __missing__(self, key):
+        return self.read(self.base, key if self.index is None else self.index[key])
+
+    def empty(self) -> "_Layer":
+        """A layer with no writes over the same base."""
+        return _Layer(self.base, self.read, self.index)
 
     def flush(self) -> None:
-        """Move the written values into the array, which must be writable."""
-        if self:
-            keys = list(self)
-            at = keys if self.index is None else [self.index[k] for k in keys]
-            self.array[at] = list(self.values())
-            self.clear()
+        """Move the written values into the base, which must be writable."""
+        base, index = self.base, self.index
+        for key, value in self.items():
+            base[key if index is None else index[key]] = value
+        self.clear()
 
 
 class _StateView(Mapping):
-    """Read-only ndarray view of float-kernel state, converted on every read."""
+    """Read-only ndarray view of session state, converted on every read.
 
-    def __init__(self, keys: Callable[[], Collection], read: Callable):
+    ``state()`` is the layer read and ``keys()`` its keys, both looked up
+    on every read, so a view follows the session across operations.
+    """
+
+    def __init__(
+        self, state: Callable[[], Mapping], keys: Callable[[], Collection], convert: Callable
+    ):
+        self._state = state
         self._keys = keys
-        self._read = read
+        self._convert = convert
 
     def __getitem__(self, key):
         if key not in self._keys():
             raise KeyError(key)
-        return self._read(key)
+        return self._convert(self._state()[key])
 
     def __iter__(self) -> Iterator:
         return iter(self._keys())
@@ -313,11 +289,6 @@ class Instrumentation:
         return sum(1 if len(item) == 2 else item[1] for item in self.log)
 
     @property
-    def crossings(self) -> int:
-        """Edge crossings summed over the edges: one per message."""
-        return self.message_count
-
-    @property
     def ranks(self) -> list[int]:
         """The distinct message lengths, sorted."""
         return sorted({item[1] if len(item) == 2 else 1 for item in self.log})
@@ -338,8 +309,11 @@ class Instrumentation:
 class _ArrayKernel:
     """The general arithmetic: ndarray distributions, rank x n factors.
 
-    ``update`` returns None where the session must raise.
+    ``update`` returns None where the session must raise.  Session state
+    is held in dicts of ndarrays, read by ``read``.
     """
+
+    read = dict.__getitem__
 
     @staticmethod
     def message(r: np.ndarray, p: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -390,15 +364,16 @@ class _ArrayKernel:
     def to_array(p: np.ndarray) -> np.ndarray:
         return p
 
-    @staticmethod
-    def from_array(p: np.ndarray) -> np.ndarray:
-        return p
+    from_array = factor_array = to_array
 
 
 class _FloatKernel:
     """All-binary trees with rank-1 edges: a distribution is P(state 1)
     and a stored factor the number c = R[0,1] - R[0,0] (see the module
-    docstring); the rules are those of :class:`_ArrayKernel`."""
+    docstring); the rules are those of :class:`_ArrayKernel`.  Session
+    state is held in flat float arrays, read by ``read``."""
+
+    read = np.ndarray.item
 
     @staticmethod
     def message(c: float, p: float, base: float) -> float:
@@ -492,24 +467,27 @@ class QuerySession:
     """Mutable inference state layered over an immutable TreeNetwork.
 
     ``p``, ``p0``, ``r`` and ``p1`` show the state of the last public
-    operation as ndarrays.  On a float-kernel session they are read-only
-    views that convert the kernel's state on every read.
+    operation as read-only views that convert the kernel's state to
+    ndarrays on every read.
     """
 
     def __init__(self, tree: TreeNetwork, record_trace: bool = False):
         self.tree = tree
         self._kernel = _choose_kernel(tree)
-        #: kernel state: the committed baseline (distributions, and factors
-        #: refreshed by floods) and the current operation's working state
+        # the tree's own state, as the kernel reads it
         if self._kernel is _ArrayKernel:
-            self._p0 = Overlay(tree.prior_probs)
-            self._r0 = Overlay(tree.r_factors)
-            self.instr = Instrumentation()
+            bases, index, runs = (tree.prior_probs, tree.r_factors), None, None
         else:
             scalars = tree.scalars
-            self._p0 = _Layer(scalars.prior)
-            self._r0 = _Layer(scalars.factor.reshape(-1), scalars.slot)
-            self.instr = Instrumentation(scalars.run_nodes)
+            bases = (scalars.prior, scalars.factor.reshape(-1))
+            index, runs = scalars.slot, scalars.run_nodes
+        self._shared = bases
+        #: the committed baseline (distributions, and factors refreshed by
+        #: floods), as layers that stay empty; an operation writes into
+        #: layers of its own over the same bases
+        self._p0 = _Layer(bases[0], self._kernel.read)
+        self._r0 = _Layer(bases[1], self._kernel.read, index)
+        self.instr = Instrumentation(runs)
         self._restart()
         self._live: Container[int] = set()
         self.barren: Mapping[int, bool] = BarrenMarks(tree.node_count)
@@ -521,42 +499,30 @@ class QuerySession:
     @property
     def p(self) -> Mapping[int, np.ndarray]:
         """Working distributions."""
-        if self._kernel is _ArrayKernel:
-            return self._p
-        return self._nodes_view(lambda node: _FloatKernel.to_array(self._p[node]))
+        return self._nodes_view(lambda: self._p)
 
     @property
     def p0(self) -> Mapping[int, np.ndarray]:
         """Committed distributions."""
-        if self._kernel is _ArrayKernel:
-            return self._p0
-        return self._nodes_view(lambda node: _FloatKernel.to_array(self._p0[node]))
+        return self._nodes_view(lambda: self._p0)
 
     @property
     def r(self) -> Mapping[tuple[int, int], np.ndarray]:
         """Working factors."""
-        if self._kernel is _ArrayKernel:
-            return self._r
         keys = self.tree.r_factors
-        return _StateView(lambda: keys, lambda key: _FloatKernel.factor_array(self._r[key]))
+        return _StateView(lambda: self._r, lambda: keys, self._kernel.factor_array)
 
     @property
     def p1(self) -> Mapping[int, np.ndarray]:
         """A query's distributions as updated on entry, before any reply."""
-        if self._kernel is _ArrayKernel:
-            return self._p1
-        return _StateView(lambda: self._p1, lambda node: _FloatKernel.to_array(self._p1[node]))
+        return _StateView(lambda: self._p1, lambda: self._p1, self._kernel.to_array)
 
-    def _nodes_view(self, read: Callable) -> _StateView:
+    def _nodes_view(self, state: Callable[[], Mapping]) -> _StateView:
         nodes = range(self.tree.node_count)
-        return _StateView(lambda: nodes, read)
+        return _StateView(state, lambda: nodes, self._kernel.to_array)
 
     def posterior(self, ident: int) -> Distribution:
         return Distribution(self.p[ident])
-
-    def member_posterior(self, label: str) -> Distribution:
-        home = self.tree.member_home(label)
-        return Distribution(self.tree.member_marginal(home, label, self.p[home]))
 
     def dense_sensitivity(self, i: int, j: int) -> np.ndarray:
         """Current dense coupling of adjacent node i with respect to j,
@@ -568,31 +534,22 @@ class QuerySession:
 
     def _restart(self) -> None:
         """Drop uncommitted work, so the operation starts from the baseline."""
-        if self._kernel is _ArrayKernel:
-            self._p = self._p0.fork()
-            self._r = self._r0.fork()
-        else:
-            self._p = _Layer(self._p0.array)
-            self._r = _Layer(self._r0.array, self._r0.index)
+        self._p, self._r = self._p0.empty(), self._r0.empty()
         self._p1: dict = {}
 
-    def _settle(self, own: bool) -> None:
-        """Move the float layers' writes into working arrays of the
-        session's own, copied from the baseline's on first write; ``own``
-        copies them even when nothing is written."""
-        for layer, committed in ((self._p, self._p0), (self._r, self._r0)):
-            if (own or layer) and layer.array is committed.array:
-                layer.array = layer.array.copy()
+    def _settle(self, stretch: bool) -> None:
+        """Flush the working layers into their bases.  A base the tree
+        holds is copied before it is written, and so, for a ``stretch``
+        (which writes whole runs into the bases), is the baseline's."""
+        pairs = zip((self._p, self._r), (self._p0, self._r0), self._shared)
+        for layer, committed, shared in pairs:
+            if layer.base is committed.base and (stretch or layer and layer.base is shared):
+                layer.base = layer.base.copy()
             layer.flush()
 
     def _commit(self) -> None:
-        if self._kernel is _ArrayKernel:
-            self._p0 = self._p.fork()
-            self._r0 = self._r.fork()
-            return
-        self._settle(own=False)
-        self._p0 = _Layer(self._p.array)
-        self._r0 = _Layer(self._r.array, self._r.index)
+        self._settle(stretch=False)
+        self._p0, self._r0 = self._p.empty(), self._r.empty()
 
     def _trace(self, event: str, node: int):
         self.trace.append((event, node, np.array(self._kernel.to_array(self._p[node]))))
@@ -687,7 +644,9 @@ class QuerySession:
         flat = kernel is _FloatKernel
         message, weighted = kernel.message, kernel.weighted
         update = kernel.update if stops is None else _FloatKernel.banded
-        p, p0, r, p1 = self._p, self._p0, self._r, self._p1
+        p, r, p1 = self._p, self._r, self._p1
+        # the baseline's layer is always empty, so its base is read directly
+        p0 = partial(kernel.read, self._p0.base)
         neighbors = self.tree.neighbors
         sent = self.instr.log.append
         self.instr.roots.append(root)
@@ -719,7 +678,7 @@ class QuerySession:
             else:
                 key = (parent, node)
                 q = weighted(r[key], p[node])
-                value = update(p0[node], q, m)
+                value = update(p0(node), q, m)
                 if value is None:
                     raise self._zero_mass(node)
                 p[node] = value
@@ -739,7 +698,7 @@ class QuerySession:
                     if flood and i + 1 == len(children):
                         stack.pop()  # nothing left for the frame to do
                     if transfer is None:
-                        m = message(r[(child, node)], p[node], p0[node])
+                        m = message(r[(child, node)], p[node], p0(node))
                     else:
                         m = kernel.forward(transfer, m)
                     sent(((node, child), 1 if flat else m.shape[0]))
@@ -802,8 +761,8 @@ class QuerySession:
         last, reached = ids.item(-1), nodes.item(end)
         self.instr.log.append((at, count, step))
         if flood:
-            self._settle(own=True)
-        probs, factors = self._p.array, self._r.array
+            self._settle(stretch=True)
+        probs, factors = self._p.base, self._r.base
         # each node's factors toward its run neighbors: edge g - run joins
         # positions g and g + 1, and the key toward the lower one is in row 0
         offset = scalars.factor.shape[1] - run
@@ -812,7 +771,7 @@ class QuerySession:
         c_in, c_out = (lower, upper) if step > 0 else (upper, lower)
         old = probs[ids]
         if flood:
-            base = self._p0.array[ids]
+            base = self._p0.base[ids]
             q = old * (1.0 - old) * c_in
             gain = q.copy()
             gain[1:] *= c_out[:-1]
@@ -987,4 +946,4 @@ class QuerySession:
         self.mark_barren(query_node, grouped.keys(), within)
         stops = self._evidence_stops(grouped) if self._kernel is _FloatKernel else None
         self._propagate(query_node, grouped, self._restart, stops)
-        return Distribution(self.p[query_node])
+        return Distribution(self._kernel.to_array(self._p[query_node]))

@@ -868,7 +868,14 @@ class TreeNetwork:
         offsets = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
         # the factor stack of each half edge, in the order of ``adjacent``
-        stack_of = np.empty(len(edges), dtype=np.intp)
+        cover = np.bincount(
+            np.concatenate([np.zeros(0, np.intp), *(group.edges for group in stacks)]),
+            minlength=len(edges),
+        )
+        if (cover != 1).any():
+            k = int(np.flatnonzero(cover != 1)[0])
+            raise DimensionMismatchError(f"edge {tuple(edges[k])} is in {cover[k]} factor stacks")
+        stack_of = np.full(len(edges), -1, dtype=np.intp)
         for k, group in enumerate(stacks):
             stack_of[group.edges] = k
         stack_at = stack_of[order // 2]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sensbn import algebra, compiler, engine, oracle, truncation
-from sensbn.engine import Overlay, QuerySession
+from sensbn.engine import QuerySession
 from sensbn.errors import SensBnError, ZeroEvidenceError
 from sensbn.generators import (
     binary_chain_tree,
@@ -85,8 +85,7 @@ class TestSimqStep:
     def test_message_from_visit_updates_compound(self, asia_tables):
         s = fresh(asia_tables)
         # send the instantiation of x_A by hand along X_1 -> X_2 -> X_3
-        s.p[0] = np.array([0.0, 1.0])
-        payload = s.r[(1, 0)] @ (s.p[0] - s.p0[0])
+        payload = s.r[(1, 0)] @ (np.array([0.0, 1.0]) - s.p0[0])
         s.simq_step(1, 0, payload)
         assert np.allclose(
             s.p[2], [0.5002, 0.3975, 0.0263, 0.0210, 0.0235, 0.0315], atol=1e-4
@@ -357,23 +356,35 @@ class TestSessionReuse:
         assert len(s.p) == len(s.p0) == len(tree.compounds)
 
 
-class TestOverlay:
+class TestLayer:
     def test_reads_fall_through_and_writes_stay_local(self):
         base = {k: k * 10 for k in range(5)}
-        view = Overlay(base)
-        view[2] = -1
+        layer = engine._Layer(base, engine._ArrayKernel.read)
+        layer[2] = -1
         assert base[2] == 20
-        assert dict(view) == {0: 0, 1: 10, 2: -1, 3: 30, 4: 40}
-        assert len(view) == 5 and 4 in view and 5 not in view
-        assert view.get(3) == 30 and view.get(5, "none") == "none"
+        assert [layer[k] for k in range(5)] == [0, 10, -1, 30, 40]
+        assert dict(layer) == {2: -1}
+        layer.flush()
+        assert base == {0: 0, 1: 10, 2: -1, 3: 30, 4: 40} and not layer
 
-    def test_fork_copies_only_own_entries(self):
-        view = Overlay({k: k for k in range(1000)})
-        view[7] = "seven"
-        twin = view.fork()
-        assert dict.keys(twin) == {7}
-        twin[8] = "eight"
-        assert view[8] == 8 and twin[7] == "seven"
+    def test_an_index_places_keys_in_an_array_base(self):
+        base = np.array([0.1, 0.2, 0.3])
+        layer = engine._Layer(base, engine._FloatKernel.read, {"a": 2, "b": 0})
+        layer["b"] = 0.5
+        assert (layer["a"], layer["b"], base[0]) == (0.3, 0.5, 0.1)
+        assert type(layer["a"]) is float
+        layer.flush()
+        assert base.tolist() == [0.5, 0.2, 0.3] and not layer
+
+    def test_state_views_refuse_item_assignment(self, asia_tables):
+        chain = binary_chain_tree(np.random.default_rng(5), 6)
+        for tree, ev in ((asia_tables, {"x_D": 1}), (chain, {"v5": 1})):
+            s = fresh(tree)
+            s.query(0, Evidence.of(ev))
+            key = next(iter(tree.r_factors))
+            for view, at in ((s.p, 0), (s.p0, 0), (s.r, key), (s.p1, 0)):
+                with pytest.raises(TypeError):
+                    view[at] = np.zeros(2)
 
 
 # -- the two kernels -----------------------------------------------------
@@ -709,7 +720,9 @@ def test_flood_answers_every_asia_evidence_set_the_oracle_answers(asia_net, asia
                 s = fresh(tree).multi_evidence_simq(ev)
                 for q in labels:
                     want = oracle.posterior(asia_net, ev, q).probs
-                    assert np.abs(s.member_posterior(q).probs - want).max() <= 1e-12, (ev, q)
+                    home = tree.member_home(q)
+                    got = tree.member_marginal(home, q, s.p[home])
+                    assert np.abs(got - want).max() <= 1e-12, (ev, q)
                     answered += 1
     assert answered == 4400
     assert refused == 26
@@ -1088,22 +1101,18 @@ class TestSizeIndependence:
 
 
 class TestReusedFloatSessions:
-    def test_truncated_query_after_a_committed_flood(self, monkeypatch):
+    def test_truncated_query_after_a_committed_flood(self):
         tree = binary_chain_tree(np.random.default_rng(12), 10_000, alpha=0.9, coupling_lo=0.8)
         profile = truncation.DecayProfile(0.9, 0.09, 0.1)
         committed = Evidence.of({"v100": 1, "v5000": 0, "v9000": 1})
         asked = Evidence.of({"v4960": 1, "v4700": 0})
         s = QuerySession(tree)
         s.multi_evidence_simq(committed)
-        forks = []
-        fork = Overlay.fork
-        monkeypatch.setattr(Overlay, "fork", lambda self: forks.append(self) or fork(self))
-        baseline = s._p0.array, s._r0.array
+        baseline = s._p0.base, s._r0.base
         got, _, plan = truncation.truncated_query(s, 4950, asked, profile, verified=True)
         assert plan.retained_evidence == (4960,)
-        # the restart forked nothing, and the query wrote single values only
-        assert not forks
-        assert (s._p.array, s._r.array) == baseline
+        # the restart copied nothing, and the query wrote single values only
+        assert s._p.base is baseline[0] and s._r.base is baseline[1]
         assert len(s._p) + len(s._r) <= 2 * len(s.instr.touched)
         want = fresh(tree).query(
             4950, Evidence.of({**committed.as_dict(), "v4960": 1})
@@ -1114,13 +1123,51 @@ class TestReusedFloatSessions:
         assert np.abs(again - want).max() <= 1e-9
 
 
+class TestReusedArraySessions:
+    def test_query_after_a_committed_flood(self, asia_net, asia_compiled):
+        tree, _ = asia_compiled
+        shared = tree.prior_probs, tree.r_factors
+        tree_state = [dict(d) for d in shared]
+        s = fresh(tree)
+        s.multi_evidence_simq(Evidence.of({"x_A": 1}))
+        baseline = s._p0.base, s._r0.base
+        committed = [dict(d) for d in baseline]
+        home = tree.member_home("x_H")
+        got = s.query(home, Evidence.of({"x_D": 1})).probs
+        # the restart copied no entry: the query wrote into layers over the
+        # committed bases, which it left as they were
+        assert s._p0.base is baseline[0] and s._r0.base is baseline[1]
+        assert s._p.base is baseline[0] and s._r.base is baseline[1]
+        assert len(s._p) <= len(s.instr.touched) and len(s._r) <= len(s.instr.touched)
+        for base, entries in zip(baseline, committed):
+            assert base.keys() == entries.keys()
+            assert all(base[k] is v for k, v in entries.items())
+        want = fresh(tree).query(home, Evidence.of({"x_A": 1, "x_D": 1})).probs
+        assert np.abs(got - want).max() <= 1e-9
+        want = oracle.posterior(asia_net, Evidence.of({"x_A": 1, "x_D": 1}), "x_H").probs
+        assert np.abs(tree.member_marginal(home, "x_H", got) - want).max() <= 1e-9
+        # a commit merges the operation's writes into the same bases
+        s.instantiate(tree.member_home("x_F"), {"x_F": 0})
+        written = [dict(s._p), dict(s._r)]
+        s.commit()
+        assert s._p0.base is baseline[0] and s._r0.base is baseline[1]
+        assert not s._p and not s._r
+        for base, entries, new in zip(baseline, committed, written):
+            assert base.keys() == entries.keys()
+            assert all(base[k] is new.get(k, v) for k, v in entries.items())
+        # and the tree's own dicts were never written
+        for base, entries in zip(shared, tree_state):
+            assert base.keys() == entries.keys()
+            assert all(base[k] is v for k, v in entries.items())
+
+
 class TestOperationRecord:
     """The record's counts agree with the messages it expands to."""
 
     def check(self, s):
         messages = s.instr.messages
         assert s.instr.message_count == len(messages)
-        assert s.instr.crossings == sum(s.instr.traversals.values())
+        assert s.instr.message_count == sum(s.instr.traversals.values())
         assert s.instr.ranks == sorted({length for _, length in messages})
         assert s.instr.touched_count == len(s.instr.touched)
 

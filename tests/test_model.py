@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -418,6 +419,22 @@ class TestTreeViews:
                 loop,
                 np.array(loop, dtype=np.intp),
                 asia_tables.factor_stacks,
+            )
+
+    def test_constructor_refuses_an_edge_in_no_stack_or_in_two(self):
+        tree = fileio.load_tree(DATA / "chain.tree")
+        first = re.escape(str(tree.edges[0]))
+        with pytest.raises(DimensionMismatchError, match=rf"edge {first} is in 0 factor stacks"):
+            TreeNetwork(tree.node_columns, tree.edges, tree.edge_ends, [])
+        doubled = tree.factor_stacks + tree.factor_stacks[:1]
+        with pytest.raises(DimensionMismatchError, match=rf"edge {first} is in 2 factor stacks"):
+            TreeNetwork(tree.node_columns, tree.edges, tree.edge_ends, doubled)
+        grouped = fileio.load_tree(DATA / "random_grouped.tree")
+        stacks = grouped.factor_stacks
+        dropped = grouped.edges[int(stacks[3].edges.min())]
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"edge {dropped} is in 0")):
+            TreeNetwork(
+                grouped.node_columns, grouped.edges, grouped.edge_ends, stacks[:3] + stacks[4:]
             )
 
     def test_rank_reads_the_factor_stacks(self):
