@@ -11,9 +11,12 @@ distribution).  Every sensitivity has zero row sums and zero column sums,
 and rank(S) = rank(P) - 1 for any valid conditional table.
 
 A rank-r sensitivity is stored as a factor pair S = Q^T R with Q of shape
-(r, n_i) and R of shape (r, n_j).  The gauge is free: any invertible r x r
-transform between Q and R represents the same S, so correctness checks
-always compare reconstructed dense matrices, never raw factors.
+(r, n_i) and R of shape (r, n_j).  The rows of Q are orthonormal: they
+are the left singular vectors of S for its r kept singular values, and
+R = Sigma_r V_r^T, so a factored pair is in the gauge of the singular
+value decomposition.  The gauge is free: any invertible r x r transform
+between Q and R represents the same S, so correctness checks always
+compare reconstructed dense matrices, never raw factors.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from .errors import DimensionMismatchError, RangeError, SingularWeightError, ZeroMassError
 from .model import ConditionalMatrix, Distribution, frozen_array
 
-#: relative singular-value threshold shared by qr_factor and rank checks
+#: relative singular-value threshold shared by the factorings and rank checks
 RANK_TOL = 1e-10
 #: matrices whose largest singular value is below this count as zero
 ZERO_FLOOR = 1e-12
@@ -162,41 +165,67 @@ def cpt_to_sensitivity(cpt) -> Sensitivity:
     return Sensitivity(center_rows(p), child=child, parent=parent)
 
 
-def numerical_rank(arr: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Count singular values above ``tol`` times the largest one.
+def rank_counts(svals: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """The rank of every matrix of a stack, from its singular values.
 
-    A matrix whose largest singular value is itself below ZERO_FLOOR is
-    treated as the zero matrix (entries here are probability differences,
-    so anything at that scale is rounding noise).
+    ``svals`` holds each matrix's singular values in descending order
+    along the last axis.  The rank counts those above ``tol`` times the
+    largest; a matrix whose largest singular value is itself at or below
+    ZERO_FLOOR counts as the zero matrix (entries here are probability
+    differences, so anything at that scale is rounding noise).
     """
+    if svals.shape[-1] == 0:
+        return np.zeros(svals.shape[:-1], dtype=np.intp)
+    top = svals[..., :1]
+    counts = np.count_nonzero(svals > tol * top, axis=-1)
+    return np.where(top[..., 0] > ZERO_FLOOR, counts, 0)
+
+
+def numerical_rank(arr: np.ndarray, tol: float = RANK_TOL) -> int:
+    """Count singular values above ``tol`` times the largest one, by the
+    rule of :func:`rank_counts`, on the singular values that
+    :func:`svd_factors` computes for ``arr``."""
     if arr.size == 0:
         return 0
-    svals = np.linalg.svd(arr, compute_uv=False)
-    if svals.size == 0 or svals[0] <= ZERO_FLOOR:
-        return 0
-    return int(np.count_nonzero(svals > tol * svals[0]))
+    return int(rank_counts(np.linalg.svd(arr, full_matrices=False)[1], tol))
+
+
+def svd_factors(
+    sens: np.ndarray, tol: float = RANK_TOL
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Rank-revealing factoring S = Q^T R of every matrix of a stack
+    (E, n_i, n_j), by one singular value decomposition of the stack.
+
+    Q = U_r^T holds the left singular vectors of the r kept singular
+    values as orthonormal rows, and R = Sigma_r V_r^T; the rank r of each
+    matrix follows :func:`rank_counts`.  Returns one (positions, Q, R)
+    triple per rank present, in increasing rank: the positions in the
+    stack of the matrices of rank r, their Q factors stacked (k, r, n_i)
+    and their R factors stacked (k, r, n_j), both in C order.
+    """
+    u, svals, vt = np.linalg.svd(sens, full_matrices=False)
+    ranks = rank_counts(svals, tol)
+    groups = []
+    for rank in np.unique(ranks).tolist():
+        at = np.flatnonzero(ranks == rank)
+        # a transposed view would pass its strides on to every array
+        # derived from it, and so to the stored factors
+        q = np.ascontiguousarray(u[at, :, :rank].transpose(0, 2, 1))
+        groups.append((at, q, svals[at, :rank, None] * vt[at, :rank]))
+    return groups
 
 
 def qr_factor(sens, tol: float = RANK_TOL) -> QRFactors:
-    """Rank-revealing factorization S = Q^T R.
+    """Rank-revealing factorization S = Q^T R of one matrix.
 
-    Q has orthonormal rows from a column-pivoted orthogonal factorization;
-    directions whose singular value falls below ``tol`` times the largest
-    are truncated.  A zero matrix yields rank 0 with empty factors.
+    The one-matrix case of :func:`svd_factors`: Q has orthonormal rows,
+    the left singular vectors of S, and R = Q S; directions whose
+    singular value falls below ``tol`` times the largest are truncated.
+    A zero matrix yields rank 0 with empty factors.
     """
     s = _entries(sens)
-    n_i, n_j = s.shape
-    rank = numerical_rank(s, tol)
-    if rank == 0:
-        return QRFactors(np.zeros((0, n_i)), np.zeros((0, n_j)))
-    # imported here, not at module level: only compiling factors needs
-    # scipy, and loading and querying a tree should not pay its import
-    import scipy.linalg
-
-    basis, _, _ = scipy.linalg.qr(s, mode="economic", pivoting=True)
-    q = basis[:, :rank].T
-    r_mat = q @ s  # projection onto the kept basis; exact for full rank
-    return QRFactors(q, r_mat)
+    ((_, q, r_mat),) = svd_factors(s[None], tol)
+    return QRFactors(q[0], r_mat[0])
 
 
 def sensitivity_rank_law_check(cpt, tol: float = RANK_TOL) -> bool:
@@ -220,10 +249,7 @@ def reduce(s_ij: QRFactors, s_jk: QRFactors, tol: float = RANK_TOL) -> QRFactors
         return QRFactors(np.zeros((0, s_ij.q.shape[1])), np.zeros((0, s_jk.r_mat.shape[1])))
     z = (s_ij.r_mat @ s_jk.q.T) @ s_jk.r_mat
     u, svals, vt = np.linalg.svd(z, full_matrices=False)
-    if svals.size == 0 or svals[0] <= ZERO_FLOOR:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(svals > tol * svals[0]))
+    rank = int(rank_counts(svals, tol))
     if rank == 0:
         return QRFactors(np.zeros((0, s_ij.q.shape[1])), np.zeros((0, s_jk.r_mat.shape[1])))
     return QRFactors(u[:, :rank].T @ s_ij.q, svals[:rank, None] * vt[:rank])

@@ -32,6 +32,8 @@ from .errors import (
     UnknownLabelError,
 )
 from .model import (
+    ENTRY_TOL,
+    SUM_TOL,
     BeliefNetwork,
     BinaryScalars,
     ConditionalMatrix,
@@ -42,6 +44,7 @@ from .model import (
     StateSpace,
     TreeNetwork,
     Violation,
+    normalized_rows,
     validate_network,
 )
 
@@ -404,9 +407,11 @@ def compile_network(
     each edge is authored in the direction child = node farther from X_1.
     Priors and pairwise conditionals come from :func:`_cluster_marginals`,
     in time linear in the number of edges for bounded cluster sizes; the
-    full joint is never built.  The per-edge factor pairs, keyed (child,
-    parent), then go through :func:`accept_precompiled`, which stores and
-    checks them as it does for a loaded tree.
+    full joint is never built.  The edges are factored per shape, one
+    singular value decomposition per (n_child, n_parent) stack (see
+    :func:`_factor_edges`), and the stacks go through
+    :func:`accept_batches`, which stores and checks them as it does for a
+    loaded tree.
     """
     problems = validate_network(net)
     if problems:
@@ -432,33 +437,105 @@ def compile_network(
 
     full_priors, joints = _cluster_marginals(net, plan.clusters, order, parent_of)
     spaces: list[StateSpace] = []
-    priors: list[Distribution] = []
     names = [f"X_{idx + 1}" for idx in range(len(plan.clusters))]
     pruned_record: list[tuple[str, tuple[int, ...]]] = []
     for idx, cluster in enumerate(plan.clusters):
         cards = tuple(net.card(m) for m in cluster)
-        full = full_priors[idx]
-        pruned = tuple(int(i) for i in np.nonzero(full <= PRUNE_EPS)[0])
-        space = StateSpace(cluster, cards, pruned)
-        spaces.append(space)
-        priors.append(Distribution.normalized(full[list(space.retained)]))
+        pruned = tuple(int(i) for i in np.nonzero(full_priors[idx] <= PRUNE_EPS)[0])
+        spaces.append(StateSpace(cluster, cards, pruned))
         if pruned:
             pruned_record.append((names[idx], pruned))
+    priors = _normalized_priors(
+        [full[list(space.retained)] for full, space in zip(full_priors, spaces)]
+    )
 
-    factors: dict[tuple[int, int], QRFactors] = {}
-    reports: list[EdgeReport] = []
-    for child_id in order[1:]:
-        parent_id = parent_of[child_id]
-        child, parent = spaces[child_id], spaces[parent_id]
-        pair_joint = joints[child_id][np.ix_(child.retained, parent.retained)]
-        cond = ConditionalMatrix.from_joint(pair_joint, child, parent)
-        sens = algebra.cpt_to_sensitivity(cond)
-        pair = algebra.qr_factor(sens, rank_tol)
-        factors[(child_id, parent_id)] = pair
-        reports.append(EdgeReport(names[child_id], names[parent_id], sens.shape, pair.rank))
-
-    tree = accept_precompiled(spaces, priors, factors, names, name=name or net.name)
+    nodes = NodeColumns.of(spaces, priors, names)
+    edges = [(c, parent_of[c]) for c in order[1:]]
+    batches, ranks = _factor_edges(edges, spaces, joints, rank_tol)
+    reports = [
+        EdgeReport(names[i], names[j], (nodes.size[i], nodes.size[j]), rank)
+        for (i, j), rank in zip(edges, ranks.tolist())
+    ]
+    tree = accept_batches(nodes, edges, batches, name or net.name)
     return tree, CompileReport(tuple(reports), tuple(pruned_record))
+
+
+def _normalized_priors(raw: list[np.ndarray]) -> list[Distribution]:
+    """:meth:`Distribution.normalized` of every vector of ``raw``, one
+    stack per length; the first vector that method refuses, in list
+    order, is passed to it for the error."""
+    by_size: dict[int, list[int]] = {}
+    for k, row in enumerate(raw):
+        by_size.setdefault(len(row), []).append(k)
+    priors: list = [None] * len(raw)
+    refused: list[int] = []
+    for at in by_size.values():
+        probs, bad = normalized_rows(np.array([raw[k] for k in at]))
+        probs.setflags(write=False)
+        refused.extend(k for k, refuse in zip(at, bad.tolist()) if refuse)
+        for k, row in zip(at, probs):
+            priors[k] = Distribution._of_checked(row)
+    for k in sorted(refused):
+        Distribution.normalized(raw[k])
+    return priors
+
+
+def _retained_joint(joint: np.ndarray, child: StateSpace, parent: StateSpace) -> np.ndarray:
+    """The rows and columns of a pairwise joint that pruning kept."""
+    if child.pruned:
+        joint = joint[list(child.retained)]
+    if parent.pruned:
+        joint = joint[:, list(parent.retained)]
+    return joint
+
+
+def _factor_edges(
+    edges: list[tuple[int, int]],
+    spaces: list[StateSpace],
+    joints: dict[int, np.ndarray],
+    rank_tol: float,
+) -> tuple[list["EdgeBatch"], np.ndarray]:
+    """The factor pairs of the couplings p(X_i | X_j) of ``edges`` (i, j),
+    from the pairwise joints keyed by child i, and the rank of each edge.
+
+    The edges are grouped by (n_i, n_j): each group's conditionals and
+    sensitivities are formed with one broadcast each and factored by one
+    :func:`algebra.svd_factors` call, and every rank in it becomes one
+    :class:`EdgeBatch`.  A conditional that
+    :meth:`ConditionalMatrix.from_joint` refuses is refused by that method,
+    the first such edge in ``edges`` order, before anything is factored.
+    """
+    pairs = [_retained_joint(joints[i], spaces[i], spaces[j]) for i, j in edges]
+    grouped: dict[tuple[int, int], list[int]] = {}
+    for pos, pair in enumerate(pairs):
+        grouped.setdefault(pair.shape, []).append(pos)
+    conditionals = []
+    suspect: list[int] = []
+    for positions in grouped.values():
+        positions = np.array(positions)
+        joint = np.array([pairs[pos] for pos in positions.tolist()])
+        colsums = joint.sum(axis=1, keepdims=True)
+        with np.errstate(all="ignore"):
+            cond = joint / colsums
+            # the checks of from_joint and ConditionalMatrix, written so
+            # that a NaN fails them here (from_joint then decides)
+            fine = (
+                (colsums.min(axis=(1, 2)) > 0.0)
+                & (cond.min(axis=(1, 2)) >= -ENTRY_TOL)
+                & (np.abs(cond.sum(axis=1) - 1.0).max(axis=1) <= SUM_TOL)
+            )
+        suspect.extend(positions[~fine].tolist())
+        conditionals.append((positions, cond))
+    for pos in sorted(suspect):
+        i, j = edges[pos]
+        ConditionalMatrix.from_joint(pairs[pos], spaces[i], spaces[j])
+    batches: list[EdgeBatch] = []
+    ranks = np.zeros(len(edges), dtype=np.intp)
+    for positions, cond in conditionals:
+        for at, q, r in algebra.svd_factors(algebra.center_rows(cond), rank_tol):
+            batches.append(EdgeBatch(positions[at], q, r))
+            ranks[positions[at]] = q.shape[1]
+    return batches, ranks
 
 
 @dataclass(frozen=True)

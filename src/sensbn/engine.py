@@ -482,6 +482,9 @@ class QuerySession:
             bases = (scalars.prior, scalars.factor.reshape(-1))
             index, runs = scalars.slot, scalars.run_nodes
         self._shared = bases
+        #: the keys of ``r``: the float kernel's slots, or the tree's own
+        #: dict of factors, which the array kernel reads
+        self._factor_keys = bases[1] if index is None else index
         #: the committed baseline (distributions, and factors refreshed by
         #: floods), as layers that stay empty; an operation writes into
         #: layers of its own over the same bases
@@ -509,8 +512,7 @@ class QuerySession:
     @property
     def r(self) -> Mapping[tuple[int, int], np.ndarray]:
         """Working factors."""
-        keys = self.tree.r_factors
-        return _StateView(lambda: self._r, lambda: keys, self._kernel.factor_array)
+        return _StateView(lambda: self._r, lambda: self._factor_keys, self._kernel.factor_array)
 
     @property
     def p1(self) -> Mapping[int, np.ndarray]:

@@ -549,29 +549,33 @@ class _RunSlots(Mapping):
         self._direct = direct
 
     def __getitem__(self, key) -> int:
-        i, j = key
-        size = self._run_of.size
-        if not (0 <= i < size and 0 <= j < size):
-            raise KeyError(key)
-        offset = len(self._edges)
-        # the key (i, j) lives at j: row 0 when i precedes j in the run
-        run = self._run_of.item(j)
-        if run >= 0:
-            g = self._place.item(j)
-            if self._nodes.item(g - 1) == i:
-                return g - 1 - run
-            if self._nodes.item(g + 1) == i:
-                return offset + g - run
-            raise KeyError(key)
-        run = self._run_of.item(i)
-        if run >= 0:
-            g = self._place.item(i)
-            if self._nodes.item(g + 1) == j:
-                return g - run
-            if self._nodes.item(g - 1) == j:
-                return offset + g - 1 - run
-            raise KeyError(key)
-        return self._direct[key]
+        try:
+            i, j = key
+            size = self._run_of.size
+            if not (0 <= i < size and 0 <= j < size):
+                raise KeyError(key)
+            offset = len(self._edges)
+            # the key (i, j) lives at j: row 0 when i precedes j in the run
+            run = self._run_of.item(j)
+            if run >= 0:
+                g = self._place.item(j)
+                if self._nodes.item(g - 1) == i:
+                    return g - 1 - run
+                if self._nodes.item(g + 1) == i:
+                    return offset + g - run
+                raise KeyError(key)
+            run = self._run_of.item(i)
+            if run >= 0:
+                g = self._place.item(i)
+                if self._nodes.item(g + 1) == j:
+                    return g - run
+                if self._nodes.item(g - 1) == j:
+                    return offset + g - 1 - run
+                raise KeyError(key)
+            return self._direct[key]
+        except (TypeError, ValueError):
+            # not a pair of node numbers
+            raise KeyError(key) from None
 
     def __iter__(self):
         for a, b in self._edges:

@@ -106,6 +106,85 @@ class TestQrFactor:
         assert np.allclose(pair.q @ pair.q.T, np.eye(pair.rank), atol=1e-12)
 
 
+def sensitivity_with_singular_values(rng, n_i, n_j, svals):
+    """A matrix with zero row and column sums and the given singular
+    values: orthonormal bases of the zero-sum subspaces, scaled."""
+    k = len(svals)
+    u = np.linalg.qr(algebra.center_rows(rng.standard_normal((k, n_i))).T)[0]
+    v = np.linalg.qr(algebra.center_rows(rng.standard_normal((k, n_j))).T)[0]
+    return (u * np.asarray(svals)) @ v.T
+
+
+def mixed_stack(rng, n_i, n_j):
+    """Sensitivities of one shape: the zero matrix, random, deterministic
+    and duplicated-column tables, and singular values just above and just
+    below RANK_TOL times the largest."""
+    mats = [np.zeros((n_i, n_j))]
+    for _ in range(4):
+        mats.append(cpt_to_sensitivity(random_cpt(rng, n_i, n_j)).entries)
+    deterministic = np.eye(n_i)[:, rng.integers(0, n_i, n_j)]
+    mats.append(cpt_to_sensitivity(deterministic).entries)
+    few = random_cpt(rng, n_i, 2)
+    mats.append(cpt_to_sensitivity(few[:, rng.integers(0, 2, n_j)]).entries)
+    k = min(n_i, n_j) - 1
+    if k >= 2:
+        tol = algebra.RANK_TOL
+        for near in (1.5 * tol, 0.7 * tol):
+            mats.append(sensitivity_with_singular_values(rng, n_i, n_j, [0.8] + [0.8 * near] * (k - 1)))
+    return np.array(mats)
+
+
+class TestSvdFactors:
+    """The stacked factoring against the one-matrix form."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_matrix_of_a_stack(self, seed):
+        rng = np.random.default_rng([seed, 31])
+        ranks_seen = set()
+        for n_i, n_j in ((2, 2), (3, 3), (2, 6), (6, 2), (4, 5), (5, 4)):
+            stack = mixed_stack(rng, n_i, n_j)
+            groups = algebra.svd_factors(stack)
+            covered = np.sort(np.concatenate([at for at, _, _ in groups]))
+            assert np.array_equal(covered, np.arange(len(stack)))
+            assert [q.shape[1] for _, q, _ in groups] == sorted({q.shape[1] for _, q, _ in groups})
+            for at, q_stack, r_stack in groups:
+                for k, q, r in zip(at.tolist(), q_stack, r_stack):
+                    s = stack[k]
+                    rank = q.shape[0]
+                    ranks_seen.add(rank)
+                    assert q.shape == (rank, n_i) and r.shape == (rank, n_j)
+                    assert rank == numerical_rank(s)
+                    assert np.abs(q @ q.T - np.eye(rank)).max(initial=0.0) <= 1e-12
+                    # exact up to the singular values the rank rule drops
+                    dropped = np.linalg.svd(s, compute_uv=False)[rank:]
+                    err = np.abs(q.T @ r - s).max()
+                    assert err <= 1e-12 + dropped.max(initial=0.0)
+                    one = qr_factor(s)
+                    assert one.rank == rank
+                    assert np.abs(one.dense() - q.T @ r).max(initial=0.0) <= 1e-12
+        assert {0, 1, 2, 3} <= ranks_seen
+
+    def test_near_threshold_singular_values_decide_the_rank(self):
+        rng = np.random.default_rng(5)
+        tol = algebra.RANK_TOL
+        kept = sensitivity_with_singular_values(rng, 4, 4, [1.0, 2 * tol, 1.5 * tol])
+        cut = sensitivity_with_singular_values(rng, 4, 4, [1.0, 0.9 * tol, 0.5 * tol])
+        ranks = {int(at[0]): q.shape[1] for at, q, _ in algebra.svd_factors(np.array([kept, cut]))}
+        assert ranks == {0: 3, 1: 1}
+
+    def test_rank_counts_is_the_rule_of_every_rank(self):
+        rng = np.random.default_rng(8)
+        svals = np.sort(rng.random((50, 4)) * 10.0 ** rng.integers(-14, 1, (50, 4)))[:, ::-1]
+        svals[:5] *= 1e-12
+        want = [
+            0 if row[0] <= algebra.ZERO_FLOOR else int((row > algebra.RANK_TOL * row[0]).sum())
+            for row in svals
+        ]
+        assert algebra.rank_counts(svals).tolist() == want
+        assert [int(algebra.rank_counts(row)) for row in svals] == want
+        assert algebra.rank_counts(np.zeros((3, 0))).tolist() == [0, 0, 0]
+
+
 class TestRankLaw:
     def test_identity_cpt(self):
         assert sensitivity_rank_law_check(np.eye(2))

@@ -4,9 +4,10 @@ import sys
 import numpy as np
 import pytest
 
-from sensbn import cli, fileio, oracle
+from sensbn import cli, fileio, fixtures, oracle
 from sensbn.fixtures import FIXTURE_DIR
 from sensbn.generators import random_tree_network
+from sensbn.model import Evidence
 
 
 def run(capsys, *argv):
@@ -317,18 +318,30 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "0.68" in proc.stdout
 
-    def test_query_process_never_imports_scipy(self):
-        """Loading and querying a tree needs numpy alone; scipy is compile-only."""
-        tree_file = FIXTURE_DIR / "asia_tables.tree"
+    def test_compile_and_query_run_with_scipy_blocked(self, tmp_path):
+        """The package needs numpy alone: with scipy made unimportable, a
+        compile and a query on its result run, and the query prints the
+        oracle's posterior."""
+        tree_file = tmp_path / "asia.tree"
         script = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
             "import sensbn.cli as cli\n"
-            "assert 'scipy' not in sys.modules, 'import'\n"
+            "from sensbn.fixtures import FIXTURE_DIR\n"
+            "assert cli.main(['compile', str(FIXTURE_DIR / 'asia.net'),\n"
+            f"                 '--group', 'x_C,x_E,x_G', '-o', {str(tree_file)!r}]) == 0\n"
             "for extra in ([], ['--engine', 'simq']):\n"
             f"    assert cli.main(['query', {str(tree_file)!r}, '--query', 'x_H',\n"
             "                     '--evidence', 'x_A=true,x_D=true', *extra]) == 0\n"
-            "    assert 'scipy' not in sys.modules, extra\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.count("0.68") == 2
+        want = oracle.posterior(
+            fixtures.asia_network(), Evidence.of({"x_A": 1, "x_D": 1}), "x_H"
+        ).probs
+        lines = proc.stdout.splitlines()
+        starts = [k + 1 for k, line in enumerate(lines) if line == "state      posterior   delta"]
+        assert len(starts) == 2
+        for start in starts:
+            printed = [float(line.split()[1]) for line in lines[start : start + 2]]
+            assert np.abs(np.array(printed) - want).max() <= 5e-7

@@ -17,7 +17,12 @@ from sensbn.compiler import (
     plan_violations,
     reconstruct_dense,
 )
-from sensbn.errors import ConsistencyError, DimensionMismatchError, ZeroEvidenceError
+from sensbn.errors import (
+    ConsistencyError,
+    DimensionMismatchError,
+    ZeroEvidenceError,
+    ZeroMassError,
+)
 from sensbn.engine import QuerySession
 from sensbn.generators import (
     binary_chain_network,
@@ -286,6 +291,164 @@ class TestSumProductCompile:
             a = QuerySession(tree).query(node, ev).probs
             b = QuerySession(direct).query(node, ev).probs
             assert np.abs(a - b).max() <= 1e-12
+
+
+#: a multi-parent ladder with three-state nodes; a6 and a7 are grouped
+LADDER = (
+    ("a0", 3, ()), ("a1", 2, ("a0",)), ("a2", 2, ("a0",)), ("a3", 3, ("a1", "a2")),
+    ("a4", 2, ("a3",)), ("a5", 2, ("a3", "a4")), ("a6", 3, ("a4",)), ("a7", 2, ("a6",)),
+    ("a8", 2, ("a5", "a7")), ("a9", 3, ("a8", "a6")),
+)
+
+
+def ladder_network(rng):
+    card = {label: states for label, states, _ in LADDER}
+    cpts = {
+        label: random_cpt(rng, states, int(np.prod([card[p] for p in parents], dtype=int)))
+        for label, states, parents in LADDER
+    }
+    return BeliefNetwork(
+        tuple(card.items()), {label: parents for label, _, parents in LADDER}, cpts, name="ladder"
+    )
+
+
+def centred_conditionals(net, tree):
+    """The centred table p(X_a | X_b) of both directions (a, b) of every
+    edge, built apart from the factoring: from the oracle's joint when
+    its size guard allows, else from the sum-product pairwise joints of
+    the compiled clusters."""
+    spaces = [tree.compound(i).space for i in range(tree.node_count)]
+    out = {}
+    if np.prod([float(net.card(l)) for l in net.labels]) <= oracle.SIZE_GUARD:
+        jt = oracle.joint(net)
+        for i, j in tree.edges:
+            for a, b in ((i, j), (j, i)):
+                out[(a, b)] = oracle.pairwise_conditional(net, spaces[a], spaces[b], jt).entries
+    else:
+        order = [0] + [child for child, _ in tree.edges]
+        clusters = tuple(space.members for space in spaces)
+        _, joints = compiler._cluster_marginals(net, clusters, order, {0: None, **dict(tree.edges)})
+        for i, j in tree.edges:
+            pair = joints[i][np.ix_(spaces[i].retained, spaces[j].retained)]
+            out[(i, j)] = pair / pair.sum(axis=0)
+            out[(j, i)] = pair.T / pair.T.sum(axis=0)
+    return {key: algebra.center_rows(table) for key, table in out.items()}
+
+
+def assert_factored_as_parent(net, tree, report, rng=None):
+    """Every edge's rank is the rank rule's on its centred table, and the
+    stored factors rebuild that table in both directions to 1e-12; with
+    ``rng``, exact queries and floods give the oracle's posteriors."""
+    # stored factors are laid out as loaded ones are, whatever strides
+    # the decomposition returned
+    for stack in tree.factor_stacks:
+        assert stack.fwd.flags.c_contiguous and stack.bwd.flags.c_contiguous
+    tables = centred_conditionals(net, tree)
+    assert [(e.child, e.parent) for e in report.edges] == [
+        (tree.compound(i).name, tree.compound(j).name) for i, j in tree.edges
+    ]
+    for (i, j), entry in zip(tree.edges, report.edges):
+        assert entry.dense_shape == tables[(i, j)].shape
+        assert entry.rank == algebra.numerical_rank(tables[(i, j)]) == tree.rank(i, j)
+        for a, b in ((i, j), (j, i)):
+            assert np.abs(reconstruct_dense(tree, a, b) - tables[(a, b)]).max() <= 1e-12
+    if rng is None:
+        return
+    for size in (1, 2, 3):
+        ev = random_evidence(rng, net, size)
+        query = str(rng.choice(net.labels))
+        try:
+            want = oracle.posterior(net, ev, query).probs
+        except ZeroEvidenceError:
+            continue
+        home = tree.member_home(query)
+        got = tree.member_marginal(home, query, QuerySession(tree).query(home, ev).probs)
+        assert np.abs(got - want).max() <= 1e-12
+        flood = QuerySession(tree).multi_evidence_simq(ev)
+        assert np.abs(tree.member_marginal(home, query, flood.p[home]) - want).max() <= 1e-12
+
+
+class TestStackedFactoring:
+    """compile_network factors each edge shape with one singular value
+    decomposition: the gauge of the factors changes, but no rank, coupling
+    or posterior does."""
+
+    def test_asia_report_is_pinned(self, asia_net, asia_compiled):
+        tree, report = asia_compiled
+        assert [(e.child, e.parent, e.dense_shape, e.rank) for e in report.edges] == [
+            ("X_2", "X_1", (2, 2), 1),
+            ("X_3", "X_2", (6, 2), 1),
+            ("X_4", "X_3", (2, 6), 1),
+            ("X_5", "X_3", (2, 6), 1),
+            ("X_6", "X_3", (2, 6), 1),
+        ]
+        assert_factored_as_parent(asia_net, tree, report, np.random.default_rng(12))
+        ungrouped, report = compile_network(asia_net)
+        assert [e.rank for e in report.edges] == [1, 1, 1, 2]
+        assert_factored_as_parent(asia_net, ungrouped, report, np.random.default_rng(13))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multi_parent_networks_with_forced_groups(self, seed):
+        rng = np.random.default_rng([seed, 41])
+        ranks = set()
+        tree, report = compile_network(ladder_network(rng), forced_groups=(("a6", "a7"),))
+        assert_factored_as_parent(ladder_network(np.random.default_rng([seed, 41])), tree, report, rng)
+        ranks.update(e.rank for e in report.edges)
+        for components in (1, 2):
+            net = random_network(rng, int(rng.integers(5, 10)), components)
+            tree, report = compile_network(net, forced_groups=random_groupings(rng, net))
+            assert_factored_as_parent(net, tree, report, rng)
+            ranks.update(e.rank for e in report.edges)
+        assert len(ranks) > 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_trees_past_the_size_guard(self, seed):
+        net = random_tree_network(np.random.default_rng(seed), 200, max_states=3)
+        tree, report = compile_network(net)
+        assert len(tree.factor_stacks) > 2
+        assert_factored_as_parent(net, tree, report)
+
+    def test_the_first_refused_prior_is_named(self, asia_net, monkeypatch):
+        """Priors are normalised one stack per size, and the first refused
+        one in cluster order raises Distribution.normalized's error: X_3
+        (four retained states) before X_4, whose stack comes first."""
+        real = compiler._cluster_marginals
+
+        def nan_priors(net, clusters, order, parent_of):
+            priors, joints = real(net, clusters, order, parent_of)
+            priors = [p.copy() for p in priors]
+            priors[2][0] = priors[3][1] = np.nan
+            return priors, joints
+
+        monkeypatch.setattr(compiler, "_cluster_marginals", nan_priors)
+        with pytest.raises(ZeroMassError, match="distribution entry 0 is nan"):
+            compile_network(asia_net, forced_groups=(("x_C", "x_E", "x_G"),))
+
+    def test_the_first_refused_edge_in_order_is_named(self, monkeypatch):
+        """A dead parent column is refused by ConditionalMatrix.from_joint.
+        Of two such edges the first in compile order is named, even when
+        the later one's shape stack comes first."""
+        rng = np.random.default_rng(2)
+        cards = {"a": 2, "b": 3, "c": 2, "d": 3}
+        net = BeliefNetwork(
+            tuple(cards.items()),
+            {"b": ("a",), "c": ("b",), "d": ("c",)},
+            {"a": random_cpt(rng, 2, 1), "b": random_cpt(rng, 3, 2),
+             "c": random_cpt(rng, 2, 3), "d": random_cpt(rng, 3, 2)},
+        )
+        real = compiler._cluster_marginals
+
+        def dead_columns(net, clusters, order, parent_of):
+            priors, joints = real(net, clusters, order, parent_of)
+            # edges c | b (shape 2x3) and d | c (3x2, the shape of b | a)
+            for child in order[2:]:
+                joints[child] = joints[child].copy()
+                joints[child][:, 0] = 0.0
+            return priors, joints
+
+        monkeypatch.setattr(compiler, "_cluster_marginals", dead_columns)
+        with pytest.raises(ZeroMassError, match=r"parent configuration 0 of \('b',\)"):
+            compile_network(net)
 
 
 class TestAcceptPrecompiled:

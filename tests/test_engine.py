@@ -386,6 +386,22 @@ class TestLayer:
                 with pytest.raises(TypeError):
                     view[at] = np.zeros(2)
 
+    def test_factor_view_keys_come_from_the_float_slots(self):
+        """On a float-kernel session, ``r`` answers reads and membership
+        from the kernel's own slots and never builds ``tree.r_factors``."""
+        tree = binary_chain_tree(np.random.default_rng(7), 50)
+        s = fresh(tree)
+        assert s._kernel is engine._FloatKernel
+        first = s.r[(0, 1)]
+        assert (0, 1) in s.r and (49, 48) in s.r
+        assert (0, 2) not in s.r and (0, 50) not in s.r
+        assert all(key not in s.r for key in ("ab", (0, 1.5), (0,), None))
+        with pytest.raises(KeyError):
+            s.r[(0, 2)]
+        assert "r_factors" not in tree.__dict__
+        assert list(s.r) == list(tree.r_factors)
+        assert np.abs(first - tree.r_factors[(0, 1)]).max() <= 1e-15
+
 
 # -- the two kernels -----------------------------------------------------
 
