@@ -53,6 +53,11 @@ PRUNE_EPS = 1e-12
 
 CONSISTENCY_TOL = 1e-9
 
+#: how far a reconstructed conditional table may leave [0, 1] at load: room
+#: for factors published to four digits (those of asia_tables.tree rebuild
+#: an entry at -7.5e-5)
+TABLE_TOL = 1e-3
+
 
 def moralize(net: BeliefNetwork) -> dict[str, set[str]]:
     """Undirected adjacency: DAG edges plus marriages between co-parents."""
@@ -680,17 +685,33 @@ def binary_couplings(tree: TreeNetwork, stack: FactorStack) -> np.ndarray:
     return np.abs(s_ab[:, 1, 1] - s_ab[:, 1, 0])
 
 
+def _spill(s: np.ndarray, p_i: np.ndarray, p_j: np.ndarray) -> np.ndarray | None:
+    """How far the conditional table of i given j of each edge of a stack,
+    s + (p_i - s p_j) 1^T (see algebra.sensitivity_to_cpt), leaves [0, 1],
+    from dense couplings s of shape (E, n_i, n_j) and priors of shapes
+    (E, n_i) and (E, n_j); None when two reductions find every table
+    within :data:`TABLE_TOL` of [0, 1]."""
+    tables = s + (p_i - (s @ p_j[:, :, None])[:, :, 0])[:, :, None]
+    if tables.min() >= -TABLE_TOL and tables.max() <= 1.0 + TABLE_TOL:
+        return None
+    return np.maximum(-tables.min(axis=(1, 2)), tables.max(axis=(1, 2)) - 1.0)
+
+
 def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> None:
-    """Verify that the two stored factors of every edge agree.
+    """Verify that the two stored factors of every edge agree and are a
+    sensitivity.
 
     Reconstructs the dense coupling in both directions and requires each
     to be the marginal-weighted reversal of the other, within ``tol``
     times the larger of one and the coupling's largest entry.  An edge
     whose error is not within that bound, NaN included, fails; the first
     failing edge in ``tree.edges`` order is named.  When every edge
-    agrees, records the tree's decay constants, read off the same dense
-    couplings, on ``tree.decay``; and when every compound has two states
-    and every edge rank 1, the tree's columnar float form and its runs on
+    agrees, the conditional tables the couplings rebuild, in both
+    directions, must lie in [0, 1] within :data:`TABLE_TOL`; the first
+    edge whose tables do not is named.  When every edge passes, records
+    the tree's decay constants, read off the same dense couplings, on
+    ``tree.decay``; and when every compound has two states and every edge
+    rank 1, the tree's columnar float form and its runs on
     ``tree.scalars`` (see :class:`BinaryScalars`), for the engine's float
     kernel.
 
@@ -700,6 +721,7 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
     nodes, ends, n_edges = tree.node_columns, tree.edge_ends, len(tree.edges)
     all_binary = set(nodes.priors) == {2}
     first_bad, bad_err = n_edges, math.nan
+    first_wild, wild_by = n_edges, math.nan
     couplings: list[float] = []
     scalar = all_binary and all(st.fwd.shape[1] == 1 for st in tree.factor_stacks)
     c_fwd = np.empty(n_edges)
@@ -715,10 +737,16 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
                 np.abs(s_ba - _reversed_dense(s_ab, p_a, p_b)).max(axis=(1, 2)),
                 np.abs(s_ab - _reversed_dense(s_ba, p_b, p_a)).max(axis=(1, 2)),
             )
+            spills = [x for x in (_spill(s_ab, p_a, p_b), _spill(s_ba, p_b, p_a)) if x is not None]
         scale = np.maximum(1.0, np.abs(s_ab).max(axis=(1, 2)))
         failed = np.flatnonzero(~(err <= tol * scale))
         if failed.size and positions[failed[0]] < first_bad:
             first_bad, bad_err = int(positions[failed[0]]), float(err[failed[0]])
+        if spills:
+            spill = np.max(spills, axis=0)
+            wild = np.flatnonzero(spill > TABLE_TOL)
+            if wild.size and positions[wild[0]] < first_wild:
+                first_wild, wild_by = int(positions[wild[0]]), float(spill[wild[0]])
         if all_binary:
             couplings.append(float(np.abs(s_ab[:, 1, 1] - s_ab[:, 1, 0]).max()))
         if scalar:
@@ -731,6 +759,12 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
         algebra.inverse_weights(nodes.prior(b))
         raise ConsistencyError(
             f"edge {nodes.names[a]} - {nodes.names[b]}: stored factors disagree by {bad_err:.3g}"
+        )
+    if first_wild < n_edges:
+        a, b = tree.edges[first_wild]
+        raise ConsistencyError(
+            f"edge {nodes.names[a]} - {nodes.names[b]}: the factors are no sensitivity; "
+            f"a conditional table they rebuild leaves [0, 1] by {wild_by:.3g}"
         )
     scalars = None
     if all_binary:

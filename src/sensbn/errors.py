@@ -29,7 +29,8 @@ class NetworkValidationError(SensBnError):
 
 
 class ConsistencyError(SensBnError):
-    """The two directed factors stored on a tree edge disagree."""
+    """The two directed factors stored on a tree edge disagree, or are no
+    sensitivity: a conditional table they rebuild leaves [0, 1]."""
 
 
 class UnknownLabelError(SensBnError):

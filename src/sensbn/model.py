@@ -835,7 +835,11 @@ class TreeNetwork:
       (n_i, n_j, rank) shape of the edges;
     * ``edge_ends``, the edges as an (E, 2) array, and ``csr``, the
       adjacency as compressed sparse rows: the neighbours of node i are
-      ``adjacent[offsets[i]:offsets[i + 1]]`` in edge order.
+      ``adjacent[offsets[i]:offsets[i + 1]]`` in edge order;
+    * two private columns rooted at node 0, recorded by the walk that
+      checks the tree is connected: each node's parent (-1 at the root)
+      and its depth in hops.  ``path(i, j, limit)`` climbs them to find
+      the path between two nodes without searching around either.
 
     ``compound(i)``, ``compounds``, ``prior_probs`` and ``r_factors`` are
     read-only views built from the columns on first use and kept.
@@ -885,14 +889,19 @@ class TreeNetwork:
         stack_at = stack_of[order // 2]
         flat, start = adjacent.tolist(), offsets.tolist()
         neighbors = [tuple(flat[start[i] : start[i + 1]]) for i in range(n)]
+        # parent links and depths rooted at node 0, from the walk that
+        # checks the tree is connected
+        parent, depth = [-1] * n, [0] * n
         if n:
             reached = bytearray(n)
             reached[0] = 1
             stack, count = [0], 1
             while stack:
-                for m in neighbors[stack.pop()]:
+                node = stack.pop()
+                for m in neighbors[node]:
                     if not reached[m]:
                         reached[m] = 1
+                        parent[m], depth[m] = node, depth[node] + 1
                         count += 1
                         stack.append(m)
             if count != n:
@@ -905,7 +914,8 @@ class TreeNetwork:
                 if m in seen:
                     raise DimensionMismatchError(f"member {m!r} appears in two compounds")
                 seen.add(m)
-        for arr in (offsets, adjacent, stack_at):
+        parent, depth = np.array(parent, np.intp), np.array(depth, np.intp)
+        for arr in (offsets, adjacent, stack_at, parent, depth):
             arr.setflags(write=False)
         vars(self).update(
             name=name,
@@ -916,6 +926,8 @@ class TreeNetwork:
             _csr=(offsets, adjacent),
             _neighbors=neighbors,
             _stack_at=stack_at,
+            _parent=parent,
+            _depth=depth,
             _by_name=dict(zip(nodes.names, range(n))),
             _member_home=home,
             _built={},
@@ -972,6 +984,37 @@ class TreeNetwork:
 
     def neighbors(self, ident: int) -> tuple[int, ...]:
         return self._neighbors[ident]
+
+    def path(self, i: int, j: int, limit: int) -> list[int] | None:
+        """The nodes on the path from i to j, both ends included, or None
+        if it has more than ``limit`` edges.
+
+        Climbs the parent links from the deeper end, then from both ends
+        in step until they meet, so the cost is O(limit) whatever the
+        size of the tree; ends whose depths differ by more than ``limit``
+        are refused without a step.
+        """
+        parent, depth = self._parent, self._depth
+        di, dj = depth.item(i), depth.item(j)
+        if abs(di - dj) > limit:
+            return None
+        up, down = [i], [j]
+        for _ in range(di - dj):
+            i = parent.item(i)
+            up.append(i)
+        for _ in range(dj - di):
+            j = parent.item(j)
+            down.append(j)
+        while i != j:
+            # two more edges at least, one from each end
+            if len(up) + len(down) > limit:
+                return None
+            i, j = parent.item(i), parent.item(j)
+            up.append(i)
+            down.append(j)
+        down.pop()
+        up.extend(reversed(down))
+        return up
 
     @cached_property
     def prior_probs(self) -> dict[int, np.ndarray]:

@@ -12,10 +12,13 @@ The radius comes from the complexity expression of the underlying claim:
     radius = ceil( log_alpha( eta * epsilon / (2 * n_evidence) ) )
 
 Everything a bounded-error query does is bounded by the radius, not by
-the size of the tree.  Profile verification is answered from the decay
-constants that the consistency check computes once at load (see
-``TreeNetwork.decay``), setting up a ``QuerySession`` copies no per-node
-state, and the query itself visits only the nodes within the radius.
+the size of the tree or of the radius ball.  Profile verification is
+answered from the decay constants that the consistency check computes
+once at load (see ``TreeNetwork.decay``), setting up a ``QuerySession``
+copies no per-node state, and the query finds each of its k evidence
+nodes by climbing the tree's parent links (``TreeNetwork.path``), so
+selection, barren marking and propagation visit only the paths from the
+query to the retained evidence: O(k * radius) nodes.
 
 This module certifies the bound empirically against the exact engine; it
 does not carry a proof.
@@ -142,7 +145,12 @@ def plan_truncation(
 
 
 def hop_distances(tree: TreeNetwork, start: int, limit: int | None = None) -> dict[int, int]:
-    """Breadth-first hop distances from ``start``, stopping at ``limit``."""
+    """Breadth-first hop distances from ``start``, stopping at ``limit``.
+
+    The reference search over the whole radius ball: :func:`truncated_query`
+    climbs to each evidence node instead, and its selection is tested
+    against this one.
+    """
     dist = {start: 0}
     frontier = [start]
     while frontier:
@@ -181,9 +189,17 @@ def truncated_query(
     grouped = tree.group_evidence(evidence)
     if radius is None:
         radius = truncation_radius(profile, len(grouped))
-    reachable = hop_distances(tree, query, limit=radius)
-    distances = {n: reachable.get(n, radius + 1) for n in grouped}
+    if radius < 0:
+        raise ApproxPreconditionError(f"radius must be at least 0, got {radius}")
+    # the paths to the retained evidence are the live nodes of the query
+    distances, within = {}, {query}
+    for node in grouped:
+        path = tree.path(query, node, radius)
+        if path is None:
+            distances[node] = radius + 1
+        else:
+            distances[node] = len(path) - 1
+            within.update(path)
     plan = plan_truncation(profile, distances, radius=radius)
-    within = set(reachable)
     posterior = session.query(query, evidence, within=within)
     return posterior, plan.guaranteed_bound, plan

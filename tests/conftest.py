@@ -1,5 +1,7 @@
+import math
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -69,6 +71,15 @@ def unchecked_copy(tree, stacks=None):
     )
 
 
+def accepted_without_table_check(*args):
+    """``compiler.accept_precompiled(*args)`` with the load-time check of
+    the rebuilt conditional tables switched off and every other part of
+    the load pass kept, float form included: for trees whose couplings
+    are no sensitivity, built to reach the engine's own refusals."""
+    with mock.patch.object(compiler, "TABLE_TOL", math.inf):
+        return compiler.accept_precompiled(*args)
+
+
 def bumped_factor(tree, key, delta):
     """:func:`unchecked_copy` of ``tree`` with entry [0, 0] of the stored
     factor under ``key`` moved by ``delta``."""
@@ -82,3 +93,19 @@ def bumped_factor(tree, key, delta):
                 bwd[k, 0, 0] += delta
         stacks.append(FactorStack(stack.edges, fwd, bwd))
     return unchecked_copy(tree, stacks)
+
+
+def searched_path(tree, a, b):
+    """The nodes on the path from a to b, both included, found by a
+    breadth-first search from a over ``tree.neighbors``."""
+    came = {a: None}
+    order = [a]
+    for x in order:
+        for m in tree.neighbors(x):
+            if m not in came:
+                came[m] = x
+                order.append(m)
+    path = [b]
+    while path[-1] != a:
+        path.append(came[path[-1]])
+    return path[::-1]

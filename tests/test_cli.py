@@ -7,7 +7,9 @@ import pytest
 from sensbn import cli, fileio, fixtures, oracle
 from sensbn.fixtures import FIXTURE_DIR
 from sensbn.generators import random_tree_network
-from sensbn.model import Evidence
+from sensbn.algebra import QRFactors
+from sensbn.model import Distribution, Evidence, StateSpace
+from tests.conftest import accepted_without_table_check
 
 
 def run(capsys, *argv):
@@ -139,6 +141,19 @@ class TestQuery:
         )
         assert code == cli.EXIT_APPROX
 
+    def test_factors_that_are_no_sensitivity_exit_code(self, capsys, tmp_path):
+        spaces = [StateSpace.binary(("a",)), StateSpace.binary(("b",))]
+        priors = [Distribution(np.array([0.6, 0.4]))] * 2
+        unit = np.array([[-1.0, 1.0]]) / np.sqrt(2.0)
+        wild = accepted_without_table_check(
+            spaces, priors, {(1, 0): QRFactors(unit, 3 * unit)}
+        )
+        path = tmp_path / "wild.tree"
+        path.write_text(fileio.serialize_tree(wild))
+        code, out, err = run(capsys, "query", str(path), "--query", "a", "--evidence", "b=1")
+        assert code == cli.EXIT_VALIDATION
+        assert "no sensitivity" in err and out == ""
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.tree"
         bad.write_text("tree t\nfrobnicate\n")
@@ -233,6 +248,14 @@ class TestBench:
         rows = [l.split("\t") for l in out.splitlines()[1:]]
         touched = {r[3] for r in rows}
         assert len(touched) == 1
+
+    def test_negative_radius_exit_code(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--lengths", "50", "--eps", "0.1", "--radius", "-1"
+        )
+        assert code == cli.EXIT_APPROX
+        assert "radius must be at least 0, got -1" in err
+        assert out.splitlines()[1:] == []
 
     def test_radius_column_non_decreasing_as_eps_shrinks(self, capsys):
         code, out, err = run(

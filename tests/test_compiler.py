@@ -32,8 +32,13 @@ from sensbn.generators import (
     random_groupings,
     random_tree_network,
 )
-from sensbn.model import BeliefNetwork, Distribution, Evidence, StateSpace
-from tests.conftest import bumped_factor, table1_priors
+from sensbn.model import BeliefNetwork, Distribution, Evidence, FactorStack, StateSpace
+from tests.conftest import (
+    accepted_without_table_check,
+    bumped_factor,
+    table1_priors,
+    unchecked_copy,
+)
 
 
 def chain3_net():
@@ -570,6 +575,22 @@ def per_edge_factors(tree, pairs):
     return stored
 
 
+def interleaved_edges(tree, edges):
+    """An edge of ``edges``, and a later one whose shape group is checked
+    first."""
+    first_of = {}
+    for pos, edge in enumerate(tree.edges):
+        first_of.setdefault(edge_shape(tree, *edge), pos)
+    order = [
+        (e1, e2)
+        for k, e1 in enumerate(edges)
+        for e2 in edges[k + 1 :]
+        if first_of[edge_shape(tree, *e2)] < first_of[edge_shape(tree, *e1)]
+    ]
+    assert order, "the tree's shape groups do not interleave"
+    return order[0]
+
+
 def bumped(tree, edge, delta):
     """``tree`` rebuilt without the load-time check, with the stored factor
     toward the first node of ``edge`` moved by ``delta`` in one entry."""
@@ -629,18 +650,7 @@ class TestBatchedLoad:
         def name(edge):
             return f"{tree.compound(edge[0]).name} - {tree.compound(edge[1]).name}"
 
-        # an edge, and a later one whose shape group is checked first
-        first_of = {}
-        for pos, edge in enumerate(tree.edges):
-            first_of.setdefault(edge_shape(tree, *edge), pos)
-        order = [
-            (e1, e2)
-            for k, e1 in enumerate(edges)
-            for e2 in edges[k + 1 :]
-            if first_of[edge_shape(tree, *e2)] < first_of[edge_shape(tree, *e1)]
-        ]
-        assert order, "the tree's shape groups do not interleave"
-        early, late = order[0]
+        early, late = interleaved_edges(tree, edges)
         probe = 1e-6
         for edge in (early, late):
             per_delta = scalar_error(bumped(tree, edge, probe), *edge) / probe
@@ -680,6 +690,95 @@ class TestBatchedLoad:
                 sys.setprofile(None)
             counts[length] = len(calls)
         assert counts[200] == counts[2000] > 0
+
+
+def table_spill(tree, a, b):
+    """How far the conditional tables of edge (a, b), in both directions,
+    leave [0, 1], rebuilt edge by edge."""
+    spill = 0.0
+    for i, j in ((a, b), (b, a)):
+        s = reconstruct_dense(tree, i, j)
+        table = s + (tree.compound(i).prior.probs - s @ tree.compound(j).prior.probs)[:, None]
+        spill = max(spill, -float(table.min()), float(table.max()) - 1.0)
+    return spill
+
+
+def scaled(tree, edge, factor):
+    """``tree`` rebuilt without the load-time check, with the stored factor
+    under ``edge`` scaled by ``factor``: both couplings of the edge scale
+    with it, and the two directions still agree."""
+    stacks = []
+    for stack in tree.factor_stacks:
+        fwd = np.array(stack.fwd)
+        for k, pos in enumerate(stack.edges.tolist()):
+            if tree.edges[pos] == edge:
+                fwd[k] *= factor
+        stacks.append(FactorStack(stack.edges, fwd, stack.bwd))
+    return unchecked_copy(tree, stacks)
+
+
+class TestSensitivityCheck:
+    """Loading refuses factors whose conditional tables leave [0, 1]."""
+
+    def test_coupling_of_three_is_refused(self):
+        spaces, priors = two_binary_nodes()
+        for c in (3.0, -3.0):
+            with pytest.raises(
+                ConsistencyError, match="^edge X_1 - X_2: the factors are no sensitivity"
+            ):
+                accept_precompiled(spaces, priors, {(0, 1): QRFactors(UNIT, c * UNIT)})
+
+    def test_tolerance_boundary(self):
+        # a coupling c of a with respect to b, with p(a) = (0.3, 0.7) and
+        # p(b) = (0.6, 0.4), rebuilds p(b = 1 | a = 0) = 0.4 (0.3 - 0.6 c) / 0.3:
+        # the first entry to leave [0, 1] as c grows past 0.5, falling by
+        # 0.8 per unit of c
+        spaces, priors = two_binary_nodes()
+        for k, loads in ((0.0, True), (0.9, True), (1.1, False), (2.0, False)):
+            pair = {(0, 1): QRFactors(UNIT, (0.5 + k * compiler.TABLE_TOL / 0.8) * UNIT)}
+            built = accepted_without_table_check(spaces, priors, pair)
+            assert (table_spill(built, 0, 1) <= compiler.TABLE_TOL) == loads
+            if loads:
+                assert accept_precompiled(spaces, priors, pair).decay is not None
+            else:
+                with pytest.raises(ConsistencyError, match="no sensitivity"):
+                    accept_precompiled(spaces, priors, pair)
+
+    def test_packaged_and_test_trees_load(self, asia_tables):
+        """The loosest of them, asia's four-digit published factors,
+        rebuilds an entry at -7.5e-5."""
+        spill = max(table_spill(asia_tables, a, b) for a, b in asia_tables.edges)
+        assert 5e-5 < spill < compiler.TABLE_TOL
+        for name in DATA_TREES:
+            tree = data_tree(name)
+            assert max(table_spill(tree, a, b) for a, b in tree.edges) < spill
+
+    @pytest.mark.parametrize("seed", [5, 7, 9])
+    def test_first_wild_edge_in_edge_order_is_named(self, seed):
+        tree = mixed_shape_tree(seed)
+        edges = [e for e in tree.edges if tree.rank(*e) > 0]
+        early, late = interleaved_edges(tree, edges)
+
+        def name(edge):
+            return f"{tree.compound(edge[0]).name} - {tree.compound(edge[1]).name}"
+
+        for edge in (early, late):
+            wild = scaled(tree, edge, 1e3)
+            assert table_spill(wild, *edge) > compiler.TABLE_TOL
+            assert scalar_error(wild, *edge) <= compiler.CONSISTENCY_TOL
+            with pytest.raises(
+                ConsistencyError, match=f"^edge {name(edge)}: the factors are no sensitivity"
+            ):
+                check_tree_consistency(wild)
+            assert wild.decay is None
+        with pytest.raises(ConsistencyError, match=f"^edge {name(early)}:"):
+            check_tree_consistency(scaled(scaled(tree, late, 1e3), early, 1e3))
+
+    def test_a_disagreeing_edge_is_named_before_a_wild_one(self, asia_tables):
+        late, early = asia_tables.edges[-1], asia_tables.edges[0]
+        both = bumped(scaled(asia_tables, early, 1e3), late, 1e-3)
+        with pytest.raises(ConsistencyError, match="stored factors disagree"):
+            check_tree_consistency(both)
 
 
 DATA = Path(__file__).parent / "data"

@@ -9,7 +9,7 @@ import pytest
 
 from sensbn import algebra, compiler, engine, oracle, truncation
 from sensbn.engine import QuerySession
-from sensbn.errors import SensBnError, ZeroEvidenceError
+from sensbn.errors import ConsistencyError, SensBnError, ZeroEvidenceError
 from sensbn.generators import (
     binary_chain_tree,
     random_evidence,
@@ -17,7 +17,7 @@ from sensbn.generators import (
     random_tree_network,
 )
 from sensbn.model import Distribution, Evidence, FactorStack, StateSpace, TreeNetwork
-from tests.conftest import unchecked_copy
+from tests.conftest import accepted_without_table_check, unchecked_copy
 
 
 def fresh(tree, **kw):
@@ -640,10 +640,12 @@ class TestFloatKernelSessions:
         copies = compiler.accept_precompiled(
             spaces, priors, {(k, k - 1): copy for k in range(1, 4)}
         )
-        # a coupling of 3 is no sensitivity, but it loads
-        wild = compiler.accept_precompiled(
-            spaces[:2], priors[:2], {(1, 0): algebra.QRFactors(unit, 3 * unit)}
-        )
+        # a coupling of 3 is no sensitivity: loading refuses it, so it is
+        # built past that check to reach the engine's refusals
+        wild_pair = {(1, 0): algebra.QRFactors(unit, 3 * unit)}
+        with pytest.raises(ConsistencyError, match="no sensitivity"):
+            compiler.accept_precompiled(spaces[:2], priors[:2], wild_pair)
+        wild = accepted_without_table_check(spaces[:2], priors[:2], wild_pair)
         cases = [
             (copies, lambda s: s.multi_evidence_simq(Evidence.of({"v0": 1, "v3": 0}))),
             (copies, lambda s: s.query(1, Evidence.of({"v0": 1, "v3": 0}))),
@@ -986,13 +988,14 @@ class TestLeavingTheBand:
 
     @staticmethod
     def chain(coupling, length=8):
+        """A chain of equal couplings; one above 1 is no sensitivity, and
+        is built past the load check that refuses it."""
         spaces = [StateSpace.binary((f"v{i}",)) for i in range(length)]
         priors = [Distribution(np.array([0.6, 0.4]))] * length
         unit = np.array([[-1.0, 1.0]]) / np.sqrt(2.0)
         pair = algebra.QRFactors(unit, coupling * unit)
-        return compiler.accept_precompiled(
-            spaces, priors, {(k, k - 1): pair for k in range(1, length)}
-        )
+        build = compiler.accept_precompiled if coupling <= 1 else accepted_without_table_check
+        return build(spaces, priors, {(k, k - 1): pair for k in range(1, length)})
 
     def outcomes(self, monkeypatch, tree, case):
         """Each kernel's outcome and the float session's walk modes."""

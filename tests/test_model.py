@@ -25,7 +25,7 @@ from sensbn.model import (
     state_index,
     validate_network,
 )
-from tests.conftest import unchecked_copy
+from tests.conftest import searched_path, unchecked_copy
 
 
 def two_node_chain():
@@ -436,6 +436,18 @@ class TestTreeViews:
             TreeNetwork(
                 grouped.node_columns, grouped.edges, grouped.edge_ends, stacks[:3] + stacks[4:]
             )
+
+    @pytest.mark.parametrize("name", ["asia_grouped", "random_grouped", "chain"])
+    def test_path_climbs_to_the_searched_path(self, name):
+        tree = fileio.load_tree(DATA / f"{name}.tree")
+        n = tree.node_count
+        for a in range(n):
+            for b in range(n):
+                want = searched_path(tree, a, b)
+                hops = len(want) - 1
+                assert tree.path(a, b, hops) == want
+                assert tree.path(a, b, n) == want
+                assert tree.path(a, b, hops - 1) is None
 
     def test_rank_reads_the_factor_stacks(self):
         tree = fileio.load_tree(DATA / "chain.tree")

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from sensbn import compiler, oracle
+from sensbn import compiler, oracle, truncation
 from sensbn.engine import QuerySession
 from sensbn.errors import ApproxPreconditionError
 from sensbn.generators import binary_chain_network, binary_chain_tree
-from sensbn.model import Evidence
+from sensbn.model import Evidence, TreeNetwork
 from sensbn.truncation import (
     DecayProfile,
     hop_distances,
@@ -14,7 +14,27 @@ from sensbn.truncation import (
     truncation_radius,
     verify_profile,
 )
-from tests.conftest import unchecked_copy
+from tests.conftest import searched_path, unchecked_copy
+from tests.test_engine import binary_tree, branching_trees, on_both_kernels
+
+
+def complete_binary_tree(depth):
+    """A complete binary tree of the given depth, node ids shuffled, and
+    its root."""
+    n = 2 ** (depth + 1) - 1
+    tree = binary_tree(np.random.default_rng(77), [(k - 1) // 2 for k in range(1, n)])
+    root = next(i for i in range(n) if len(tree.neighbors(i)) == 2)
+    return tree, root
+
+
+def descend(tree, node, turns):
+    """The node reached from ``node`` by stepping away from it, at each
+    step to the child numbered by the next turn."""
+    came = None
+    for turn in turns:
+        children = [m for m in tree.neighbors(node) if m != came]
+        came, node = node, children[turn]
+    return node
 
 
 def chain(seed, length=30, alpha=0.9, coupling_lo=0.05):
@@ -92,6 +112,17 @@ class TestPlanTruncation:
         ]
         assert radii == sorted(radii)
 
+    def test_negative_radius_is_refused(self):
+        tree = chain(4, length=20)
+        # evidence on the query node itself would still be applied
+        ev = Evidence.of({"v10": 1, "v12": 0})
+        profile = DecayProfile(0.9, 0.09, 0.1)
+        for radius in (-1, -5):
+            with pytest.raises(ApproxPreconditionError, match="radius"):
+                truncated_query(QuerySession(tree), 10, ev, profile, radius=radius, verified=True)
+        _, _, plan = truncated_query(QuerySession(tree), 10, ev, profile, radius=0, verified=True)
+        assert plan.retained_evidence == (10,)
+
     def test_retained_selection(self):
         plan = plan_truncation(
             DecayProfile(0.9, 0.09, 0.1), {3: 2, 7: 60}, radius=10
@@ -146,20 +177,59 @@ class TestTruncatedQuery:
         assert violations == 0
         assert exercised > 0
 
-    def test_work_is_radius_bounded(self):
+    def test_work_is_radius_bounded(self, monkeypatch):
+        self.check_work_is_radius_bounded(monkeypatch, "chain")
+
+    def test_work_is_radius_bounded_on_a_bushy_tree(self, monkeypatch):
+        balls = self.check_work_is_radius_bounded(monkeypatch, "complete binary tree")
+        assert balls == [511, 2047, 8191]
+
+    @staticmethod
+    def check_work_is_radius_bounded(monkeypatch, family):
+        """The same query and evidence on ever larger trees: the query
+        never searches the radius ball, reads the neighbours only of nodes
+        on the paths to the retained evidence, and touches as many nodes
+        however many the ball holds (thousands on the bushy tree).
+        Returns the sizes of the radius balls."""
         profile = DecayProfile(0.9, 0.09, 0.1)
-        radius = 20
-        touched = []
-        for length in (50, 200, 800):
-            rng = np.random.default_rng(7)
-            tree = binary_chain_tree(rng, length)
-            ev = Evidence.of({"v2": 1, "v11": 0, f"v{length - 1}": 1})
+        radius = 20 if family == "chain" else 12
+        touched, balls = [], []
+        for size in (50, 200, 800) if family == "chain" else (8, 10, 12):
+            if family == "chain":
+                tree = binary_chain_tree(np.random.default_rng(7), size)
+                # the last node lies beyond the radius
+                query, near, last = 5, (2, 11), size - 1
+            else:
+                tree, query = complete_binary_tree(size)
+                near = [descend(tree, query, turns) for turns in ((0, 1), (1, 0, 1, 1, 0))]
+                last = descend(tree, query, (0, 0, 1, 0, 1, 0, 1, 1))
+            ev = Evidence.of({f"v{near[0]}": 1, f"v{near[1]}": 0, f"v{last}": 1})
+            ball = hop_distances(tree, query, limit=radius)
+            on_paths = {query}
+            for node in tree.group_evidence(ev):
+                if node in ball:
+                    on_paths.update(searched_path(tree, query, node))
+            reads = []
+            original = TreeNetwork.neighbors
+
+            def spy(self, ident):
+                reads.append(ident)
+                return original(self, ident)
+
+            def no_ball_search(*args, **kw):
+                raise AssertionError("the radius ball was searched")
+
             session = QuerySession(tree)
-            truncated_query(session, 5, ev, profile, radius=radius, verified=True)
-            in_ball = len(hop_distances(tree, 5, limit=radius))
-            assert len(session.instr.touched) <= len(ev) * in_ball
+            with monkeypatch.context() as patch:
+                patch.setattr(truncation, "hop_distances", no_ball_search)
+                patch.setattr(TreeNetwork, "neighbors", spy)
+                truncated_query(session, query, ev, profile, radius=radius, verified=True)
+            assert reads and set(reads) <= on_paths
+            assert len(session.instr.touched) <= len(ev) * len(ball)
             touched.append(len(session.instr.touched))
+            balls.append(len(ball))
         assert touched[0] == touched[1] == touched[2]
+        return balls
 
     def test_matches_exact_engine_against_oracle_chain(self):
         # same chain parameters through the network and the tree builders
@@ -172,6 +242,66 @@ class TestTruncatedQuery:
             want = oracle.posterior(net, ev, f"v{query}").probs
             got = QuerySession(tree).query(query, ev).probs
             assert np.abs(got - want).max() <= 1e-9
+
+
+def reference_query(session, query, evidence, profile, radius):
+    """What a bounded-error query answers when it searches the whole
+    radius ball with the reference BFS and passes the ball as ``within``."""
+    reach = hop_distances(session.tree, query, limit=radius)
+    grouped = session.tree.group_evidence(evidence)
+    plan = plan_truncation(profile, {n: reach.get(n, radius + 1) for n in grouped}, radius)
+    return session.query(query, evidence, within=set(reach)), plan
+
+
+def climb_test_trees():
+    trees = dict(branching_trees())
+    trees["chain"] = binary_chain_tree(np.random.default_rng(78), 40, alpha=0.9)
+    return trees
+
+
+class TestClimbMatchesTheBall:
+    """Climbing to the evidence selects, marks and propagates exactly what
+    searching the radius ball does, on both kernels."""
+
+    @pytest.mark.parametrize("name", ["spider", "caterpillar", "spider-of-spiders", "chain"])
+    def test_same_bits_record_and_plan(self, monkeypatch, name):
+        tree = climb_test_trees()[name]
+        n = tree.node_count
+        profile = DecayProfile(0.95, 0.01, 0.1)
+        rng = np.random.default_rng(76)
+        checked = 0
+        for trial in range(4):
+            nodes = [int(m) for m in rng.choice(n, size=4, replace=False)]
+            ev = Evidence.of({f"v{m}": int(rng.integers(0, 2)) for m in nodes})
+            # one query carries evidence of its own
+            query = nodes[0] if trial == 0 else int(rng.integers(0, n))
+            hops = hop_distances(tree, query)
+            at = {hops[m] for m in nodes}
+            # radii that put an evidence node exactly at the radius or one
+            # hop beyond it, and one past the whole tree
+            for radius in sorted({0, 1, n} | at | {d - 1 for d in at if d > 0}):
+                out = {}
+
+                def climbed(s):
+                    out[s._kernel] = truncated_query(
+                        s, query, ev, profile, radius=radius, verified=True
+                    )
+
+                def searched(s):
+                    out[s._kernel, "ball"] = reference_query(s, query, ev, profile, radius)
+
+                got = on_both_kernels(monkeypatch, tree, climbed)
+                want = on_both_kernels(monkeypatch, tree, searched)
+                for s, ref in zip(got, want):
+                    posterior, bound, plan = out[s._kernel]
+                    ref_posterior, ref_plan = out[ref._kernel, "ball"]
+                    assert posterior.probs.tobytes() == ref_posterior.probs.tobytes()
+                    assert plan == ref_plan and bound == profile.guaranteed_bound
+                    assert s.instr.log == ref.instr.log
+                    assert s.instr.touched == ref.instr.touched
+                    assert dict(s.barren) == dict(ref.barren)
+                checked += 1
+        assert checked > 16
 
 
 class TestHopDistances:
