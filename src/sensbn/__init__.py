@@ -42,7 +42,6 @@ from .model import (
     StateSpace,
     TreeNetwork,
     restrict_distribution,
-    state_index,
     validate_network,
 )
 from .oracle import arc_reverse_cpt, joint, marginalize_out, pairwise_conditional, posterior
@@ -88,7 +87,6 @@ __all__ = [
     "reverse",
     "sensitivity_rank_law_check",
     "sensitivity_to_cpt",
-    "state_index",
     "truncated_query",
     "validate_network",
     "verify_profile",

@@ -41,8 +41,6 @@ class Sensitivity:
     """Dense sensitivity matrix with zero row and column sums."""
 
     entries: np.ndarray
-    child: str | None = None
-    parent: str | None = None
 
     def __post_init__(self):
         arr = frozen_array(self.entries)
@@ -113,15 +111,6 @@ class BinarySensitivity:
         return abs(self.value) >= 1 - 1e-12
 
 
-@dataclass
-class OpCount:
-    """Arithmetic counters for the binary fast paths."""
-
-    muls: int = 0
-    divs: int = 0
-    adds: int = 0
-
-
 def _entries(x) -> np.ndarray:
     if isinstance(x, Sensitivity):
         return x.entries
@@ -142,9 +131,13 @@ def center_rows(arr: np.ndarray) -> np.ndarray:
 
 def weight_matrix(p) -> np.ndarray:
     """diag(p) - p p^T, the weight that converts an R factor into the
-    opposite-direction Q factor."""
+    opposite-direction Q factor.
+
+    Takes one vector (n,) or a stack of them (E, n) -> (E, n, n).
+    """
     v = _entries(p)
-    return np.diag(v) - np.outer(v, v)
+    column = v[..., :, None]
+    return column * np.eye(v.shape[-1]) - column * v[..., None, :]
 
 
 def inverse_weights(p) -> np.ndarray:
@@ -159,40 +152,36 @@ def inverse_weights(p) -> np.ndarray:
 
 def cpt_to_sensitivity(cpt) -> Sensitivity:
     """Center a conditional table: S = P (I - E/n)."""
-    p = _entries(cpt)
-    child = getattr(cpt, "child", None)
-    parent = getattr(cpt, "parent", None)
-    return Sensitivity(center_rows(p), child=child, parent=parent)
+    return Sensitivity(center_rows(_entries(cpt)))
 
 
-def rank_counts(svals: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """The rank of every matrix of a stack, from its singular values.
+def rank_counts(svals: np.ndarray) -> np.ndarray:
+    """The rank of every matrix of a stack, from its singular values: the
+    one rank rule of the package.
 
     ``svals`` holds each matrix's singular values in descending order
-    along the last axis.  The rank counts those above ``tol`` times the
-    largest; a matrix whose largest singular value is itself at or below
-    ZERO_FLOOR counts as the zero matrix (entries here are probability
-    differences, so anything at that scale is rounding noise).
+    along the last axis.  The rank counts those above :data:`RANK_TOL`
+    times the largest; a matrix whose largest singular value is itself
+    at or below ZERO_FLOOR counts as the zero matrix (entries here are
+    probability differences, so anything at that scale is rounding
+    noise).
     """
     if svals.shape[-1] == 0:
         return np.zeros(svals.shape[:-1], dtype=np.intp)
     top = svals[..., :1]
-    counts = np.count_nonzero(svals > tol * top, axis=-1)
+    counts = np.count_nonzero(svals > RANK_TOL * top, axis=-1)
     return np.where(top[..., 0] > ZERO_FLOOR, counts, 0)
 
 
-def numerical_rank(arr: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Count singular values above ``tol`` times the largest one, by the
-    rule of :func:`rank_counts`, on the singular values that
-    :func:`svd_factors` computes for ``arr``."""
+def numerical_rank(arr: np.ndarray) -> int:
+    """The rank of ``arr`` by the rule of :func:`rank_counts`, on the
+    singular values that :func:`svd_factors` computes for it."""
     if arr.size == 0:
         return 0
-    return int(rank_counts(np.linalg.svd(arr, full_matrices=False)[1], tol))
+    return int(rank_counts(np.linalg.svd(arr, full_matrices=False)[1]))
 
 
-def svd_factors(
-    sens: np.ndarray, tol: float = RANK_TOL
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def svd_factors(sens: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Rank-revealing factoring S = Q^T R of every matrix of a stack
     (E, n_i, n_j), by one singular value decomposition of the stack.
 
@@ -204,7 +193,7 @@ def svd_factors(
     and their R factors stacked (k, r, n_j), both in C order.
     """
     u, svals, vt = np.linalg.svd(sens, full_matrices=False)
-    ranks = rank_counts(svals, tol)
+    ranks = rank_counts(svals)
     groups = []
     for rank in np.unique(ranks).tolist():
         at = np.flatnonzero(ranks == rank)
@@ -215,27 +204,27 @@ def svd_factors(
     return groups
 
 
-def qr_factor(sens, tol: float = RANK_TOL) -> QRFactors:
+def qr_factor(sens) -> QRFactors:
     """Rank-revealing factorization S = Q^T R of one matrix.
 
     The one-matrix case of :func:`svd_factors`: Q has orthonormal rows,
-    the left singular vectors of S, and R = Q S; directions whose
-    singular value falls below ``tol`` times the largest are truncated.
-    A zero matrix yields rank 0 with empty factors.
+    the left singular vectors of S, and R = Q S; the directions that
+    :func:`rank_counts` does not count are truncated.  A zero matrix
+    yields rank 0 with empty factors.
     """
     s = _entries(sens)
-    ((_, q, r_mat),) = svd_factors(s[None], tol)
+    ((_, q, r_mat),) = svd_factors(s[None])
     return QRFactors(q[0], r_mat[0])
 
 
-def sensitivity_rank_law_check(cpt, tol: float = RANK_TOL) -> bool:
-    """True iff rank(S) == rank(P) - 1 under the shared threshold."""
+def sensitivity_rank_law_check(cpt) -> bool:
+    """True iff rank(S) == rank(P) - 1 under the shared rank rule."""
     p = _entries(cpt)
     s = center_rows(p)
-    return numerical_rank(s, tol) == numerical_rank(p, tol) - 1
+    return numerical_rank(s) == numerical_rank(p) - 1
 
 
-def reduce(s_ij: QRFactors, s_jk: QRFactors, tol: float = RANK_TOL) -> QRFactors:
+def reduce(s_ij: QRFactors, s_jk: QRFactors) -> QRFactors:
     """Collapse the middle node of a chain i - j - k: S_ik = S_ij S_jk.
 
     Computed in factored form as Q_ik = Q_ij, R_ik = (R_ij Q_jk^T) R_jk,
@@ -249,9 +238,7 @@ def reduce(s_ij: QRFactors, s_jk: QRFactors, tol: float = RANK_TOL) -> QRFactors
         return QRFactors(np.zeros((0, s_ij.q.shape[1])), np.zeros((0, s_jk.r_mat.shape[1])))
     z = (s_ij.r_mat @ s_jk.q.T) @ s_jk.r_mat
     u, svals, vt = np.linalg.svd(z, full_matrices=False)
-    rank = int(rank_counts(svals, tol))
-    if rank == 0:
-        return QRFactors(np.zeros((0, s_ij.q.shape[1])), np.zeros((0, s_jk.r_mat.shape[1])))
+    rank = int(rank_counts(svals))
     return QRFactors(u[:, :rank].T @ s_ij.q, svals[:rank, None] * vt[:rank])
 
 
@@ -332,18 +319,12 @@ def binary_from_dense(dense: np.ndarray) -> BinarySensitivity:
     return BinarySensitivity(float(dense[1, 1] - dense[1, 0]))
 
 
-def binary_reduce(
-    a: BinarySensitivity, b: BinarySensitivity, ops: OpCount | None = None
-) -> BinarySensitivity:
+def binary_reduce(a: BinarySensitivity, b: BinarySensitivity) -> BinarySensitivity:
     """Chain two binary couplings: one multiplication."""
-    if ops is not None:
-        ops.muls += 1
     return BinarySensitivity(a.value * b.value)
 
 
-def binary_reverse(
-    s: BinarySensitivity, p_i, p_j, ops: OpCount | None = None
-) -> BinarySensitivity:
+def binary_reverse(s: BinarySensitivity, p_i, p_j) -> BinarySensitivity:
     """Flip a binary coupling: scale by p(j̄)p(j) / (p(ī)p(i))."""
     pi = _entries(p_i)
     pj = _entries(p_j)
@@ -351,19 +332,11 @@ def binary_reverse(
     den = float(pi[0] * pi[1])
     if den <= 0.0:
         raise SingularWeightError("p(ī)p(i) = 0; prune the impossible state first")
-    if ops is not None:
-        ops.muls += 3
-        ops.divs += 1
     return BinarySensitivity(num / den * s.value)
 
 
-def binary_update(
-    p0_i: float, s: BinarySensitivity, delta_pj: float, ops: OpCount | None = None
-) -> float:
+def binary_update(p0_i: float, s: BinarySensitivity, delta_pj: float) -> float:
     """One-step posterior of a binary node: p0 + s * dp_j."""
-    if ops is not None:
-        ops.muls += 1
-        ops.adds += 1
     out = p0_i + s.value * delta_pj
     if out < -SUM_TOL or out > 1 + SUM_TOL:
         raise RangeError(f"updated probability {out} outside [0, 1]")

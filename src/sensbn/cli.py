@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra, compiler, fileio, fixtures, generators, oracle, truncation
+from . import compiler, fileio, fixtures, generators, oracle, truncation
 from .engine import QuerySession
 from .errors import (
     ApproxPreconditionError,
@@ -149,9 +149,7 @@ def cmd_compile(args) -> int:
             print(f"violation: {p}", file=sys.stderr)
         return EXIT_VALIDATION
     groups = tuple(tuple(g.split(",")) for g in args.group or ())
-    tree, report = compiler.compile_network(
-        net, forced_groups=groups, rank_tol=args.rank_tol
-    )
+    tree, report = compiler.compile_network(net, forced_groups=groups)
     out = Path(args.output) if args.output else Path(args.network).with_suffix(".tree")
     fileio.save(out, fileio.serialize_tree(tree))
     print(f"wrote {out}")
@@ -227,7 +225,6 @@ def cmd_validate(args) -> int:
     net = fileio.load_network(fixtures.resolve(args.network))
     tree = fileio.load_tree(fixtures.resolve(args.compiled))
     jt = oracle.joint(net)
-    compiler.check_tree_consistency(tree)
     # per-edge agreement with the enumeration oracle, named per edge
     for i, j in tree.edges:
         ci, cj = tree.compound(i), tree.compound(j)
@@ -376,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="force these comma-separated nodes into one compound (repeatable)",
     )
-    p.add_argument("--rank-tol", type=float, default=algebra.RANK_TOL)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("query", help="posterior of one node given evidence")

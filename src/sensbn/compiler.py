@@ -51,6 +51,7 @@ from .model import (
 #: compound states whose prior is at or below this are discarded
 PRUNE_EPS = 1e-12
 
+#: how far the two stored factors of an edge may disagree (relative)
 CONSISTENCY_TOL = 1e-9
 
 #: how far a reconstructed conditional table may leave [0, 1] at load: room
@@ -400,16 +401,15 @@ def _cluster_marginals(
 
 
 def compile_network(
-    net: BeliefNetwork,
-    plan: ClusterPlan | None = None,
-    forced_groups: tuple[tuple[str, ...], ...] = (),
-    rank_tol: float = algebra.RANK_TOL,
-    name: str | None = None,
+    net: BeliefNetwork, forced_groups: tuple[tuple[str, ...], ...] = ()
 ) -> tuple[TreeNetwork, CompileReport]:
     """Build the compound tree: sum-product priors, pruning, factored couplings.
 
-    Compound nodes are named X_1.. in order of their first-declared member;
-    each edge is authored in the direction child = node farther from X_1.
+    The clusters are those of :func:`plan_clusters` with ``forced_groups``,
+    checked by :func:`plan_violations`; the tree takes the network's
+    name, and every rank follows :func:`algebra.rank_counts`.  Compound
+    nodes are named X_1.. in order of their first-declared member; each
+    edge is authored in the direction child = node farther from X_1.
     Priors and pairwise conditionals come from :func:`_cluster_marginals`,
     in time linear in the number of edges for bounded cluster sizes; the
     full joint is never built.  The edges are factored per shape, one
@@ -421,8 +421,7 @@ def compile_network(
     problems = validate_network(net)
     if problems:
         raise NetworkValidationError("; ".join(map(str, problems)))
-    if plan is None:
-        plan = plan_clusters(moralize(net), net, forced_groups)
+    plan = plan_clusters(moralize(net), net, forced_groups)
     bad = plan_violations(plan, net)
     if bad:
         raise NetworkValidationError("invalid plan: " + "; ".join(map(str, bad)))
@@ -456,12 +455,12 @@ def compile_network(
 
     nodes = NodeColumns.of(spaces, priors, names)
     edges = [(c, parent_of[c]) for c in order[1:]]
-    batches, ranks = _factor_edges(edges, spaces, joints, rank_tol)
+    batches, ranks = _factor_edges(edges, spaces, joints)
     reports = [
         EdgeReport(names[i], names[j], (nodes.size[i], nodes.size[j]), rank)
         for (i, j), rank in zip(edges, ranks.tolist())
     ]
-    tree = accept_batches(nodes, edges, batches, name or net.name)
+    tree = accept_batches(nodes, edges, batches, net.name)
     return tree, CompileReport(tuple(reports), tuple(pruned_record))
 
 
@@ -498,7 +497,6 @@ def _factor_edges(
     edges: list[tuple[int, int]],
     spaces: list[StateSpace],
     joints: dict[int, np.ndarray],
-    rank_tol: float,
 ) -> tuple[list["EdgeBatch"], np.ndarray]:
     """The factor pairs of the couplings p(X_i | X_j) of ``edges`` (i, j),
     from the pairwise joints keyed by child i, and the rank of each edge.
@@ -537,7 +535,7 @@ def _factor_edges(
     batches: list[EdgeBatch] = []
     ranks = np.zeros(len(edges), dtype=np.intp)
     for positions, cond in conditionals:
-        for at, q, r in algebra.svd_factors(algebra.center_rows(cond), rank_tol):
+        for at, q, r in algebra.svd_factors(algebra.center_rows(cond)):
             batches.append(EdgeBatch(positions[at], q, r))
             ranks[positions[at]] = q.shape[1]
     return batches, ranks
@@ -624,23 +622,11 @@ def accept_batches(
     return tree
 
 
-def _weights(p: np.ndarray) -> np.ndarray:
-    """diag(p) - p p^T for every row of a stack of priors: (E, n) -> (E, n, n)."""
-    column = p[:, :, None]
-    return column * np.eye(p.shape[1]) - column * p[:, None, :]
-
-
-def _q_factors(r_ba: np.ndarray, p_a: np.ndarray) -> np.ndarray:
-    """Q factors of a stack of edges, R_ba W(p_a), from the stored factors
-    toward each a, (E, r, n_a), and the priors of the a, (E, n_a)."""
-    return r_ba @ _weights(p_a)
-
-
 def _dense_couplings(r_ab: np.ndarray, r_ba: np.ndarray, p_a: np.ndarray) -> np.ndarray:
     """Dense couplings of a stack of edges: the coupling of each a with
     respect to its b, (R_ba W(p_a))^T R_ab, from stored factors of shapes
     (E, r, n_b) and (E, r, n_a) and priors of shape (E, n_a)."""
-    return _q_factors(r_ba, p_a).transpose(0, 2, 1) @ r_ab
+    return (r_ba @ algebra.weight_matrix(p_a)).transpose(0, 2, 1) @ r_ab
 
 
 def factor_pairs(tree: TreeNetwork) -> dict[tuple[int, int], QRFactors]:
@@ -652,7 +638,8 @@ def factor_pairs(tree: TreeNetwork) -> dict[tuple[int, int], QRFactors]:
     pairs: list = [None] * len(tree.edges)
     for stack in tree.factor_stacks:
         p_i = nodes.prior_stack(ends[stack.edges, 0], stack.bwd.shape[2])
-        for k, q, r in zip(stack.edges.tolist(), _q_factors(stack.bwd, p_i), stack.fwd):
+        qs = stack.bwd @ algebra.weight_matrix(p_i)
+        for k, q, r in zip(stack.edges.tolist(), qs, stack.fwd):
             pairs[k] = QRFactors(q, r)
     return dict(zip(tree.edges, pairs))
 
@@ -661,7 +648,8 @@ def _reversed_dense(s: np.ndarray, p_i: np.ndarray, p_j: np.ndarray) -> np.ndarr
     """:func:`algebra.reverse_dense` of every coupling in a stack."""
     with np.errstate(divide="ignore"):
         inv_i = 1.0 / p_i
-    return _weights(p_j) @ algebra.center_rows(s.transpose(0, 2, 1) * inv_i[:, None, :])
+    flipped = algebra.center_rows(s.transpose(0, 2, 1) * inv_i[:, None, :])
+    return algebra.weight_matrix(p_j) @ flipped
 
 
 def reconstruct_dense(tree: TreeNetwork, i: int, j: int) -> np.ndarray:
@@ -697,18 +685,18 @@ def _spill(s: np.ndarray, p_i: np.ndarray, p_j: np.ndarray) -> np.ndarray | None
     return np.maximum(-tables.min(axis=(1, 2)), tables.max(axis=(1, 2)) - 1.0)
 
 
-def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> None:
+def check_tree_consistency(tree: TreeNetwork) -> None:
     """Verify that the two stored factors of every edge agree and are a
     sensitivity.
 
     Reconstructs the dense coupling in both directions and requires each
-    to be the marginal-weighted reversal of the other, within ``tol``
-    times the larger of one and the coupling's largest entry.  An edge
-    whose error is not within that bound, NaN included, fails; the first
-    failing edge in ``tree.edges`` order is named.  When every edge
-    agrees, the conditional tables the couplings rebuild, in both
-    directions, must lie in [0, 1] within :data:`TABLE_TOL`; the first
-    edge whose tables do not is named.  When every edge passes, records
+    to be the marginal-weighted reversal of the other, within
+    :data:`CONSISTENCY_TOL` times the larger of one and the coupling's
+    largest entry.  An edge whose error is not within that bound, NaN
+    included, fails; the first failing edge in ``tree.edges`` order is
+    named.  When every edge agrees, the conditional tables the couplings
+    rebuild, in both directions, must lie in [0, 1] within
+    :data:`TABLE_TOL`; the first edge whose tables do not is named.  When every edge passes, records
     the tree's decay constants, read off the same dense couplings, on
     ``tree.decay``; and when every compound has two states and every edge
     rank 1, the tree's columnar float form and its runs on
@@ -739,7 +727,7 @@ def check_tree_consistency(tree: TreeNetwork, tol: float = CONSISTENCY_TOL) -> N
             )
             spills = [x for x in (_spill(s_ab, p_a, p_b), _spill(s_ba, p_b, p_a)) if x is not None]
         scale = np.maximum(1.0, np.abs(s_ab).max(axis=(1, 2)))
-        failed = np.flatnonzero(~(err <= tol * scale))
+        failed = np.flatnonzero(~(err <= CONSISTENCY_TOL * scale))
         if failed.size and positions[failed[0]] < first_bad:
             first_bad, bad_err = int(positions[failed[0]]), float(err[failed[0]])
         if spills:

@@ -797,6 +797,7 @@ class QuerySession:
         propagation measures changes against the committed baseline, and
         uncommitted work of an earlier operation is dropped.
         """
+        self.tree.check_node(node)
         self.instr.start_operation("simq")
         self._flood(node, assignment)
         return self
@@ -818,6 +819,8 @@ class QuerySession:
         post-update distribution so a later instantiation sees posterior
         couplings.  It walks one node at a time.
         """
+        self.tree.check_node(receiver)
+        self.tree.check_node(sender)
         expected = self.tree.rank(receiver, sender)
         if np.shape(payload) != (expected,):
             raise DimensionMismatchError(
@@ -860,6 +863,8 @@ class QuerySession:
         anything outside is barren by fiat (used by radius truncation), and
         only nodes inside it are visited.
         """
+        for node in (query, *evidence_nodes):
+            self.tree.check_node(node)
         self._live = self._live_nodes(query, evidence_nodes, within)
         self.barren = BarrenMarks(self.tree.node_count, self._live)
         return self.barren

@@ -17,7 +17,7 @@ Tree format::
     tree <name>
     compound <name> members <label> [...] [cards <k> [...]] [pruned <i> [...]]
     prior <name> <float...>       # one value per retained state
-    edge <name_i> <name_j> rank <r>
+    edge <name_i> <name_j> rank <r>  # once per edge, in either direction
     q <float...>                  # r rows, |X_i| values each
     r <float...>                  # r rows, |X_j| values each
 
@@ -203,11 +203,8 @@ def _tree_columns(text: str, path):
     prior_at: list[int] = []
     prior_rows: dict[int, tuple[list[float], list[int]]] = {}
     edges: list[tuple[int, int]] = []
-    edge_at: dict[tuple[int, int], int] = {}
     # shape -> (edge positions, q numbers, r numbers), each a flat list
     groups: dict[tuple[int, int, int], tuple[list[int], list[float], list[float]]] = {}
-    # the last block of a repeated edge wins, at the place of its first
-    repeated: dict[int, tuple[tuple[int, int, int], list, list]] = {}
     bad_width: ParseError | None = None
     # the open edge block: (i, j, rank, line), its rows so far, the lists
     # its numbers go to, and (tag, length) of each row of a wrong width
@@ -266,19 +263,12 @@ def _tree_columns(text: str, path):
                 rank = int(tokens[4])
                 q_width, r_width = size[i], size[j]
                 shape = (q_width, r_width, rank)
-                pair = (i, j)
-                pos = edge_at.get(pair)
-                if pos is None:
-                    edge_at[pair] = len(edges)
-                    group = groups.get(shape)
-                    if group is None:
-                        group = groups[shape] = ([], [], [])
-                    positions, q_out, r_out = group
-                    positions.append(len(edges))
-                    edges.append(pair)
-                else:
-                    q_out, r_out = [], []
-                    repeated[pos] = (shape, q_out, r_out)
+                group = groups.get(shape)
+                if group is None:
+                    group = groups[shape] = ([], [], [])
+                positions, q_out, r_out = group
+                positions.append(len(edges))
+                edges.append((i, j))
                 block = (i, j, rank, line)
                 q_count = r_count = 0
                 wrong = None
@@ -365,25 +355,13 @@ def _tree_columns(text: str, path):
         raise ParseError(f"compounds without a prior: {missing}", path)
     if bad_width is not None:
         raise bad_width
-    stacked = {
-        shape: (positions, np.array(qs), np.array(rs))
-        for shape, (positions, qs, rs) in groups.items()
-    }
-    if repeated:
-        stacked = _regroup(
-            stacked,
-            {
-                pos: (shape, np.array(qs), np.array(rs))
-                for pos, (shape, qs, rs) in repeated.items()
-            },
-        )
     batches = [
         compiler.EdgeBatch(
             positions,
-            qs.reshape(len(positions), rank, n_i),
-            rs.reshape(len(positions), rank, n_j),
+            np.array(qs).reshape(len(positions), rank, n_i),
+            np.array(rs).reshape(len(positions), rank, n_j),
         )
-        for (n_i, n_j, rank), (positions, qs, rs) in stacked.items()
+        for (n_i, n_j, rank), (positions, qs, rs) in groups.items()
     ]
     nodes = NodeColumns(
         names, members, member_start, cards, pruned, size, priors,
@@ -408,28 +386,6 @@ def _prior_stacks(rows: dict[int, tuple[list[float], list[int]]]) -> dict[int, n
     for _, row in sorted(refused, key=lambda item: item[0]):
         Distribution.normalized(row)
     return stacks
-
-
-def _regroup(groups, repeated):
-    """``groups`` of (positions, q numbers, r numbers) with the blocks of
-    ``repeated`` edges in place of their first blocks, every group's edges
-    in file order."""
-    blocks: dict[int, tuple] = {}
-    for shape, (positions, qs, rs) in groups.items():
-        for pos, q, r in zip(positions, np.split(qs, len(positions)), np.split(rs, len(positions))):
-            blocks[pos] = (shape, q, r)
-    blocks.update(repeated)
-    out: dict[tuple[int, int, int], tuple[list[int], list, list]] = {}
-    for pos in sorted(blocks):
-        shape, q, r = blocks[pos]
-        positions, q_parts, r_parts = out.setdefault(shape, ([], [], []))
-        positions.append(pos)
-        q_parts.append(q)
-        r_parts.append(r)
-    return {
-        shape: (positions, np.concatenate(q_parts), np.concatenate(r_parts))
-        for shape, (positions, q_parts, r_parts) in out.items()
-    }
 
 
 def serialize_tree(tree: TreeNetwork) -> str:

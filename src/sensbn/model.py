@@ -175,11 +175,6 @@ class StateSpace:
         return mask
 
 
-def state_index(assignment: Mapping[str, int], space: StateSpace) -> int:
-    """Compacted state index of a full member assignment."""
-    return space.index(assignment)
-
-
 def _refuse_non_finite(arr: np.ndarray) -> None:
     """Raise for the first NaN or infinite entry of ``arr``, if it has one."""
     bad = np.flatnonzero(~np.isfinite(arr))
@@ -410,12 +405,6 @@ class BeliefNetwork:
     def card(self, label: str) -> int:
         try:
             return self._cards[label]
-        except KeyError:
-            raise UnknownLabelError(f"unknown node {label!r}") from None
-
-    def declaration_index(self, label: str) -> int:
-        try:
-            return self._index[label]
         except KeyError:
             raise UnknownLabelError(f"unknown node {label!r}") from None
 
@@ -963,9 +952,16 @@ class TreeNetwork:
         ``adjacent[offsets[i]:offsets[i + 1]]``."""
         return self._csr
 
+    def check_node(self, ident: int) -> None:
+        """Refuse an id outside [0, node_count), which a column would wrap."""
+        n = len(self._neighbors)
+        if not 0 <= ident < n:
+            raise UnknownLabelError(f"node id {ident} outside a tree of {n} nodes")
+
     def compound(self, ident: int) -> CompoundNode:
         node = self._built.get(ident)
         if node is None:
+            self.check_node(ident)
             nodes = self._nodes
             prior = Distribution._of_checked(nodes.prior(ident))
             node = CompoundNode(ident, nodes.names[ident], nodes.space(ident), prior)
@@ -983,6 +979,9 @@ class TreeNetwork:
             raise UnknownLabelError(f"unknown compound node {name!r}") from None
 
     def neighbors(self, ident: int) -> tuple[int, ...]:
+        """The neighbours of node ``ident``, in edge order.  The id is not
+        checked: the walks call this once per node they reach, with ids
+        the tree itself gave."""
         return self._neighbors[ident]
 
     def path(self, i: int, j: int, limit: int) -> list[int] | None:
@@ -994,6 +993,8 @@ class TreeNetwork:
         size of the tree; ends whose depths differ by more than ``limit``
         are refused without a step.
         """
+        self.check_node(i)
+        self.check_node(j)
         parent, depth = self._parent, self._depth
         di, dj = depth.item(i), depth.item(j)
         if abs(di - dj) > limit:

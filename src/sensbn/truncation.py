@@ -151,6 +151,7 @@ def hop_distances(tree: TreeNetwork, start: int, limit: int | None = None) -> di
     climbs to each evidence node instead, and its selection is tested
     against this one.
     """
+    tree.check_node(start)
     dist = {start: 0}
     frontier = [start]
     while frontier:

@@ -1,15 +1,18 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sensbn import cli, fileio, fixtures, oracle
+from sensbn import cli, compiler, fileio, fixtures, oracle
 from sensbn.fixtures import FIXTURE_DIR
 from sensbn.generators import random_tree_network
 from sensbn.algebra import QRFactors
 from sensbn.model import Distribution, Evidence, StateSpace
 from tests.conftest import accepted_without_table_check
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -160,6 +163,17 @@ class TestQuery:
         code, out, err = run(capsys, "query", str(bad), "--query", "x")
         assert code == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize("edge", ["edge X_2 X_1 rank 1", "edge X_1 X_2 rank 1"])
+    def test_repeated_edge_exit_code(self, capsys, tmp_path, edge):
+        text = fileio.serialize_tree(fileio.load_tree(DATA / "chain.tree"))
+        lines = text.splitlines()
+        at = lines.index("edge X_2 X_1 rank 1")
+        path = tmp_path / "repeated.tree"
+        path.write_text("\n".join(lines + [edge] + lines[at + 1 : at + 3]) + "\n")
+        code, out, err = run(capsys, "query", str(path), "--query", "v0")
+        assert code == cli.EXIT_BAD_REQUEST
+        assert "edges cannot form a tree" in err and out == ""
+
 
 class TestValidate:
     def test_asia_pair_passes(self, capsys, tmp_path):
@@ -217,12 +231,16 @@ class TestValidate:
             "compile", str(FIXTURE_DIR / "asia.net"),
             "--group", "x_C,x_E,x_G", "-o", str(out_file),
         )
-        calls = []
-        joint = oracle.joint
+        calls, checks = [], []
+        joint, check = oracle.joint, compiler.check_tree_consistency
         monkeypatch.setattr(oracle, "joint", lambda net: calls.append(net) or joint(net))
+        monkeypatch.setattr(
+            compiler, "check_tree_consistency", lambda tree: checks.append(tree) or check(tree)
+        )
         code, out, err = run(capsys, "validate", "asia.net", str(out_file), "--samples", "10")
         assert code == 0
         assert len(calls) == 1
+        assert len(checks) == 1
 
     def test_tree_past_the_size_guard_compiles_but_is_not_validated(self, capsys, tmp_path):
         net = random_tree_network(np.random.default_rng(0), 23)

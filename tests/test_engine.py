@@ -9,7 +9,7 @@ import pytest
 
 from sensbn import algebra, compiler, engine, oracle, truncation
 from sensbn.engine import QuerySession
-from sensbn.errors import ConsistencyError, SensBnError, ZeroEvidenceError
+from sensbn.errors import ConsistencyError, SensBnError, UnknownLabelError, ZeroEvidenceError
 from sensbn.generators import (
     binary_chain_tree,
     random_evidence,
@@ -189,6 +189,40 @@ class TestQuery:
         # the OR gate makes (x_C false, x_E true) impossible
         with pytest.raises(ZeroEvidenceError):
             fresh(tree).query(0, Evidence.of({"x_C": 0, "x_E": 1}))
+
+
+class TestNodeIds:
+    """Every public call that takes a node id refuses one outside the tree."""
+
+    @pytest.fixture(params=["chain", "asia"])
+    def case(self, request, asia_tables):
+        if request.param == "chain":
+            tree = binary_chain_tree(np.random.default_rng(0), 10)
+            return tree, engine._FloatKernel, {"v9": 1}
+        return asia_tables, engine._ArrayKernel, {"x_H": 1}
+
+    @pytest.mark.parametrize("bad", ["negative", "past the end"])
+    def test_out_of_range_ids_are_refused(self, case, bad):
+        tree, kernel, assignment = case
+        n = tree.node_count
+        node = -1 if bad == "negative" else n
+        s = fresh(tree)
+        assert s._kernel is kernel
+        calls = [
+            lambda: s.query(node, Evidence.of(assignment)),
+            lambda: s.instantiate(node, assignment),
+            lambda: s.simq_step(node, 0, np.zeros(1)),
+            lambda: s.simq_step(0, node, np.zeros(1)),
+            lambda: s.mark_barren(node, set()),
+            lambda: s.mark_barren(0, {node}),
+            lambda: tree.compound(node),
+            lambda: tree.path(node, 3, 20),
+            lambda: tree.path(3, node, 20),
+            lambda: truncation.hop_distances(tree, node),
+        ]
+        for call in calls:
+            with pytest.raises(UnknownLabelError, match=f"^node id {node} outside a tree of {n} nodes$"):
+                call()
 
 
 class TestMultiEvidenceSimq:

@@ -22,7 +22,6 @@ from sensbn.model import (
     TreeNetwork,
     normalized_rows,
     restrict_distribution,
-    state_index,
     validate_network,
 )
 from tests.conftest import searched_path, unchecked_copy
@@ -102,15 +101,12 @@ class TestBeliefNetworkLookups:
         net = BeliefNetwork(tuple((l, 2) for l in declared), parents, {})
         order = net.topological_order()
         assert order == kahn_by_rescan(net)
-        assert [net.declaration_index(l) for l in declared] == list(range(n))
         assert all(net.card(l) == 2 for l in declared)
 
     def test_unknown_labels_raise(self):
         net = two_node_chain()
         with pytest.raises(UnknownLabelError):
             net.card("nope")
-        with pytest.raises(UnknownLabelError):
-            net.declaration_index("nope")
         bad = BeliefNetwork((("x1", 2),), {"x1": ("ghost",)}, {"x1": np.eye(2)})
         with pytest.raises(UnknownLabelError):
             bad.topological_order()
@@ -122,7 +118,7 @@ class TestStateIndex:
 
     def test_all_false_is_state_zero(self):
         space = self.asia_x3()
-        assert state_index({"x_C": 0, "x_E": 0, "x_G": 0}, space) == 0
+        assert space.index({"x_C": 0, "x_E": 0, "x_G": 0}) == 0
 
     def test_all_true_is_last_state_before_pruning(self):
         space = StateSpace.binary(("x_C", "x_E", "x_G"))
@@ -131,13 +127,13 @@ class TestStateIndex:
     def test_pruned_state_raises(self):
         space = self.asia_x3()
         with pytest.raises(PrunedStateError):
-            state_index({"x_C": 0, "x_E": 1, "x_G": 0}, space)
+            space.index({"x_C": 0, "x_E": 1, "x_G": 0})
 
     def test_compaction_preserves_relative_order(self):
         space = self.asia_x3()
         # original states 4..7 map to compact 2..5
-        assert state_index({"x_C": 1, "x_E": 0, "x_G": 0}, space) == 2
-        assert state_index({"x_C": 1, "x_E": 1, "x_G": 1}, space) == 5
+        assert space.index({"x_C": 1, "x_E": 0, "x_G": 0}) == 2
+        assert space.index({"x_C": 1, "x_E": 1, "x_G": 1}) == 5
 
     @given(
         n=st.integers(min_value=1, max_value=4),

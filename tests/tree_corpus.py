@@ -291,6 +291,12 @@ RAISES = {
     "bad number in a factor row before a bad prior": (
         ParseError, "t.tree:8: expected a number, got 'x'", 8
     ),
+    "repeated edge, last block wins": (
+        DimensionMismatchError, "3 edges cannot form a tree over 3 nodes", None
+    ),
+    "repeated edge of another rank": (
+        DimensionMismatchError, "3 edges cannot form a tree over 3 nodes", None
+    ),
     "repeated edge reversed": (
         DimensionMismatchError, "3 edges cannot form a tree over 3 nodes", None
     ),
@@ -376,27 +382,6 @@ LOADS = {
         {
             (1, 0): [[-0.2, 0.2]],
             (0, 1): [[-1.0416666666666667, 1.0416666666666667]],
-            (2, 1): [[-0.1, 0.1]],
-            (1, 2): [[-1.0, 1.0]],
-        },
-    ),
-    "repeated edge, last block wins": (
-        [(1, 0), (2, 1)],
-        {
-            (1, 0): [[-0.3, 0.3]],
-            (0, 1): [[-0.8333333333333334, 0.8333333333333334]],
-            (2, 1): [[-0.1, 0.1]],
-            (1, 2): [[-1.0, 1.0]],
-        },
-    ),
-    "repeated edge of another rank": (
-        [(1, 0), (2, 1)],
-        {
-            (1, 0): [[-0.3, 0.3], [0.0, 0.0]],
-            (0, 1): [
-                [-0.8333333333333334, 0.8333333333333334],
-                [-0.20833333333333334, 0.20833333333333334],
-            ],
             (2, 1): [[-0.1, 0.1]],
             (1, 2): [[-1.0, 1.0]],
         },
