@@ -126,7 +126,8 @@ def center_rows(arr: np.ndarray) -> np.ndarray:
 
     Takes a matrix or a stack of matrices (rows along the last axis).
     """
-    return arr - arr.mean(axis=-1, keepdims=True)
+    # np.add.reduce is what ndarray.mean runs, without its Python wrapper
+    return arr - np.add.reduce(arr, axis=-1, keepdims=True) / arr.shape[-1]
 
 
 def weight_matrix(p) -> np.ndarray:

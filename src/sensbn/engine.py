@@ -17,13 +17,16 @@ owns everything the two operations share: barren pruning, the
 instrumentation record, the posterior bookkeeping (``p``, ``p0``, ``p1``),
 trace events, and the restart and commit baselines.
 
-The arithmetic comes in two kernels with the same five steps: message,
-weighted factor, update with clamp, refreshed factor and pass-through
-transfer.
+The arithmetic comes in two kernels with the same four steps: message,
+entry step, accumulate and pass-through transfer.  The entry step of a
+node reached by a message computes the weighted factor toward the
+sender, the update with its clamp and mass check, and the refreshed
+factor, in one kernel call; accumulating a branch's reply computes the
+weighted factor and the update only.
 
 * The array kernel is the general form: distributions are ndarrays and
   a stored factor is a rank x n matrix R.  The weighted factor
-  ``R (diag(p) - p p^T)`` is computed as ``R*p - (R@p)[:, None]*p``,
+  ``R (diag(p) - p p^T)`` is computed as ``(R - (R@p)[:, None]) * p``,
   without building the n x n weight.
 * The float kernel serves trees whose compounds all have two states and
   whose edges all have rank 1.  There a distribution is the one number
@@ -309,8 +312,10 @@ class Instrumentation:
 class _ArrayKernel:
     """The general arithmetic: ndarray distributions, rank x n factors.
 
-    ``update`` returns None where the session must raise.  Session state
-    is held in dicts of ndarrays, read by ``read``.
+    ``enter`` and ``update`` return None where the session must raise.
+    Their reductions call the ufuncs' ``reduce`` directly, not the
+    ndarray methods, which add a Python-level wrapper to every call.
+    Session state is held in dicts of ndarrays, read by ``read``.
     """
 
     read = dict.__getitem__
@@ -322,31 +327,45 @@ class _ArrayKernel:
     @staticmethod
     def weighted(r: np.ndarray, p: np.ndarray) -> np.ndarray:
         """R (diag(p) - p p^T), in O(rank * n)."""
-        return r * p - (r @ p)[:, None] * p
+        return (r - (r @ p)[:, None]) * p
 
     @staticmethod
     def update(base: np.ndarray, q: np.ndarray, m: np.ndarray) -> np.ndarray | None:
         """base + Q^T m with entries below CLAMP_EPS set to zero."""
         values = base + q.T @ m
-        if values.min() < CLAMP_EPS:
+        if np.minimum.reduce(values) < CLAMP_EPS:
             values = np.where(values < CLAMP_EPS, 0.0, values)
-        total = float(values.sum())
+        total = float(np.add.reduce(values))
         return values if abs(total - 1.0) <= MASS_TOL else None
 
     @staticmethod
-    def refresh(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Post-update factor toward the sender: q diag(p)^{-1} (I - E/n).
+    def enter(
+        r: np.ndarray, p: np.ndarray, base: np.ndarray, m: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The step of a node entered with the message ``m`` through the
+        factor ``r`` toward the sender: the weighted factor
+        ``Q = (R - (R@p) 1^T) diag(p)``, the update ``base + Q^T m`` with
+        its clamp, and the refreshed factor ``Q diag(p')^{-1} (I - E/n)``
+        toward the sender.  Returns ``(p', refreshed)``, or None where the
+        session must raise.
 
         A column whose probability collapsed to zero is zeroed: a dead
         state stays dead, since its weighted column and its baseline entry
         are zero from then on, so that column is never read.
         """
-        if p.min() > 0.0:
-            return algebra.center_rows(q / p)
-        alive = p > 0.0
-        out = np.zeros_like(q)
-        out[:, alive] = q[:, alive] / p[alive]
-        return algebra.center_rows(out)
+        q = (r - (r @ p)[:, None]) * p  # weighted, inlined
+        values = base + q.T @ m
+        clamped = np.minimum.reduce(values) < CLAMP_EPS
+        if clamped:
+            values = np.where(values < CLAMP_EPS, 0.0, values)
+        # written so that a NaN total is refused too
+        if not abs(float(np.add.reduce(values)) - 1.0) <= MASS_TOL:
+            return None
+        if clamped:
+            x = np.divide(q, values, out=np.zeros_like(q), where=values > 0.0)
+        else:
+            x = q / values
+        return values, x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
 
     @staticmethod
     def transfer(r_above: np.ndarray, r_below: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -413,6 +432,21 @@ class _FloatKernel:
             held = (values == bases) & ((bases == 0.0) | (bases == 1.0))
             if not (inside | held).all():
                 raise _LeftBand
+
+    @staticmethod
+    def enter(c: float, p: float, base: float, m: float) -> tuple[float, float] | None:
+        """:meth:`_ArrayKernel.enter`: ``q = p(1-p) c``, the update, then
+        the refreshed factor ``q / (p'(1-p'))``."""
+        q = p * (1.0 - p) * c
+        value = _FloatKernel.update(base, q, m)
+        return None if value is None else (value, _FloatKernel.refresh(q, value))
+
+    @staticmethod
+    def enter_banded(c: float, p: float, base: float, m: float) -> tuple[float, float]:
+        """:meth:`enter` through :meth:`banded`, for a walk by runs."""
+        q = p * (1.0 - p) * c
+        value = _FloatKernel.banded(base, q, m)
+        return value, _FloatKernel.refresh(q, value)
 
     @staticmethod
     def refresh(q: float, p: float) -> float:
@@ -645,7 +679,10 @@ class QuerySession:
         kernel = self._kernel
         flat = kernel is _FloatKernel
         message, weighted = kernel.message, kernel.weighted
-        update = kernel.update if stops is None else _FloatKernel.banded
+        if stops is None:
+            enter, update = kernel.enter, kernel.update
+        else:
+            enter, update = _FloatKernel.enter_banded, _FloatKernel.banded
         p, r, p1 = self._p, self._r, self._p1
         # the baseline's layer is always empty, so its base is read directly
         p0 = partial(kernel.read, self._p0.base)
@@ -679,14 +716,12 @@ class QuerySession:
                 transfer = kernel.transfer(r[(parent, node)], r[(children[0], node)], p[node])
             else:
                 key = (parent, node)
-                q = weighted(r[key], p[node])
-                value = update(p0(node), q, m)
-                if value is None:
+                entered = enter(r[key], p[node], p0(node), m)
+                if entered is None:
                     raise self._zero_mass(node)
-                p[node] = value
-                r[key] = kernel.refresh(q, value)
+                p[node], r[key] = entered
                 if not flood:
-                    p1[node] = value
+                    p1[node] = entered[0]
                 if tracing:
                     self._trace("simq-update" if flood else "misq-enter", node)
             stack.append([node, parent, children, 0, transfer, m, None])
@@ -821,6 +856,8 @@ class QuerySession:
         """
         self.tree.check_node(receiver)
         self.tree.check_node(sender)
+        if sender not in self.tree.neighbors(receiver):
+            raise UnknownLabelError(f"nodes {receiver} and {sender} are not adjacent")
         expected = self.tree.rank(receiver, sender)
         if np.shape(payload) != (expected,):
             raise DimensionMismatchError(

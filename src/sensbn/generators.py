@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from . import algebra, compiler
+from . import compiler
 from .algebra import QRFactors
 from .model import BeliefNetwork, Distribution, Evidence, StateSpace, TreeNetwork
 

@@ -162,7 +162,13 @@ class StateSpace:
         its mixed-radix digit of each retained original index."""
         k = self.members.index(member)
         stride = math.prod(self.cards[k + 1 :])
-        return np.array(self._retained) // stride % self.cards[k]
+        return self._retained_array // stride % self.cards[k]
+
+    @cached_property
+    def _retained_array(self) -> np.ndarray:
+        """``retained`` as an array, built on first use: a space that never
+        takes partial evidence never pays for it."""
+        return frozen_array(self._retained, dtype=int)
 
     def consistent_mask(self, partial: Mapping[str, int]) -> np.ndarray:
         """Boolean mask over retained states matching a partial assignment."""
@@ -217,10 +223,11 @@ class Distribution:
             raise DimensionMismatchError("a distribution must be a vector")
         # min and max are NaN or infinite iff an entry is, and unlike the
         # sum they do not warn on inf - inf
-        lo, hi = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
+        lo = float(np.minimum.reduce(arr, initial=0.0))
+        hi = float(np.maximum.reduce(arr, initial=0.0))
         if not _finite(lo, hi):
             _refuse_non_finite(arr)
-        total = float(arr.sum())
+        total = float(np.add.reduce(arr))
         if not _sums_to_one(total):
             raise ZeroMassError(f"distribution sums to {total!r}, not 1")
         if not _in_unit_range(lo, hi):
@@ -231,9 +238,10 @@ class Distribution:
     def normalized(cls, values) -> "Distribution":
         """Build from raw non-negative weights, renormalizing exactly once."""
         arr = np.asarray(values, dtype=float)
-        if not _finite(float(arr.min(initial=0.0)), float(arr.max(initial=0.0))):
+        lo = float(np.minimum.reduce(arr, axis=None, initial=0.0))
+        if not _finite(lo, float(np.maximum.reduce(arr, axis=None, initial=0.0))):
             _refuse_non_finite(arr)
-        total = float(arr.sum())
+        total = float(np.add.reduce(arr, axis=None))
         if not _has_mass(total):
             raise ZeroMassError("cannot normalize a zero-mass vector")
         return cls(arr / total)

@@ -34,7 +34,7 @@ from sensbn.generators import (
     random_tree_network,
 )
 from sensbn.model import Distribution, Evidence
-from sensbn.truncation import DecayProfile, truncated_query, truncation_radius
+from sensbn.truncation import DecayProfile, truncated_query
 from tests.conftest import table1_priors
 
 AUDITED_SESSIONS: list[QuerySession] = []

@@ -46,6 +46,14 @@ def random_positive_dist(rng, n):
     return Distribution.normalized(0.05 + rng.random(n))
 
 
+class TestCenterRows:
+    @pytest.mark.parametrize("shape", [(4, 7), (3, 2, 5)])
+    def test_bit_identical_to_subtracting_the_mean(self, shape):
+        arr = np.random.default_rng(3).standard_normal(shape) * 10.0 ** np.arange(shape[-1])
+        got = algebra.center_rows(arr)
+        assert got.tobytes() == (arr - arr.mean(axis=-1, keepdims=True)).tobytes()
+
+
 class TestCptToSensitivity:
     def test_binary_identity(self):
         s = cpt_to_sensitivity(np.eye(2))

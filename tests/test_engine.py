@@ -9,7 +9,13 @@ import pytest
 
 from sensbn import algebra, compiler, engine, oracle, truncation
 from sensbn.engine import QuerySession
-from sensbn.errors import ConsistencyError, SensBnError, UnknownLabelError, ZeroEvidenceError
+from sensbn.errors import (
+    ConsistencyError,
+    SensBnError,
+    UnknownLabelError,
+    ZeroEvidenceError,
+    ZeroMassError,
+)
 from sensbn.generators import (
     binary_chain_tree,
     random_evidence,
@@ -96,6 +102,42 @@ class TestSimqStep:
         n_before = len(s.instr.messages)
         s.simq_step(0, 1, np.zeros(1))  # X_1 is a leaf
         assert len(s.instr.messages) == n_before
+
+    def test_nan_message_is_refused(self, asia_tables):
+        s = fresh(asia_tables)
+        assert s._kernel is engine._ArrayKernel
+        with pytest.raises(ZeroMassError, match="^update left X_3 without a valid distribution$"):
+            s.simq_step(2, 1, np.array([np.nan]))
+
+
+class TestDeadStates:
+    """Evidence x_B = 1 (tuberculosis) forces x_C (the OR gate) to 1, so the
+    flood's update of the compound (x_C, x_E, x_G) drives its x_C = 0 states
+    to rounding noise below CLAMP_EPS."""
+
+    def test_clamped_states_and_their_factor_columns(self, asia_net, asia_compiled):
+        tree, _ = asia_compiled
+        home, group = tree.member_home("x_B"), tree.member_home("x_C")
+        assert group in tree.neighbors(home)
+        s = fresh(tree)
+        assert s._kernel is engine._ArrayKernel
+        p_before, r_before = s.p[group], s.r[(home, group)]
+        s.instantiate(home, {"x_B": 1})
+        p_after = s.p[group]
+        dead = tree.compound(group).space.member_states("x_C") == 0
+        assert dead.any() and (p_before[dead] > 0.0).all()
+        assert (p_after[dead] == 0.0).all() and (p_after[~dead] > 0.0).all()
+        # the refreshed factor divides the weighted factor by p' on the
+        # live states only: its uncentered dead columns are zero
+        q = r_before @ algebra.weight_matrix(p_before)
+        uncentered = np.zeros_like(q)
+        uncentered[:, ~dead] = q[:, ~dead] / p_after[~dead]
+        assert np.abs(s.r[(home, group)] - algebra.center_rows(uncentered)).max() <= 1e-12
+        s.commit()
+        s.instantiate(tree.member_home("x_H"), {"x_H": 0})
+        want = oracle_all_nodes(asia_net, tree, Evidence.of({"x_B": 1, "x_H": 0}))
+        for ident, expected in want.items():
+            assert np.abs(s.p[ident] - expected).max() <= 1e-9
 
 
 class TestCommit:
@@ -223,6 +265,14 @@ class TestNodeIds:
         for call in calls:
             with pytest.raises(UnknownLabelError, match=f"^node id {node} outside a tree of {n} nodes$"):
                 call()
+
+    def test_simq_step_between_nodes_that_are_not_adjacent(self, case):
+        tree, kernel, _ = case
+        assert 5 not in tree.neighbors(0)
+        s = fresh(tree)
+        assert s._kernel is kernel
+        with pytest.raises(UnknownLabelError, match="^nodes 0 and 5 are not adjacent$"):
+            s.simq_step(0, 5, np.zeros(1))
 
 
 class TestMultiEvidenceSimq:
@@ -1111,7 +1161,17 @@ class TestSizeIndependence:
     """Floods and exact queries take the same Python-level steps on a
     chain ten times longer, with the evidence at the same positions."""
 
-    STEPS = ("message", "weighted", "update", "banded", "refresh", "transfer", "check_band")
+    STEPS = (
+        "message",
+        "weighted",
+        "update",
+        "banded",
+        "enter",
+        "enter_banded",
+        "refresh",
+        "transfer",
+        "check_band",
+    )
 
     def count_steps(self, monkeypatch, length, operation):
         from sensbn.model import TreeNetwork
