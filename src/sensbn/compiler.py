@@ -712,8 +712,6 @@ def check_tree_consistency(tree: TreeNetwork) -> None:
     first_wild, wild_by = n_edges, math.nan
     couplings: list[float] = []
     scalar = all_binary and all(st.fwd.shape[1] == 1 for st in tree.factor_stacks)
-    c_fwd = np.empty(n_edges)
-    c_bwd = np.empty(n_edges)
     for stack in tree.factor_stacks:
         positions, r_ab, r_ba = stack.edges, stack.fwd, stack.bwd
         p_a = nodes.prior_stack(ends[positions, 0], r_ba.shape[2])
@@ -737,9 +735,6 @@ def check_tree_consistency(tree: TreeNetwork) -> None:
                 first_wild, wild_by = int(positions[wild[0]]), float(spill[wild[0]])
         if all_binary:
             couplings.append(float(np.abs(s_ab[:, 1, 1] - s_ab[:, 1, 0]).max()))
-        if scalar:
-            c_fwd[positions] = r_ab[:, 0, 1] - r_ab[:, 0, 0]
-            c_bwd[positions] = r_ba[:, 0, 1] - r_ba[:, 0, 0]
     if first_bad < n_edges:
         a, b = tree.edges[first_bad]
         # a zero prior entry fails its edge; report it as the scalar check does
@@ -761,7 +756,7 @@ def check_tree_consistency(tree: TreeNetwork) -> None:
             True, float(np.max(couplings, initial=0.0)), float((p[:, 0] * p[:, 1]).min())
         )
         if scalar:
-            scalars = BinaryScalars.from_tree(tree, p[:, 1].copy(), c_fwd, c_bwd)
+            scalars = BinaryScalars.from_tree(tree, p[:, 1].copy())
     else:
         decay = DecayConstants(False, math.nan, math.nan)
     tree.record_decay(decay, scalars)

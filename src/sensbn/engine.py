@@ -70,19 +70,22 @@ the stored factors reproduces brute-force posteriors to rounding error.
 Session state never writes the tree's own, so setting up a session costs
 O(1) whatever the size of the tree and many sessions can share one
 immutable TreeNetwork.  On both kernels the committed baseline is a pair
-of bases, the distributions and the factors: dicts of ndarrays on the
-array kernel, flat float arrays on the float kernel, and the tree's own
+of bases, the distributions by node and the factors by half edge (see
+``TreeNetwork.twin``): a dict of ndarrays and the tree's
+``half_edge_factors`` on the array kernel, flat float arrays (factors
+through ``BinaryScalars.slot``) on the float kernel, and the tree's own
 until the session first commits a write.  An operation writes single
 values into small layers over them, and copies the float arrays only when
 it writes whole runs.  Restart puts new empty layers over the baseline;
 commit copies a base only while the tree holds it, moves the layers'
 values into it and makes it the baseline, so neither copies what earlier
 operations wrote.  ``p``, ``p0``, ``r`` and ``p1`` are read-only views
-that convert the state to ndarrays on every read.  Every ``query`` and every
-``instantiate`` starts from the committed baseline (the priors plus
-whatever :meth:`QuerySession.commit` froze), so one session can answer any
-number of queries.  A session itself is single-writer: never call into
-one session from two threads.
+that convert the state to ndarrays on every read; ``r[(i, j)]`` reads the
+half edge from j to i.  Every ``query`` and every ``instantiate`` starts
+from the committed baseline (the priors plus whatever
+:meth:`QuerySession.commit` froze), so one session can answer any number
+of queries.  A session itself is single-writer: never call into one
+session from two threads.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import partial
+from operator import getitem
 from typing import Callable, Collection, Container, Iterator, Mapping
 
 import numpy as np
@@ -136,15 +140,14 @@ class _Layer(dict):
     """One operation's writes over a base of committed values.
 
     ``layer[key]`` is the value written under ``key``, or else
-    ``read(base, key)``, or ``read(base, index[key])`` when an index is
-    given.  The base is the tree's own until the session first writes to
-    it: a dict of ndarrays on the array kernel, a flat array of floats on
-    the float kernel, each read by its kernel's ``read``.
+    ``read(base, key)``, or ``read(base, index[key])`` when an index array
+    is given.  The base is the tree's own until the session first writes
+    to it, and is read by its kernel's ``read``.
     """
 
     __slots__ = ("base", "read", "index")
 
-    def __init__(self, base, read: Callable, index: Mapping | None = None):
+    def __init__(self, base, read: Callable, index: np.ndarray | None = None):
         self.base = base
         self.read = read
         self.index = index
@@ -188,6 +191,31 @@ class _StateView(Mapping):
 
     def __len__(self) -> int:
         return len(self._keys())
+
+
+class _FactorView(Mapping):
+    """Read-only ndarray view of a session's working factors by the keys
+    of ``TreeNetwork.r_factors``, in their order, converted on every read:
+    key (i, j) reads the half edge from j to i."""
+
+    def __init__(self, session: "QuerySession"):
+        self._session = session
+
+    def __getitem__(self, key):
+        session = self._session
+        try:
+            i, j = key
+            h = session.tree.half_edge(j, i)
+        except (TypeError, ValueError, UnknownLabelError):
+            raise KeyError(key) from None  # not a pair of node ids of the tree
+        return session._kernel.factor_array(session._r[h])
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        adjacent, twin = self._session.tree.csr[1], self._session.tree.twin
+        return zip(adjacent.tolist(), adjacent[twin].tolist())
+
+    def __len__(self) -> int:
+        return self._session.tree.twin.size
 
 
 class _RunLive:
@@ -315,10 +343,11 @@ class _ArrayKernel:
     ``enter`` and ``update`` return None where the session must raise.
     Their reductions call the ufuncs' ``reduce`` directly, not the
     ndarray methods, which add a Python-level wrapper to every call.
-    Session state is held in dicts of ndarrays, read by ``read``.
+    Session state is a dict of distributions by node and a tuple (a list
+    once written) of factors by half edge, both read by ``read``.
     """
 
-    read = dict.__getitem__
+    read = getitem
 
     @staticmethod
     def message(r: np.ndarray, p: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -510,15 +539,12 @@ class QuerySession:
         self._kernel = _choose_kernel(tree)
         # the tree's own state, as the kernel reads it
         if self._kernel is _ArrayKernel:
-            bases, index, runs = (tree.prior_probs, tree.r_factors), None, None
+            bases, index, runs = (tree.prior_probs, tree.half_edge_factors), None, None
         else:
             scalars = tree.scalars
             bases = (scalars.prior, scalars.factor.reshape(-1))
             index, runs = scalars.slot, scalars.run_nodes
         self._shared = bases
-        #: the keys of ``r``: the float kernel's slots, or the tree's own
-        #: dict of factors, which the array kernel reads
-        self._factor_keys = bases[1] if index is None else index
         #: the committed baseline (distributions, and factors refreshed by
         #: floods), as layers that stay empty; an operation writes into
         #: layers of its own over the same bases
@@ -545,8 +571,8 @@ class QuerySession:
 
     @property
     def r(self) -> Mapping[tuple[int, int], np.ndarray]:
-        """Working factors."""
-        return _StateView(lambda: self._r, lambda: self._factor_keys, self._kernel.factor_array)
+        """Working factors, by key."""
+        return _FactorView(self)
 
     @property
     def p1(self) -> Mapping[int, np.ndarray]:
@@ -558,13 +584,22 @@ class QuerySession:
         return _StateView(state, lambda: nodes, self._kernel.to_array)
 
     def posterior(self, ident: int) -> Distribution:
+        self.tree.check_node(ident)
         return Distribution(self.p[ident])
 
     def dense_sensitivity(self, i: int, j: int) -> np.ndarray:
         """Current dense coupling of adjacent node i with respect to j,
         reconstructed from the working factors and current distributions."""
+        self._half_edge(i, j)
         q_ij = self.r[(j, i)] @ algebra.weight_matrix(self.p[i])
         return q_ij.T @ self.r[(i, j)]
+
+    def _half_edge(self, i: int, j: int) -> int:
+        """``tree.half_edge(i, j)``, naming the nodes if they are not adjacent."""
+        try:
+            return self.tree.half_edge(i, j)
+        except KeyError:
+            raise UnknownLabelError(f"nodes {i} and {j} are not adjacent") from None
 
     # -- shared state steps ------------------------------------------------
 
@@ -580,7 +615,8 @@ class QuerySession:
         pairs = zip((self._p, self._r), (self._p0, self._r0), self._shared)
         for layer, committed, shared in pairs:
             if layer.base is committed.base and (stretch or layer and layer.base is shared):
-                layer.base = layer.base.copy()
+                base = layer.base
+                layer.base = list(base) if type(base) is tuple else base.copy()
             layer.flush()
 
     def _commit(self) -> None:
@@ -653,28 +689,32 @@ class QuerySession:
         start()
         self._walk(root, None, None, grouped)
 
-    def _walk(self, root: int, above: int | None, payload, grouped, stops=None) -> None:
-        """Depth-first propagation from ``root``, entered from ``above``.
+    def _walk(self, root: int, h_root: int | None, payload, grouped, stops=None) -> None:
+        """Depth-first propagation from ``root``, entered along the half
+        edge ``h_root``.
 
         ``grouped=None`` runs the flood: every node reached is updated from
         its message and forwards to all of its other neighbors.  Otherwise
         the walk answers a query over the live nodes (see
         :meth:`mark_barren`): a node that holds evidence or branches is
         updated on entry, accumulates its branches' replies and replies to
-        ``above``; any other node is a pass-through, collapsed into one
-        transfer.  ``above=None`` makes ``root`` the operation's own node,
+        its parent; any other node is a pass-through, collapsed into one
+        transfer.  ``h_root=None`` makes ``root`` the operation's own node,
         which is not updated on entry: the instantiated node of a flood,
         or the query node, which accumulates and never replies.
+
+        A node's children are half edges out of it.  Entered along
+        ``h_in``, it stores its factor toward the parent on ``twin[h_in]``.
 
         ``stops`` (float kernel only) walks by runs: each run interior the
         walk enters is crossed by :meth:`_stretch`, and a query's stretch
         ends at the run positions ``stops[run]`` of its evidence nodes.
         ``None`` walks one node at a time.
 
-        A frame is ``[node, above, children, next child, transfer or None,
-        message received, reply stretch or None]``; a node's next message
-        is computed only when its previous branch has replied, as a
-        recursion would.
+        A frame is ``[node, parent, h_in, children, next child, transfer
+        or None, message received, reply stretch or None]``; a node's next
+        message is computed only when its previous branch has replied, as
+        a recursion would.
         """
         kernel = self._kernel
         flat = kernel is _FloatKernel
@@ -687,6 +727,8 @@ class QuerySession:
         # the baseline's layer is always empty, so its base is read directly
         p0 = partial(kernel.read, self._p0.base)
         neighbors = self.tree.neighbors
+        offsets, adjacent = self.tree.csr
+        first, target, twin = offsets.item, adjacent.item, self.tree.twin.item
         sent = self.instr.log.append
         self.instr.roots.append(root)
         flood = grouped is None
@@ -694,7 +736,8 @@ class QuerySession:
         tracing = self._record_trace
         run_of = None if stops is None else self.tree.scalars.run_of
         stack: list[list] = []
-        node, parent, m = root, above, payload
+        node, h_in, m = root, h_root, payload
+        parent = None if h_in is None else target(twin(h_in))
         while True:
             if (
                 run_of is not None
@@ -702,44 +745,43 @@ class QuerySession:
                 and run_of.item(node) >= 0
                 and (flood or node not in grouped)
             ):
-                node, parent, m = self._stretch(node, parent, m, stops, flood, stack)
-            # enter `node` from `parent` with the message `m`
-            if flood:
-                children = [n for n in neighbors(node) if n != parent]
-            else:
-                children = [n for n in neighbors(node) if n != parent and n in live]
+                node, parent, h_in, m = self._stretch(node, parent, h_in, m, stops, flood, stack)
+            # enter `node` from `parent` along `h_in` with the message `m`
+            out = enumerate(neighbors(node), first(node))
+            children = [h for h, n in out if n != parent and (flood or n in live)]
             transfer = None
             if parent is None:
                 pass  # the operation's own node: its state is the caller's
             elif not flood and node not in grouped and len(children) == 1:
                 # a pass-through: collapsed without updating its state
-                transfer = kernel.transfer(r[(parent, node)], r[(children[0], node)], p[node])
+                transfer = kernel.transfer(r[twin(h_in)], r[children[0]], p[node])
             else:
-                key = (parent, node)
-                entered = enter(r[key], p[node], p0(node), m)
+                back = twin(h_in)
+                entered = enter(r[back], p[node], p0(node), m)
                 if entered is None:
                     raise self._zero_mass(node)
-                p[node], r[key] = entered
+                p[node], r[back] = entered
                 if not flood:
                     p1[node] = entered[0]
                 if tracing:
                     self._trace("simq-update" if flood else "misq-enter", node)
-            stack.append([node, parent, children, 0, transfer, m, None])
+            stack.append([node, parent, h_in, children, 0, transfer, m, None])
             # resume the innermost frame until one sends a message down
             while stack:
                 frame = stack[-1]
-                node, parent, children, i, transfer, m, stretch = frame
+                node, parent, h_in, children, i, transfer, m, stretch = frame
                 if i < len(children):
-                    child = children[i]
-                    frame[3] = i + 1
+                    h = children[i]
+                    frame[4] = i + 1
                     if flood and i + 1 == len(children):
                         stack.pop()  # nothing left for the frame to do
                     if transfer is None:
-                        m = message(r[(child, node)], p[node], p0(node))
+                        m = message(r[h], p[node], p0(node))
                     else:
                         m = kernel.forward(transfer, m)
+                    child = target(h)
                     sent(((node, child), 1 if flat else m.shape[0]))
-                    node, parent = child, node
+                    node, parent, h_in = child, node, h
                     break
                 stack.pop()
                 if flood:
@@ -754,15 +796,15 @@ class QuerySession:
                             self._trace(f"{stage}-instantiate", node)
                     if parent is None:
                         continue
-                    reply = message(r[(parent, node)], p[node], p1[node])
+                    reply = message(r[twin(h_in)], p[node], p1[node])
                 if stretch is None:
                     sent(((node, parent), 1 if flat else reply.shape[0]))
                 else:
                     sent(stretch)
-                if stack[-1][4] is None:
+                if stack[-1][5] is None:
                     # a junction or the query node takes the reply in now; a
                     # pass-through turns it into its own reply when it finishes
-                    q = weighted(r[(node, parent)], p[parent])
+                    q = weighted(r[h_in], p[parent])
                     value = update(p[parent], q, reply)
                     if value is None:
                         raise self._zero_mass(parent)
@@ -773,15 +815,16 @@ class QuerySession:
             else:
                 return
 
-    def _stretch(self, node: int, parent: int, m: float, stops, flood: bool, stack: list):
+    def _stretch(self, node: int, parent: int, h_in: int, m: float, stops, flood, stack: list):
         """Cross the run of the interior node ``node``, entered from
-        ``parent`` with the message ``m``, up to the run's end or, in a
-        query, to the first evidence node on the way.
+        ``parent`` along the half edge ``h_in`` with the message ``m``, up
+        to the run's end or, in a query, to the first evidence node on the
+        way.
 
         A flood updates the stretch's nodes and refreshes their factors; a
         query collapses them into one transfer and pushes their frame.
-        Returns the node the stretch reaches, the stretch's last node and
-        the message the reached node receives.
+        Returns the node the stretch reaches, the stretch's last node, the
+        half edge between them and the message the reached node receives.
         """
         scalars = self.tree.scalars
         nodes = scalars.run_nodes
@@ -796,6 +839,7 @@ class QuerySession:
         lo, hi, order = (at, end, slice(None)) if step > 0 else (end + 1, at + 1, slice(None, None, -1))
         ids = nodes[lo:hi][order]
         last, reached = ids.item(-1), nodes.item(end)
+        h_out = self.tree.half_edge(last, reached)
         self.instr.log.append((at, count, step))
         if flood:
             self._settle(stretch=True)
@@ -818,10 +862,10 @@ class QuerySession:
             c_in[:] = np.divide(q, weight, out=q, where=weight > 0.0)
             probs[ids] = values
             sent = _FloatKernel.message(c_out.item(-1), values.item(-1), base.item(-1))
-            return reached, last, sent
+            return reached, last, h_out, sent
         transfer = float(np.prod(old * (1.0 - old) * c_in * c_out))
-        stack.append([node, parent, [reached], 1, transfer, m, (end - step, count, -step)])
-        return reached, last, transfer * m
+        stack.append([node, parent, h_in, [h_out], 1, transfer, m, (end - step, count, -step)])
+        return reached, last, h_out, transfer * m
 
     # -- single instantiation, all posteriors (flood) -----------------------
 
@@ -854,10 +898,7 @@ class QuerySession:
         post-update distribution so a later instantiation sees posterior
         couplings.  It walks one node at a time.
         """
-        self.tree.check_node(receiver)
-        self.tree.check_node(sender)
-        if sender not in self.tree.neighbors(receiver):
-            raise UnknownLabelError(f"nodes {receiver} and {sender} are not adjacent")
+        h = self._half_edge(receiver, sender)
         expected = self.tree.rank(receiver, sender)
         if np.shape(payload) != (expected,):
             raise DimensionMismatchError(
@@ -866,7 +907,7 @@ class QuerySession:
             )
         if self._kernel is _FloatKernel:
             payload = float(payload[0])
-        self._walk(receiver, sender, payload, None)
+        self._walk(receiver, self.tree.twin.item(h), payload, None)
 
     def commit(self) -> "QuerySession":
         """Freeze the current posteriors and factors as the baseline for

@@ -533,56 +533,6 @@ class DecayConstants:
     min_prior_product: float
 
 
-class _RunSlots(Mapping):
-    """``slot[(i, j)]`` of :class:`BinaryScalars`, read off the runs: the
-    key's edge and row follow from the run position of i or j, and only
-    the edges between two run ends are listed in ``direct``."""
-
-    def __init__(self, edges, run_nodes, run_of, place, direct: dict):
-        self._edges = edges
-        self._nodes = run_nodes
-        self._run_of = run_of
-        self._place = place
-        self._direct = direct
-
-    def __getitem__(self, key) -> int:
-        try:
-            i, j = key
-            size = self._run_of.size
-            if not (0 <= i < size and 0 <= j < size):
-                raise KeyError(key)
-            offset = len(self._edges)
-            # the key (i, j) lives at j: row 0 when i precedes j in the run
-            run = self._run_of.item(j)
-            if run >= 0:
-                g = self._place.item(j)
-                if self._nodes.item(g - 1) == i:
-                    return g - 1 - run
-                if self._nodes.item(g + 1) == i:
-                    return offset + g - run
-                raise KeyError(key)
-            run = self._run_of.item(i)
-            if run >= 0:
-                g = self._place.item(i)
-                if self._nodes.item(g + 1) == j:
-                    return g - run
-                if self._nodes.item(g - 1) == j:
-                    return offset + g - 1 - run
-                raise KeyError(key)
-            return self._direct[key]
-        except (TypeError, ValueError):
-            # not a pair of node numbers
-            raise KeyError(key) from None
-
-    def __iter__(self):
-        for a, b in self._edges:
-            yield a, b
-            yield b, a
-
-    def __len__(self) -> int:
-        return 2 * len(self._edges)
-
-
 @dataclass(frozen=True)
 class BinaryScalars:
     """Columnar float form of an all-binary tree whose edges all have rank 1.
@@ -601,24 +551,21 @@ class BinaryScalars:
       (x, y) and ``factor[1, e]`` the one under (y, x), where x precedes y
       in the run, each as the one number c = R[0, 1] - R[0, 0]: the
       message from y toward x is c times the change in y's probability of
-      state 1.  ``slot[(i, j)]`` is the index of key (i, j) in
-      ``factor.ravel()``.
+      state 1.  ``slot[h]`` is the index in ``factor.ravel()`` of the
+      factor that half edge h of ``TreeNetwork.csr`` holds.
     """
 
     prior: np.ndarray
     factor: np.ndarray
-    slot: Mapping[tuple[int, int], int]
+    slot: np.ndarray
     run_nodes: np.ndarray
     run_start: np.ndarray
     run_of: np.ndarray
     place: np.ndarray
 
     @classmethod
-    def from_tree(
-        cls, tree: "TreeNetwork", prior: np.ndarray, c_fwd: np.ndarray, c_bwd: np.ndarray
-    ) -> "BinaryScalars":
-        """The float form of ``tree``: ``c_fwd[k]`` is the factor under key
-        ``tree.edges[k]`` and ``c_bwd[k]`` the one under its reverse."""
+    def from_tree(cls, tree: "TreeNetwork", prior: np.ndarray) -> "BinaryScalars":
+        """The float form of ``tree``, whose factors all have one row."""
         n, n_edges = tree.node_count, len(tree.edges)
         offsets, adjacent = tree.csr
         start, nb = offsets.tolist(), adjacent.tolist()
@@ -627,15 +574,14 @@ class BinaryScalars:
         # its other end already holds its first interior node
         taken = bytearray(n)
         order: list[int] = []
+        ahead: list[int] = []
         lengths: list[int] = []
         for a in range(n):
             if degree[a] == 2:
                 continue
-            for b in nb[start[a] : start[a + 1]]:
-                if degree[b] == 2:
-                    if taken[b]:
-                        continue
-                elif b < a:
+            for h in range(start[a], start[a + 1]):
+                b = nb[h]
+                if taken[b] or (degree[b] != 2 and b < a):
                     continue
                 size = len(order)
                 order.append(a)
@@ -643,48 +589,36 @@ class BinaryScalars:
                 while degree[cur] == 2:
                     taken[cur] = 1
                     order.append(cur)
-                    x, y = nb[start[cur]], nb[start[cur] + 1]
-                    prev, cur = cur, (y if x == prev else x)
+                    ahead.append(h)
+                    # the half edge out of cur that does not lead back
+                    h = start[cur] + (nb[start[cur]] == prev)
+                    prev, cur = cur, nb[h]
+                ahead.append(h)
                 order.append(cur)
                 lengths.append(len(order) - size)
         run_nodes = np.array(order, dtype=np.intp)
         run_start = np.zeros(len(lengths) + 1, dtype=np.intp)
         np.cumsum(lengths, out=run_start[1:])
-        last = np.zeros(run_nodes.size, dtype=bool)
-        last[run_start[1:] - 1] = True
-        inner = ~last
-        inner[run_start[:-1]] = False
-        run_id = np.repeat(np.arange(len(lengths)), lengths)
+        inner = np.ones(run_nodes.size, dtype=bool)
+        inner[run_start[:-1]] = inner[run_start[1:] - 1] = False
         run_of = np.full(n, -1, dtype=np.intp)
-        place = np.full(n, -1, dtype=np.intp)
-        run_of[run_nodes[inner]] = run_id[inner]
+        place = run_of.copy()
+        run_of[run_nodes[inner]] = np.repeat(np.arange(len(lengths)), np.diff(run_start) - 2)
         place[run_nodes[inner]] = np.flatnonzero(inner)
-        # edge e = g - r joins positions g and g + 1; sorting both edge lists
-        # by their unordered end pairs finds its tree edge
-        below = np.flatnonzero(~last)
-        x, y = run_nodes[below], run_nodes[below + 1]
-        ends = tree.edge_ends
-        position = np.empty(n_edges, dtype=np.intp)
-        position[np.argsort(np.minimum(x, y) * n + np.maximum(x, y))] = np.argsort(
-            ends.min(axis=1) * n + ends.max(axis=1)
-        )
-        same = ends[position, 0] == x
-        factor = np.empty((2, n_edges))
-        factor[0] = np.where(same, c_fwd[position], c_bwd[position])
-        factor[1] = np.where(same, c_bwd[position], c_fwd[position])
-        arrays = (prior, factor, run_nodes, run_start, run_of, place)
-        for arr in arrays:
+        # the number of the factor that each half edge holds
+        c = np.empty(2 * n_edges)
+        for stack in tree.factor_stacks:
+            rows = np.concatenate((stack.bwd, stack.fwd))[:, 0]
+            c[tree._halves[stack.edges].T.ravel()] = rows[:, 1] - rows[:, 0]
+        # ahead[e] runs from x to y, the ends of edge e with x first in its
+        # run: it holds key (y, x), and its twin key (x, y)
+        ahead = np.array(ahead, dtype=np.intp)
+        held = np.concatenate((tree.twin[ahead], ahead))
+        factor = c[held].reshape(2, n_edges)
+        slot = np.empty(2 * n_edges, dtype=np.intp)
+        slot[held] = np.arange(2 * n_edges)
+        for arr in (prior, factor, slot, run_nodes, run_start, run_of, place):
             arr.setflags(write=False)
-        # an edge between two run ends is a run of two nodes
-        short = np.flatnonzero(np.diff(run_start) == 2)
-        first = run_start[short]
-        direct = {}
-        for e, a, b in zip(
-            (first - short).tolist(), run_nodes[first].tolist(), run_nodes[first + 1].tolist()
-        ):
-            direct[(a, b)] = e
-            direct[(b, a)] = n_edges + e
-        slot = _RunSlots(tree.edges, run_nodes, run_of, place, direct)
         return cls(prior, factor, slot, run_nodes, run_start, run_of, place)
 
 
@@ -833,13 +767,19 @@ class TreeNetwork:
     * ``edge_ends``, the edges as an (E, 2) array, and ``csr``, the
       adjacency as compressed sparse rows: the neighbours of node i are
       ``adjacent[offsets[i]:offsets[i + 1]]`` in edge order;
+    * ``twin``, beside ``csr``: position h of ``adjacent`` is the half
+      edge from its source x to ``adjacent[h]``, which holds the factor
+      under key (adjacent[h], x), and ``twin[h]`` is the half edge back.
+      ``half_edge(i, j)`` finds the half edge from i to j;
     * two private columns rooted at node 0, recorded by the walk that
       checks the tree is connected: each node's parent (-1 at the root)
       and its depth in hops.  ``path(i, j, limit)`` climbs them to find
       the path between two nodes without searching around either.
 
-    ``compound(i)``, ``compounds``, ``prior_probs`` and ``r_factors`` are
-    read-only views built from the columns on first use and kept.
+    ``compound(i)``, ``compounds``, ``prior_probs``, ``half_edge_factors``
+    (the stored factors by half edge) and ``r_factors`` (the same factors
+    by key) are read-only views built from the columns on first use and
+    kept.
 
     ``decay`` is None until compiler.check_tree_consistency has passed on
     the tree; that pass records the tree's :class:`DecayConstants`, and
@@ -872,6 +812,9 @@ class TreeNetwork:
         adjacent = ends[:, ::-1].reshape(-1)[order]
         offsets = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        # edge k's half edges, from ends[k, 0] and from ends[k, 1]
+        halves = np.argsort(order).reshape(-1, 2)
+        twin = halves[:, ::-1].reshape(-1)[order]
         # the factor stack of each half edge, in the order of ``adjacent``
         cover = np.bincount(
             np.concatenate([np.zeros(0, np.intp), *(group.edges for group in stacks)]),
@@ -912,7 +855,7 @@ class TreeNetwork:
                     raise DimensionMismatchError(f"member {m!r} appears in two compounds")
                 seen.add(m)
         parent, depth = np.array(parent, np.intp), np.array(depth, np.intp)
-        for arr in (offsets, adjacent, stack_at, parent, depth):
+        for arr in (offsets, adjacent, twin, halves, stack_at, parent, depth):
             arr.setflags(write=False)
         vars(self).update(
             name=name,
@@ -921,6 +864,8 @@ class TreeNetwork:
             _stacks=tuple(stacks),
             _ends=ends,
             _csr=(offsets, adjacent),
+            _twin=twin,
+            _halves=halves,
             _neighbors=neighbors,
             _stack_at=stack_at,
             _parent=parent,
@@ -959,6 +904,22 @@ class TreeNetwork:
         """(offsets, adjacent): the neighbours of node i are
         ``adjacent[offsets[i]:offsets[i + 1]]``."""
         return self._csr
+
+    @property
+    def twin(self) -> np.ndarray:
+        """The reverse of every half edge, from ``adjacent[h]`` back."""
+        return self._twin
+
+    def half_edge(self, i: int, j: int) -> int:
+        """The half edge from node i to node j, which holds the factor
+        under key (j, i); ``KeyError((i, j))`` if the nodes are not
+        adjacent."""
+        self.check_node(i)
+        self.check_node(j)
+        try:
+            return self._csr[0].item(i) + self._neighbors[i].index(j)
+        except ValueError:
+            raise KeyError((i, j)) from None
 
     def check_node(self, ident: int) -> None:
         """Refuse an id outside [0, node_count), which a column would wrap."""
@@ -1035,18 +996,22 @@ class TreeNetwork:
         }
 
     @cached_property
-    def r_factors(self) -> dict[tuple[int, int], np.ndarray]:
-        """Both stored factors of every edge, by key (read-only views)."""
-        fwd: list = [None] * len(self.edges)
-        bwd: list = [None] * len(self.edges)
+    def half_edge_factors(self) -> tuple[np.ndarray, ...]:
+        """The stored factor of every half edge, by half edge (read-only
+        views of the stacks)."""
+        out: list = [None] * self._twin.size
+        halves = self._halves.tolist()
         for stack in self._stacks:
             for k, f, b in zip(stack.edges.tolist(), stack.fwd, stack.bwd):
-                fwd[k], bwd[k] = f, b
-        out: dict[tuple[int, int], np.ndarray] = {}
-        for (i, j), f, b in zip(self.edges, fwd, bwd):
-            out[(i, j)] = f
-            out[(j, i)] = b
-        return out
+                out[halves[k][0]], out[halves[k][1]] = b, f
+        return tuple(out)
+
+    @cached_property
+    def r_factors(self) -> dict[tuple[int, int], np.ndarray]:
+        """Both stored factors of every edge, by key: the entries of
+        ``half_edge_factors`` in half-edge order."""
+        keys = zip(self._csr[1].tolist(), self._csr[1][self._twin].tolist())
+        return dict(zip(keys, self.half_edge_factors))
 
     @property
     def decay(self) -> DecayConstants | None:
@@ -1074,11 +1039,7 @@ class TreeNetwork:
 
     def rank(self, i: int, j: int) -> int:
         """The rank of edge {i, j}: the row count of its factor stack."""
-        try:
-            at = self._csr[0].item(i) + self._neighbors[i].index(j)
-        except ValueError:
-            raise KeyError((i, j)) from None
-        return self._stacks[self._stack_at.item(at)].fwd.shape[1]
+        return self._stacks[self._stack_at.item(self.half_edge(i, j))].fwd.shape[1]
 
     def resolve_query(self, label: str) -> tuple[int, str | None]:
         """Map a query label to (compound ident, member label or None)."""

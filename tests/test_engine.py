@@ -261,6 +261,13 @@ class TestNodeIds:
             lambda: tree.path(node, 3, 20),
             lambda: tree.path(3, node, 20),
             lambda: truncation.hop_distances(tree, node),
+            lambda: s.posterior(node),
+            lambda: s.dense_sensitivity(node, 0),
+            lambda: s.dense_sensitivity(0, node),
+            lambda: tree.rank(node, 0),
+            lambda: tree.rank(0, node),
+            lambda: tree.half_edge(node, 0),
+            lambda: tree.half_edge(0, node),
         ]
         for call in calls:
             with pytest.raises(UnknownLabelError, match=f"^node id {node} outside a tree of {n} nodes$"):
@@ -273,6 +280,20 @@ class TestNodeIds:
         assert s._kernel is kernel
         with pytest.raises(UnknownLabelError, match="^nodes 0 and 5 are not adjacent$"):
             s.simq_step(0, 5, np.zeros(1))
+
+    def test_other_lookups_between_nodes_that_are_not_adjacent(self, case):
+        tree, kernel, _ = case
+        s = fresh(tree)
+        assert s._kernel is kernel
+        with pytest.raises(UnknownLabelError, match="^nodes 0 and 5 are not adjacent$"):
+            s.dense_sensitivity(0, 5)
+        for lookup in (tree.rank, tree.half_edge, lambda i, j: s.r[(j, i)]):
+            with pytest.raises(KeyError) as caught:
+                lookup(0, 5)
+            assert caught.type is KeyError
+        with pytest.raises(KeyError, match=r"^\(0, 5\)$"):
+            tree.half_edge(0, 5)
+        assert (5, 0) not in s.r and (0, tree.node_count) not in s.r and (-1, 0) not in s.r
 
 
 class TestMultiEvidenceSimq:
@@ -453,10 +474,10 @@ class TestLayer:
 
     def test_an_index_places_keys_in_an_array_base(self):
         base = np.array([0.1, 0.2, 0.3])
-        layer = engine._Layer(base, engine._FloatKernel.read, {"a": 2, "b": 0})
-        layer["b"] = 0.5
-        assert (layer["a"], layer["b"], base[0]) == (0.3, 0.5, 0.1)
-        assert type(layer["a"]) is float
+        layer = engine._Layer(base, engine._FloatKernel.read, np.array([2, 0], dtype=np.intp))
+        layer[1] = 0.5
+        assert (layer[0], layer[1], base[0]) == (0.3, 0.5, 0.1)
+        assert type(layer[0]) is float
         layer.flush()
         assert base.tolist() == [0.5, 0.2, 0.3] and not layer
 
@@ -485,6 +506,19 @@ class TestLayer:
         assert "r_factors" not in tree.__dict__
         assert list(s.r) == list(tree.r_factors)
         assert np.abs(first - tree.r_factors[(0, 1)]).max() <= 1e-15
+
+    def test_array_sessions_read_the_half_edge_table_only(self, asia_tables):
+        """An array-kernel session reads the tree's factors by half edge
+        and never builds ``tree.r_factors`` beside them."""
+        tree = unchecked_copy(asia_tables)
+        s = fresh(tree)
+        assert s._kernel is engine._ArrayKernel
+        s.query(5, Evidence.of({"x_A": 1, "x_D": 1}))
+        s.multi_evidence_simq(Evidence.of({"x_H": 1}))
+        s.simq_step(1, 0, np.zeros(1))
+        s.dense_sensitivity(2, 5)
+        assert s.r[(5, 2)].shape == (tree.rank(5, 2), 6)
+        assert "half_edge_factors" in vars(tree) and "r_factors" not in vars(tree)
 
 
 # -- the two kernels -----------------------------------------------------
@@ -534,8 +568,8 @@ class TestKernelChoice:
         sc = tree.scalars
         for i, c in enumerate(tree.compounds):
             assert sc.prior[i] == c.prior.probs[1]
-        for key, r in tree.r_factors.items():
-            assert sc.factor.ravel()[sc.slot[key]] == r[0, 1] - r[0, 0]
+        for (i, j), r in tree.r_factors.items():
+            assert sc.factor.ravel()[sc.slot[tree.half_edge(j, i)]] == r[0, 1] - r[0, 0]
 
     def test_other_trees_pick_the_array_kernel(self, asia_tables, asia_compiled):
         chain = binary_chain_tree(np.random.default_rng(0), 5)
@@ -905,6 +939,34 @@ def label(node):
     return f"v{node}"
 
 
+def check_half_edges(tree):
+    """Every half edge h of ``tree`` runs from its source x to
+    ``adjacent[h]``: its twin runs back, ``half_edge`` finds it, it holds
+    the factor under key (adjacent[h], x), and on a tree with a float form
+    ``slot[h]`` addresses that factor's number."""
+    offsets, adjacent = tree.csr
+    twin = tree.twin
+    halves = 2 * len(tree.edges)
+    assert adjacent.size == twin.size == halves and twin.dtype == np.intp
+    source = np.repeat(np.arange(tree.node_count), np.diff(offsets))
+    assert np.array_equal(twin[twin], np.arange(halves))
+    assert np.array_equal(adjacent[twin], source) and np.array_equal(source[twin], adjacent)
+    assert not twin.flags.writeable
+    table = tree.half_edge_factors
+    assert len(table) == halves
+    sc = tree.scalars
+    if sc is not None:
+        assert sc.slot.dtype == np.intp and not sc.slot.flags.writeable
+        assert sorted(sc.slot.tolist()) == list(range(halves))
+    for h in range(halves):
+        x, y = int(source[h]), int(adjacent[h])
+        assert tree.half_edge(x, y) == h
+        r = tree.r_factors[(y, x)]
+        assert table[h] is r
+        if sc is not None:
+            assert sc.factor.ravel()[sc.slot[h]] == r[0, 1] - r[0, 0]
+
+
 class TestRuns:
     """The run decomposition recorded at load."""
 
@@ -924,15 +986,13 @@ class TestRuns:
             for a, b in zip(seq, seq[1:]):
                 seen.add(frozenset((a, b)))
                 e = int(sc.run_start[run]) + seq.index(a) - run
-                assert sc.slot[(a, b)] == e and sc.slot[(b, a)] == len(tree.edges) + e
+                # key (a, b) is held by the half edge from b to a
+                assert sc.slot[tree.half_edge(b, a)] == e
+                assert sc.slot[tree.half_edge(a, b)] == len(tree.edges) + e
         assert seen == {frozenset(edge) for edge in tree.edges}
         ends = [i for i in range(len(tree.compounds)) if len(tree.neighbors(i)) != 2]
         assert all(sc.run_of[i] == -1 and sc.place[i] == -1 for i in ends)
-        flat = sc.factor.ravel()
-        assert len(sc.slot) == len(tree.r_factors)
-        for key, r in tree.r_factors.items():
-            assert flat[sc.slot[key]] == r[0, 1] - r[0, 0]
-        assert (0, 0) not in sc.slot and (len(tree.compounds), 0) not in sc.slot
+        check_half_edges(tree)
 
     def test_one_and_two_node_trees(self):
         unit = np.array([[-1.0, 1.0]]) / np.sqrt(2.0)
@@ -948,7 +1008,17 @@ class TestRuns:
             spaces, [prior, prior], {(1, 0): algebra.QRFactors(unit, 0.2 * unit)}
         )
         assert two.scalars.run_nodes.tolist() == [0, 1]
-        assert two.scalars.slot[(0, 1)] == 0 and two.scalars.slot[(1, 0)] == 1
+        assert two.scalars.slot[two.half_edge(1, 0)] == 0
+        assert two.scalars.slot[two.half_edge(0, 1)] == 1
+        for tree in (one, two):
+            check_half_edges(tree)
+
+    def test_half_edges_of_a_chain_and_of_compiled_asia(self, asia_compiled):
+        # the branching trees are checked with their runs above
+        chain = binary_chain_tree(np.random.default_rng(3), 30)
+        assert chain.scalars is not None and asia_compiled[0].scalars is None
+        for tree in (chain, asia_compiled[0]):
+            check_half_edges(tree)
 
 
 class TestBranchingTreesOnBothKernels:
@@ -1236,15 +1306,21 @@ class TestReusedFloatSessions:
         assert np.abs(again - want).max() <= 1e-9
 
 
+def entries(base):
+    """The entries of an array-kernel base by key: a dict of distributions
+    by node, or a sequence of factors by half edge."""
+    return dict(base) if isinstance(base, dict) else dict(enumerate(base))
+
+
 class TestReusedArraySessions:
     def test_query_after_a_committed_flood(self, asia_net, asia_compiled):
         tree, _ = asia_compiled
-        shared = tree.prior_probs, tree.r_factors
-        tree_state = [dict(d) for d in shared]
+        shared = tree.prior_probs, tree.half_edge_factors
+        tree_state = [entries(d) for d in shared]
         s = fresh(tree)
         s.multi_evidence_simq(Evidence.of({"x_A": 1}))
         baseline = s._p0.base, s._r0.base
-        committed = [dict(d) for d in baseline]
+        committed = [entries(d) for d in baseline]
         home = tree.member_home("x_H")
         got = s.query(home, Evidence.of({"x_D": 1})).probs
         # the restart copied no entry: the query wrote into layers over the
@@ -1252,9 +1328,9 @@ class TestReusedArraySessions:
         assert s._p0.base is baseline[0] and s._r0.base is baseline[1]
         assert s._p.base is baseline[0] and s._r.base is baseline[1]
         assert len(s._p) <= len(s.instr.touched) and len(s._r) <= len(s.instr.touched)
-        for base, entries in zip(baseline, committed):
-            assert base.keys() == entries.keys()
-            assert all(base[k] is v for k, v in entries.items())
+        for base, saved in zip(baseline, committed):
+            assert entries(base).keys() == saved.keys()
+            assert all(base[k] is v for k, v in saved.items())
         want = fresh(tree).query(home, Evidence.of({"x_A": 1, "x_D": 1})).probs
         assert np.abs(got - want).max() <= 1e-9
         want = oracle.posterior(asia_net, Evidence.of({"x_A": 1, "x_D": 1}), "x_H").probs
@@ -1265,13 +1341,13 @@ class TestReusedArraySessions:
         s.commit()
         assert s._p0.base is baseline[0] and s._r0.base is baseline[1]
         assert not s._p and not s._r
-        for base, entries, new in zip(baseline, committed, written):
-            assert base.keys() == entries.keys()
-            assert all(base[k] is new.get(k, v) for k, v in entries.items())
-        # and the tree's own dicts were never written
-        for base, entries in zip(shared, tree_state):
-            assert base.keys() == entries.keys()
-            assert all(base[k] is v for k, v in entries.items())
+        for base, saved, new in zip(baseline, committed, written):
+            assert entries(base).keys() == saved.keys()
+            assert all(base[k] is new.get(k, v) for k, v in saved.items())
+        # and the tree's own state was never written
+        for base, saved in zip(shared, tree_state):
+            assert entries(base).keys() == saved.keys()
+            assert all(base[k] is v for k, v in saved.items())
 
 
 class TestOperationRecord:

@@ -1,4 +1,6 @@
-"""Every name a module of the package imports is read somewhere in it."""
+"""Every name a module of the package imports is read somewhere in it, and
+every private name a module defines at its top level is read somewhere in
+the package."""
 
 import ast
 from pathlib import Path
@@ -42,6 +44,52 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(bound.items()) if name not in read]
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """The private names (``_foo``, not dunders) that the top level of a
+    module binds by a def, a class or an assignment, by first line."""
+    found: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found.setdefault(name, node.lineno)
+    return found
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """The names a module reads: loaded names, attribute names, names it
+    imports from another module and the entries of its ``__all__``."""
+    names = exported(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """The top-level private names of the modules ``sources`` (by module
+    name) that none of the modules reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    return [
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in sorted(private_definitions(tree).items())
+        if name not in read
+    ]
+
+
 def test_the_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c\nprint(c)\n") == [
         "b (line 2)",
@@ -54,3 +102,23 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_scan_finds_an_unused_private_name():
+    planted = {
+        "a.py": (
+            "_kept = 1\n_lost: int = 2\n_other = 3\n"
+            "def _helper():\n    return _kept\n"
+            "class _Unhooked:\n    pass\n"
+            "def public():\n    _local = 4\n"
+        ),
+        "b.py": "from a import _helper\nimport a\nprint(a._other)\n",
+    }
+    assert unused_private_names(planted) == ["a.py: _Unhooked (line 6)", "a.py: _lost (line 2)"]
+    planted["b.py"] += "x = a._Unhooked\n"
+    assert unused_private_names(planted) == ["a.py: _lost (line 2)"]
+
+
+def test_no_unused_private_names():
+    sources = {str(p.relative_to(PACKAGE)): p.read_text() for p in MODULES}
+    assert unused_private_names(sources) == []
