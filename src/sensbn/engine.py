@@ -6,9 +6,11 @@ Two operations share one mutable session:
   ``multi_evidence_simq``): one piece of evidence at a time, updating the
   posterior of *every* node;
 * the single query (``query``): a whole evidence set at once, updating
-  only the query node.  Barren branches (no evidence behind them) are
-  skipped, and chains of uninstantiated pass-through nodes are collapsed
-  into a single rank-by-rank transfer without touching their state.
+  only the query node.  Only the paths from the query to the evidence
+  are live, found by climbing from the evidence (see ``mark_barren``);
+  every other branch is barren and never read, and chains of
+  uninstantiated pass-through nodes are collapsed into a single
+  rank-by-rank transfer without touching their state.
 
 Both run on one traversal, :meth:`QuerySession._walk`: a depth-first walk
 over an explicit stack of frames, with no Python recursion, so a tree of
@@ -94,7 +96,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import partial
 from operator import getitem
-from typing import Callable, Collection, Container, Iterator, Mapping
+from typing import Callable, Collection, Container, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -220,7 +222,8 @@ class _FactorView(Mapping):
 
 class _RunLive:
     """The live nodes of a query, by runs: the nodes in ``ends``, and each
-    interior node whose position lies in its run's ``spans`` entry."""
+    run interior node whose position lies in its run's ``spans`` entry, as
+    :meth:`TreeNetwork.climb` records them."""
 
     __slots__ = ("ends", "spans", "run_of", "place")
 
@@ -933,88 +936,42 @@ class QuerySession:
     # -- many instantiations, one query (barren-pruned walk) ----------------
 
     def mark_barren(
-        self, query: int, evidence_nodes: set[int], within: set[int] | None = None
+        self, query: int, evidence_nodes: Iterable[int], within: set[int] | None = None
     ) -> Mapping[int, bool]:
-        """Mark nodes whose whole branch away from the query carries no evidence.
+        """Mark barren every node off the paths from the query to
+        ``evidence_nodes``, found by climbing from each evidence node to its
+        lowest common ancestor with the query and from the query up to the
+        highest of those (:meth:`TreeNetwork.climb`): O(k x climb).
 
-        ``within`` optionally restricts attention to a subset of nodes;
-        anything outside is barren by fiat (used by radius truncation), and
-        only nodes inside it are visited.
+        ``within`` keeps only the evidence inside it, and must be closed
+        under paths from the query (a radius ball, or a union of paths from
+        it); a query node outside it leaves only itself live.
         """
-        for node in (query, *evidence_nodes):
+        # read once: an iterator would be used up by the check
+        evidence = tuple(evidence_nodes)
+        for node in (query, *evidence):
             self.tree.check_node(node)
-        self._live = self._live_nodes(query, evidence_nodes, within)
+        if within is not None:
+            evidence = tuple(n for n in evidence if n in within) if query in within else ()
+        self._live = self._live_nodes(query, evidence)
         self.barren = BarrenMarks(self.tree.node_count, self._live)
         return self.barren
 
-    def _live_nodes(self, query: int, evidence_nodes, within: set[int] | None) -> Container[int]:
-        """The query plus every node whose branch away from it holds evidence."""
-        if within is None and self._kernel is _FloatKernel:
-            return self._run_live(query, evidence_nodes)
-        live = {query}
-        if within is not None and query not in within:
-            return live
-        neighbors = self.tree.neighbors
-        parent: dict[int, int | None] = {query: None}
-        order = [query]
-        for node in order:
-            for nxt in neighbors(node):
-                if nxt != parent[node] and (within is None or nxt in within):
-                    parent[nxt] = node
-                    order.append(nxt)
-        for node in reversed(order):
-            if node in live or node in evidence_nodes:
-                live.add(node)
-                if parent[node] is not None:
-                    live.add(parent[node])
-        return live
-
-    def _run_live(self, query: int, evidence_nodes) -> _RunLive:
-        """:meth:`_live_nodes` over whole runs, visiting only the query and
-        the run ends: a run is live from the end nearer the query up to its
-        farthest evidence node, or throughout if its far end is live."""
-        scalars = self.tree.scalars
-        nodes, run_start = scalars.run_nodes, scalars.run_start
-        run_of, place = scalars.run_of, scalars.place
-        evidence = set(evidence_nodes)
-        stops = self._evidence_stops(evidence)
-        neighbors = self.tree.neighbors
-        ends, entered = [query], [None]
-        # (from end, to end, run or -1, first interior position, last one,
-        # farthest evidence position between them or None)
-        hops: list[tuple] = []
-        for i, x in enumerate(ends):
-            for y in neighbors(x):
-                if y == entered[i]:
-                    continue
-                run = run_of.item(y)
-                if run < 0:
-                    hops.append((i, len(ends), -1, 0, 0, None))
-                    ends.append(y)
-                    entered.append(x)
-                    continue
-                at = place.item(y)
-                step = 1 if nodes.item(at - 1) == x else -1
-                end = run_start.item(run + 1) - 1 if step > 0 else run_start.item(run)
-                ahead = [g for g in stops.get(run, ()) if (g - at) * step >= 0]
-                deepest = (max(ahead) if step > 0 else min(ahead)) if ahead else None
-                hops.append((i, len(ends), run, at, end - step, deepest))
-                ends.append(nodes.item(end))
-                entered.append(nodes.item(end - step))
-        live = [x in evidence for x in ends]
-        live[0] = True
+    def _live_nodes(self, query: int, evidence: tuple[int, ...]) -> Container[int]:
+        """The query plus every node on a path from it to an evidence node:
+        a set, or by runs on a tree with a float form."""
+        tree = self.tree
+        ends: set[int] = {query}
         spans: dict[int, tuple[int, int]] = {}
-        for i, j, run, near, far, deepest in reversed(hops):
-            reach = far if live[j] else deepest
-            if reach is None:
-                continue
-            live[i] = True
-            if run >= 0:
-                lo, hi = min(near, reach), max(near, reach)
-                if run in spans:  # the query's own run, from both sides
-                    lo, hi = min(lo, spans[run][0]), max(hi, spans[run][1])
-                spans[run] = (lo, hi)
-        return _RunLive({x for x, on in zip(ends, live) if on}, spans, run_of, place)
+        top = query  # how far the query's own climb has gone
+        for node in evidence:
+            meet = tree.climb(node, query, ends, spans)
+            if meet != top:
+                top = tree.climb(top, meet, ends, spans)
+        scalars = tree.scalars
+        if scalars is None:
+            return ends
+        return _RunLive(ends, spans, scalars.run_of, scalars.place)
 
     def query(
         self,
@@ -1023,12 +980,17 @@ class QuerySession:
         within: set[int] | None = None,
     ) -> Distribution:
         """Posterior of one node given an evidence set, touching only the
-        chains between the query and the evidence."""
+        chains between the query and the evidence; ``within`` is as in
+        :meth:`mark_barren`."""
         grouped = self.tree.group_evidence(evidence)
         if within is not None:
-            grouped = {n: a for n, a in grouped.items() if n in within}
+            grouped = {n: a for n, a in grouped.items() if n in within and query_node in within}
+        return self._query_grouped(query_node, grouped)
+
+    def _query_grouped(self, query_node: int, grouped: dict[int, dict[str, int]]) -> Distribution:
+        """:meth:`query` on evidence already grouped by compound node."""
         self.instr.start_operation("misq")
-        self.mark_barren(query_node, grouped.keys(), within)
+        self.mark_barren(query_node, grouped)
         stops = self._evidence_stops(grouped) if self._kernel is _FloatKernel else None
         self._propagate(query_node, grouped, self._restart, stops)
         return Distribution(self._kernel.to_array(self._p[query_node]))

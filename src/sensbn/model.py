@@ -771,10 +771,12 @@ class TreeNetwork:
       edge from its source x to ``adjacent[h]``, which holds the factor
       under key (adjacent[h], x), and ``twin[h]`` is the half edge back.
       ``half_edge(i, j)`` finds the half edge from i to j;
-    * two private columns rooted at node 0, recorded by the walk that
-      checks the tree is connected: each node's parent (-1 at the root)
-      and its depth in hops.  ``path(i, j, limit)`` climbs them to find
-      the path between two nodes without searching around either.
+    * four columns rooted at node 0 from the walk that checks the tree is
+      connected: each node's parent (-1 at the root), depth in hops,
+      and entry and exit times in the walk's preorder, an O(1) ancestor
+      test.  ``climb`` climbs them to the lowest common ancestor of two
+      nodes, and ``distance(i, j, limit)`` counts the path between them,
+      capped at ``limit + 1``.
 
     ``compound(i)``, ``compounds``, ``prior_probs``, ``half_edge_factors``
     (the stored factors by half edge) and ``r_factors`` (the same factors
@@ -829,15 +831,16 @@ class TreeNetwork:
         stack_at = stack_of[order // 2]
         flat, start = adjacent.tolist(), offsets.tolist()
         neighbors = [tuple(flat[start[i] : start[i + 1]]) for i in range(n)]
-        # parent links and depths rooted at node 0, from the walk that
-        # checks the tree is connected
-        parent, depth = [-1] * n, [0] * n
+        # parent links, depths and the preorder rooted at node 0, from the
+        # walk that checks the tree is connected
+        parent, depth, order = [-1] * n, [0] * n, []
         if n:
             reached = bytearray(n)
             reached[0] = 1
             stack, count = [0], 1
             while stack:
                 node = stack.pop()
+                order.append(node)
                 for m in neighbors[node]:
                     if not reached[m]:
                         reached[m] = 1
@@ -854,8 +857,15 @@ class TreeNetwork:
                 if m in seen:
                     raise DimensionMismatchError(f"member {m!r} appears in two compounds")
                 seen.add(m)
+        # subtree sizes, children before parents, give the exit times
+        size = [1] * n
+        for node in reversed(order[1:]):
+            size[parent[node]] += size[node]
+        enter = np.empty(n, np.intp)
+        enter[order] = np.arange(n)
+        leave = enter + np.array(size, np.intp) - 1
         parent, depth = np.array(parent, np.intp), np.array(depth, np.intp)
-        for arr in (offsets, adjacent, twin, halves, stack_at, parent, depth):
+        for arr in (offsets, adjacent, twin, halves, stack_at, parent, depth, enter, leave):
             arr.setflags(write=False)
         vars(self).update(
             name=name,
@@ -868,8 +878,9 @@ class TreeNetwork:
             _halves=halves,
             _neighbors=neighbors,
             _stack_at=stack_at,
-            _parent=parent,
             _depth=depth,
+            # bound once: the engine climbs once or twice per evidence node
+            _climbing=(parent.item, depth.item, enter.item, leave.item),
             _by_name=dict(zip(nodes.names, range(n))),
             _member_home=home,
             _built={},
@@ -953,38 +964,68 @@ class TreeNetwork:
         the tree itself gave."""
         return self._neighbors[ident]
 
-    def path(self, i: int, j: int, limit: int) -> list[int] | None:
-        """The nodes on the path from i to j, both ends included, or None
-        if it has more than ``limit`` edges.
+    def climb(
+        self, node: int, target: int, ends: set[int], spans: dict, floor: int = -1
+    ) -> int | None:
+        """Climb from ``node`` to its lowest common ancestor (LCA) with
+        ``target`` and return it, adding the nodes passed, the LCA included,
+        to ``ends``; on a tree with ``scalars`` a run interior is crossed in
+        one step and merged into ``spans[run]`` as a (lo, hi) span of run
+        positions.  The entry and exit times end the climb at the LCA: it
+        costs O(nodes, or runs, between ``node`` and the LCA).  It returns
+        None at a node of depth ``floor`` or less that is not an ancestor of
+        ``target`` (the LCA lies above ``floor``); a climb by runs may cross
+        that depth and return the LCA."""
+        parent, depth, enter, leave = self._climbing
+        at_target = enter(target)
+        scalars = self._scalars
+        if scalars is not None:
+            run_of, place = scalars.run_of.item, scalars.place.item
+            run_nodes, run_start = scalars.run_nodes.item, scalars.run_start.item
+            root_run = run_of(0)
+        while not enter(node) <= at_target <= leave(node):
+            if floor > 0 and depth(node) <= floor:
+                return None
+            ends.add(node)
+            below, node = node, parent(node)
+            run = -1 if scalars is None else run_of(node)
+            if run < 0:
+                continue
+            # cross the run interior of `node` to its upper end, or to a root inside it
+            at = place(node)
+            if run == root_run:
+                top = place(0)
+                step = 1 if top >= at else -1
+            else:
+                step = -1 if run_nodes(at + 1) == below else 1
+                top = run_start(run + 1) - 1 if step > 0 else run_start(run)
+            stop = run_nodes(top)
+            if enter(stop) <= at_target <= leave(stop):
+                # the LCA is on this stretch: the target if it lies there,
+                # else the stretch's upper end
+                if run_of(target) == run and 0 <= (place(target) - at) * step <= (top - at) * step:
+                    top, stop = place(target), target
+            lo, hi = (at, top) if step > 0 else (top, at)
+            if run in spans:
+                lo, hi = min(lo, spans[run][0]), max(hi, spans[run][1])
+            spans[run] = (lo, hi)
+            node = stop
+        ends.add(node)
+        return node
 
-        Climbs the parent links from the deeper end, then from both ends
-        in step until they meet, so the cost is O(limit) whatever the
-        size of the tree; ends whose depths differ by more than ``limit``
-        are refused without a step.
-        """
+    def distance(self, i: int, j: int, limit: int) -> int:
+        """The number of edges between nodes i and j, ``depth(i) +
+        depth(j) - 2 depth(LCA)``, capped at ``limit + 1``: O(limit)
+        whatever the size of the tree, since the climb stops once the LCA
+        lies too high."""
         self.check_node(i)
         self.check_node(j)
-        parent, depth = self._parent, self._depth
-        di, dj = depth.item(i), depth.item(j)
+        di, dj = self._depth.item(i), self._depth.item(j)
         if abs(di - dj) > limit:
-            return None
-        up, down = [i], [j]
-        for _ in range(di - dj):
-            i = parent.item(i)
-            up.append(i)
-        for _ in range(dj - di):
-            j = parent.item(j)
-            down.append(j)
-        while i != j:
-            # two more edges at least, one from each end
-            if len(up) + len(down) > limit:
-                return None
-            i, j = parent.item(i), parent.item(j)
-            up.append(i)
-            down.append(j)
-        down.pop()
-        up.extend(reversed(down))
-        return up
+            return limit + 1
+        # within `limit` exactly when the LCA lies at depth (di + dj - limit) / 2 or below
+        meet = self.climb(j, i, set(), {}, floor=(di + dj - limit + 1) // 2)
+        return limit + 1 if meet is None else min(di + dj - 2 * self._depth.item(meet), limit + 1)
 
     @cached_property
     def prior_probs(self) -> dict[int, np.ndarray]:

@@ -15,10 +15,12 @@ Everything a bounded-error query does is bounded by the radius, not by
 the size of the tree or of the radius ball.  Profile verification is
 answered from the decay constants that the consistency check computes
 once at load (see ``TreeNetwork.decay``), setting up a ``QuerySession``
-copies no per-node state, and the query finds each of its k evidence
-nodes by climbing the tree's parent links (``TreeNetwork.path``), so
-selection, barren marking and propagation visit only the paths from the
-query to the retained evidence: O(k * radius) nodes.
+copies no per-node state, and selection takes the distance to each of
+the k evidence nodes from one climb of the tree's parent links to its
+lowest common ancestor with the query (``TreeNetwork.distance``).  The
+answer is an exact query on the retained evidence, whose barren marking
+climbs the same way, so selection, marking and propagation visit only the
+paths from the query to the retained evidence: O(k * radius) nodes.
 
 This module certifies the bound empirically against the exact engine; it
 does not carry a proof.
@@ -147,9 +149,10 @@ def plan_truncation(
 def hop_distances(tree: TreeNetwork, start: int, limit: int | None = None) -> dict[int, int]:
     """Breadth-first hop distances from ``start``, stopping at ``limit``.
 
-    The reference search over the whole radius ball: :func:`truncated_query`
-    climbs to each evidence node instead, and its selection is tested
-    against this one.
+    The paper's radius ball, searched node by node.  :func:`truncated_query`
+    climbs to each evidence node instead; this stays public as the
+    reference its selection is tested against, and the benchmark's traced
+    run times it.
     """
     tree.check_node(start)
     dist = {start: 0}
@@ -192,15 +195,7 @@ def truncated_query(
         radius = truncation_radius(profile, len(grouped))
     if radius < 0:
         raise ApproxPreconditionError(f"radius must be at least 0, got {radius}")
-    # the paths to the retained evidence are the live nodes of the query
-    distances, within = {}, {query}
-    for node in grouped:
-        path = tree.path(query, node, radius)
-        if path is None:
-            distances[node] = radius + 1
-        else:
-            distances[node] = len(path) - 1
-            within.update(path)
+    distances = {node: tree.distance(query, node, radius) for node in grouped}
     plan = plan_truncation(profile, distances, radius=radius)
-    posterior = session.query(query, evidence, within=within)
+    posterior = session._query_grouped(query, {n: grouped[n] for n in plan.retained_evidence})
     return posterior, plan.guaranteed_bound, plan

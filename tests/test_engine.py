@@ -190,6 +190,20 @@ class TestMarkBarren:
         assert marks[asia_tables.by_name("X_4").ident]
         assert not marks[asia_tables.by_name("X_3").ident]
 
+    @pytest.mark.parametrize("kernel", ["float", "array"])
+    def test_evidence_nodes_are_read_once(self, monkeypatch, kernel):
+        """An iterator or a generator of evidence nodes marks what a set
+        does: the id check must not use it up."""
+        tree = binary_chain_tree(np.random.default_rng(1), 6)
+        if kernel == "array":
+            monkeypatch.setattr(engine, "_choose_kernel", lambda tree: engine._ArrayKernel)
+        want = dict(fresh(tree).mark_barren(0, {4}))
+        assert [i for i, barren in want.items() if barren] == [5]
+        for nodes in (iter([4]), (n for n in [4])):
+            s = fresh(tree)
+            assert s._kernel is (engine._ArrayKernel if kernel == "array" else engine._FloatKernel)
+            assert dict(s.mark_barren(0, nodes)) == want
+
     def test_barren_marking_does_not_change_answers(self, asia_net, asia_compiled):
         tree, _ = asia_compiled
         ev = Evidence.of({"x_D": 1})
@@ -258,8 +272,8 @@ class TestNodeIds:
             lambda: s.mark_barren(node, set()),
             lambda: s.mark_barren(0, {node}),
             lambda: tree.compound(node),
-            lambda: tree.path(node, 3, 20),
-            lambda: tree.path(3, node, 20),
+            lambda: tree.distance(node, 3, 20),
+            lambda: tree.distance(3, node, 20),
             lambda: truncation.hop_distances(tree, node),
             lambda: s.posterior(node),
             lambda: s.dense_sensitivity(node, 0),
@@ -1107,20 +1121,75 @@ class TestBranchingTreesOnBothKernels:
                 ball = truncation.hop_distances(tree, node, limit=radius)
                 assert fast.instr.touched <= set(ball)
 
-    def test_live_nodes_match_the_node_by_node_marking(self):
-        for tree in branching_trees().values():
+    def test_live_nodes_match_the_node_by_node_marking(self, monkeypatch, asia_compiled):
+        """Marking by climbing to the evidence gives the barren marks, the
+        message log, the touched nodes and the posterior that marking by a
+        search of the whole tree gives, on both kernels where the tree has
+        a float form."""
+        trees = dict(branching_trees())
+        trees["chain"] = binary_chain_tree(np.random.default_rng(78), 40, alpha=0.9)
+        trees["asia"] = asia_compiled[0]
+        net = random_tree_network(np.random.default_rng(3), 2000, max_states=3)
+        trees["ternary"] = compiler.compile_network(net)[0]
+        net = random_tree_network(np.random.default_rng(4), 400)
+        trees["binary"] = compiler.compile_network(net)[0]
+        assert trees["ternary"].scalars is None and trees["binary"].scalars is not None
+
+        def searched(self, query, evidence):
+            return searched_live_nodes(self.tree, query, set(evidence))
+
+        kernels = (engine._FloatKernel, engine._ArrayKernel)
+        checked = 0
+        for name, tree in trees.items():
             rng = np.random.default_rng(75)
-            n = len(tree.compounds)
-            for _ in range(20):
-                evidence = set(rng.choice(n, size=int(rng.integers(0, 5)), replace=False).tolist())
-                query = int(rng.integers(0, n))
-                s = QuerySession(tree)
-                by_runs = dict(s.mark_barren(query, evidence))
-                by_nodes = {
-                    i: i not in engine.QuerySession._live_nodes(s, query, evidence, set(range(n)))
-                    for i in range(n)
-                }
-                assert by_runs == by_nodes
+            labels = tree.member_labels
+            for _ in range(12):
+                picks = rng.choice(len(labels), size=int(rng.integers(0, 5)), replace=False)
+                ev = Evidence.of({labels[k]: member_state(tree, labels[k], rng) for k in picks})
+                query = int(rng.integers(0, tree.node_count))
+                for kernel in kernels if tree.scalars is not None else kernels[1:]:
+                    got, want = [], []
+                    for out, patched in ((got, False), (want, True)):
+                        with monkeypatch.context() as patch:
+                            patch.setattr(engine, "_choose_kernel", lambda tree: kernel)
+                            if patched:
+                                patch.setattr(QuerySession, "_live_nodes", searched)
+                            s = QuerySession(tree)
+                            try:
+                                posterior = s.query(query, ev).probs.tobytes()
+                            except ZeroEvidenceError as exc:
+                                posterior = str(exc)
+                        out.extend(
+                            (posterior, dict(s.barren), s.instr.messages, s.instr.touched)
+                        )
+                    assert got == want, (name, kernel)
+                    checked += 1
+        assert checked == 12 * (2 * 5 + 2)
+
+
+def searched_live_nodes(tree, query, evidence):
+    """The query plus every node whose branch away from it holds evidence,
+    found by a breadth-first search of the whole tree from the query."""
+    parent = {query: None}
+    order = [query]
+    for node in order:
+        for nxt in tree.neighbors(node):
+            if nxt != parent[node]:
+                parent[nxt] = node
+                order.append(nxt)
+    live = {query}
+    for node in reversed(order):
+        if node in live or node in evidence:
+            live.add(node)
+            if parent[node] is not None:
+                live.add(parent[node])
+    return live
+
+
+def member_state(tree, label, rng):
+    """A random state of the member ``label``."""
+    space = tree.compound(tree.member_home(label)).space
+    return int(rng.integers(0, space.cards[space.members.index(label)]))
 
 
 def walk_modes(monkeypatch):

@@ -434,16 +434,45 @@ class TestTreeViews:
             )
 
     @pytest.mark.parametrize("name", ["asia_grouped", "random_grouped", "chain"])
-    def test_path_climbs_to_the_searched_path(self, name):
+    def test_distance_climbs_to_the_searched_path(self, name):
         tree = fileio.load_tree(DATA / f"{name}.tree")
         n = tree.node_count
         for a in range(n):
             for b in range(n):
-                want = searched_path(tree, a, b)
-                hops = len(want) - 1
-                assert tree.path(a, b, hops) == want
-                assert tree.path(a, b, n) == want
-                assert tree.path(a, b, hops - 1) is None
+                hops = len(searched_path(tree, a, b)) - 1
+                assert tree.distance(a, b, hops) == hops
+                assert tree.distance(a, b, n) == hops
+                # capped one past the limit
+                for limit in range(max(hops - 3, -1), hops):
+                    assert tree.distance(a, b, limit) == limit + 1
+
+    @pytest.mark.parametrize(
+        "name",
+        ["asia_grouped", "random_grouped", "chain", "spider", "caterpillar", "rooted mid-run"],
+    )
+    def test_climb_covers_the_path_to_the_lowest_common_ancestor(self, name):
+        """From every node toward every other, the climb returns the
+        shallowest node of the searched path between them, and what it
+        records, node by node or by runs, is the part of that path from
+        the start up to that node."""
+        tree = climb_test_tree(name)
+        n = tree.node_count
+        # rooted at node 0
+        depth = [len(searched_path(tree, 0, m)) - 1 for m in range(n)]
+        for a in range(n):
+            for b in range(n):
+                path = searched_path(tree, a, b)
+                meet = min(path, key=lambda m: depth[m])
+                ends, spans = set(), {}
+                assert tree.climb(a, b, ends, spans) == meet
+                assert climbed(tree, ends, spans) == set(path[: path.index(meet) + 1])
+                # a floor at the LCA's depth lets the climb meet it; one hop
+                # below, the climb stops first, unless it crosses that depth
+                # inside a run
+                assert tree.climb(a, b, set(), {}, floor=depth[meet]) == meet
+                if depth[meet] < depth[a]:
+                    stopped = tree.climb(a, b, set(), {}, floor=depth[meet] + 1)
+                    assert stopped is None or (stopped == meet and tree.scalars is not None)
 
     def test_rank_reads_the_factor_stacks(self):
         tree = fileio.load_tree(DATA / "chain.tree")
@@ -458,3 +487,29 @@ class TestTreeViews:
         assert {grouped.rank(i, j) for i, j in grouped.edges} == {1, 2, 3}
         with pytest.raises(KeyError):
             tree.rank(0, 2)
+
+
+def climb_test_tree(name):
+    """A tree file, a branching tree, or a chain whose node 0 lies inside
+    its run, so that climbs by runs meet at the root."""
+    from sensbn.generators import binary_chain_tree
+    from tests.test_engine import binary_tree, branching_trees
+
+    if name in ("spider", "caterpillar"):
+        tree = branching_trees()[name]
+    elif name == "rooted mid-run":
+        tree = binary_tree(np.random.default_rng(3), list(range(11)))
+        # the shuffled ids of a chain of 12: node 0 is one of the ten inside
+        assert tree.scalars.run_of[0] >= 0
+    else:
+        tree = fileio.load_tree(DATA / f"{name}.tree")
+    assert (tree.scalars is not None) == (name not in ("asia_grouped", "random_grouped"))
+    return tree
+
+
+def climbed(tree, ends, spans):
+    """The nodes a climb recorded: ``ends``, and the run positions in ``spans``."""
+    nodes = set(ends)
+    for run, (lo, hi) in spans.items():
+        nodes.update(tree.scalars.run_nodes[lo : hi + 1].tolist())
+    return nodes

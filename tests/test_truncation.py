@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sensbn import compiler, oracle, truncation
+from sensbn import compiler, engine, oracle, truncation
 from sensbn.engine import QuerySession
 from sensbn.errors import ApproxPreconditionError
 from sensbn.generators import binary_chain_network, binary_chain_tree
@@ -230,6 +230,36 @@ class TestTruncatedQuery:
             balls.append(len(ball))
         assert touched[0] == touched[1] == touched[2]
         return balls
+
+    @pytest.mark.parametrize("kernel", ["float", "array"])
+    def test_exact_query_reads_only_the_paths_to_its_evidence(self, monkeypatch, kernel):
+        """The same exact query on complete binary trees of depth 8, 10
+        and 12: it reads the neighbours only of nodes on the paths from
+        the query to its evidence, and as many of them at every size."""
+        counts = []
+        for depth in (8, 10, 12):
+            tree, root = complete_binary_tree(depth)
+            query = descend(tree, root, (1, 0))
+            turns = ((0, 1, 1), (1, 1, 0, 1), (1, 0, 0, 1, 0))
+            nodes = [descend(tree, root, way) for way in turns]
+            ev = Evidence.of({f"v{nodes[0]}": 1, f"v{nodes[1]}": 0, f"v{nodes[2]}": 1})
+            on_paths = set().union(*(searched_path(tree, query, node) for node in nodes))
+            reads = []
+            original = TreeNetwork.neighbors
+
+            def spy(self, ident):
+                reads.append(ident)
+                return original(self, ident)
+
+            with monkeypatch.context() as patch:
+                if kernel == "array":
+                    patch.setattr(engine, "_choose_kernel", lambda tree: engine._ArrayKernel)
+                session = QuerySession(tree)
+                patch.setattr(TreeNetwork, "neighbors", spy)
+                session.query(query, ev)
+            assert reads and set(reads) <= on_paths
+            counts.append(len(reads))
+        assert counts[0] == counts[1] == counts[2]
 
     def test_matches_exact_engine_against_oracle_chain(self):
         # same chain parameters through the network and the tree builders
