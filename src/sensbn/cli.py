@@ -103,7 +103,10 @@ def _parse_approx(tokens: list[str]) -> truncation.DecayProfile:
                     f"approx item {item!r} is not key=value (epsilon/alpha/eta)"
                 )
             key, val = item.split("=", 1)
-            values[key.strip()] = float(val)
+            try:
+                values[key.strip()] = float(val)
+            except ValueError:
+                raise ApproxPreconditionError(f"approx item {item!r} is not a number") from None
     missing = {"epsilon", "alpha", "eta"} - set(values)
     if missing:
         raise ApproxPreconditionError(f"--approx is missing {sorted(missing)}")

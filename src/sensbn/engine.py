@@ -7,10 +7,11 @@ Two operations share one mutable session:
   posterior of *every* node;
 * the single query (``query``): a whole evidence set at once, updating
   only the query node.  Only the paths from the query to the evidence
-  are live, found by climbing from the evidence (see ``mark_barren``);
-  every other branch is barren and never read, and chains of
-  uninstantiated pass-through nodes are collapsed into a single
-  rank-by-rank transfer without touching their state.
+  are live: the walk enters a neighbour only when evidence lies on its
+  side of the edge, one test of entry and exit times (see
+  ``mark_barren``).  Every other branch is barren and never read, and
+  chains of uninstantiated pass-through nodes are collapsed into a
+  single rank-by-rank transfer without touching their state.
 
 Both run on one traversal, :meth:`QuerySession._walk`: a depth-first walk
 over an explicit stack of frames, with no Python recursion, so a tree of
@@ -96,7 +97,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import partial
 from operator import getitem
-from typing import Callable, Collection, Container, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -117,25 +118,34 @@ MASS_TOL = 1e-6
 
 
 class BarrenMarks(Mapping):
-    """Read-only ``node -> barren`` map over the non-barren nodes.
+    """Read-only ``node -> barren`` map of a query, answered per node by
+    the query's edge rule ``beyond`` (see
+    :meth:`TreeNetwork.evidence_side`): a node other than the query is
+    live when evidence lies on its side of the edge from its neighbour
+    toward the query.  The walk reads ``beyond`` itself.
 
-    ``live=None`` marks nothing barren.
+    ``beyond=None`` marks nothing barren.
     """
 
-    def __init__(self, size: int, live: Container[int] | None = None):
-        self._size = size
-        self._live = live
+    def __init__(
+        self, tree: TreeNetwork, query: int = 0, beyond: Callable[[int, int], bool] | None = None
+    ):
+        self._tree = tree
+        self._query = query
+        self.beyond = beyond
 
     def __getitem__(self, node: int) -> bool:
-        if not 0 <= node < self._size:
+        if not 0 <= node < self._tree.node_count:
             raise KeyError(node)
-        return self._live is not None and node not in self._live
+        if self.beyond is None or node == self._query:
+            return False
+        return not self.beyond(self._tree.toward(node, self._query), node)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(range(self._size))
+        return iter(range(self._tree.node_count))
 
     def __len__(self) -> int:
-        return self._size
+        return self._tree.node_count
 
 
 class _Layer(dict):
@@ -218,27 +228,6 @@ class _FactorView(Mapping):
 
     def __len__(self) -> int:
         return self._session.tree.twin.size
-
-
-class _RunLive:
-    """The live nodes of a query, by runs: the nodes in ``ends``, and each
-    run interior node whose position lies in its run's ``spans`` entry, as
-    :meth:`TreeNetwork.climb` records them."""
-
-    __slots__ = ("ends", "spans", "run_of", "place")
-
-    def __init__(self, ends: set[int], spans: dict, run_of: np.ndarray, place: np.ndarray):
-        self.ends = ends
-        self.spans = spans
-        self.run_of = run_of
-        self.place = place
-
-    def __contains__(self, node) -> bool:
-        if node in self.ends:
-            return True
-        run = self.run_of.item(node)
-        span = self.spans.get(run) if run >= 0 else None
-        return span is not None and span[0] <= self.place.item(node) <= span[1]
 
 
 class _LeftBand(Exception):
@@ -555,8 +544,7 @@ class QuerySession:
         self._r0 = _Layer(bases[1], self._kernel.read, index)
         self.instr = Instrumentation(runs)
         self._restart()
-        self._live: Container[int] = set()
-        self.barren: Mapping[int, bool] = BarrenMarks(tree.node_count)
+        self.barren = BarrenMarks(tree)
         self.trace: list[tuple[str, int, np.ndarray]] = []
         self._record_trace = record_trace
 
@@ -735,7 +723,7 @@ class QuerySession:
         sent = self.instr.log.append
         self.instr.roots.append(root)
         flood = grouped is None
-        live = self._live
+        beyond = self.barren.beyond
         tracing = self._record_trace
         run_of = None if stops is None else self.tree.scalars.run_of
         stack: list[list] = []
@@ -751,7 +739,7 @@ class QuerySession:
                 node, parent, h_in, m = self._stretch(node, parent, h_in, m, stops, flood, stack)
             # enter `node` from `parent` along `h_in` with the message `m`
             out = enumerate(neighbors(node), first(node))
-            children = [h for h, n in out if n != parent and (flood or n in live)]
+            children = [h for h, n in out if n != parent and (flood or beyond(node, n))]
             transfer = None
             if parent is None:
                 pass  # the operation's own node: its state is the caller's
@@ -939,9 +927,11 @@ class QuerySession:
         self, query: int, evidence_nodes: Iterable[int], within: set[int] | None = None
     ) -> Mapping[int, bool]:
         """Mark barren every node off the paths from the query to
-        ``evidence_nodes``, found by climbing from each evidence node to its
-        lowest common ancestor with the query and from the query up to the
-        highest of those (:meth:`TreeNetwork.climb`): O(k x climb).
+        ``evidence_nodes``.  Nothing is recorded per node: the marks and
+        the walk read one edge rule (:meth:`TreeNetwork.evidence_side`), a
+        neighbour being live when evidence lies on its side of the edge.
+        It keeps the evidence nodes' entry times sorted, O(k log k) for k
+        evidence nodes, and answers each edge in O(log k).
 
         ``within`` keeps only the evidence inside it, and must be closed
         under paths from the query (a radius ball, or a union of paths from
@@ -953,25 +943,8 @@ class QuerySession:
             self.tree.check_node(node)
         if within is not None:
             evidence = tuple(n for n in evidence if n in within) if query in within else ()
-        self._live = self._live_nodes(query, evidence)
-        self.barren = BarrenMarks(self.tree.node_count, self._live)
+        self.barren = BarrenMarks(self.tree, query, self.tree.evidence_side(evidence))
         return self.barren
-
-    def _live_nodes(self, query: int, evidence: tuple[int, ...]) -> Container[int]:
-        """The query plus every node on a path from it to an evidence node:
-        a set, or by runs on a tree with a float form."""
-        tree = self.tree
-        ends: set[int] = {query}
-        spans: dict[int, tuple[int, int]] = {}
-        top = query  # how far the query's own climb has gone
-        for node in evidence:
-            meet = tree.climb(node, query, ends, spans)
-            if meet != top:
-                top = tree.climb(top, meet, ends, spans)
-        scalars = tree.scalars
-        if scalars is None:
-            return ends
-        return _RunLive(ends, spans, scalars.run_of, scalars.place)
 
     def query(
         self,

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -774,9 +775,10 @@ class TreeNetwork:
     * four columns rooted at node 0 from the walk that checks the tree is
       connected: each node's parent (-1 at the root), depth in hops,
       and entry and exit times in the walk's preorder, an O(1) ancestor
-      test.  ``climb`` climbs them to the lowest common ancestor of two
-      nodes, and ``distance(i, j, limit)`` counts the path between them,
-      capped at ``limit + 1``.
+      test.  ``evidence_side`` reads them as the edge rule of a query,
+      ``toward(i, j)`` finds the neighbour of i on the path to j, and
+      ``distance(i, j, limit)`` counts the path between them, capped at
+      ``limit + 1``.
 
     ``compound(i)``, ``compounds``, ``prior_probs``, ``half_edge_factors``
     (the stored factors by half edge) and ``r_factors`` (the same factors
@@ -878,9 +880,8 @@ class TreeNetwork:
             _halves=halves,
             _neighbors=neighbors,
             _stack_at=stack_at,
-            _depth=depth,
-            # bound once: the engine climbs once or twice per evidence node
-            _climbing=(parent.item, depth.item, enter.item, leave.item),
+            # bound once: a query tests one or more edges per node it enters
+            _links=(parent.item, depth.item, enter.item, leave.item),
             _by_name=dict(zip(nodes.names, range(n))),
             _member_home=home,
             _built={},
@@ -964,68 +965,62 @@ class TreeNetwork:
         the tree itself gave."""
         return self._neighbors[ident]
 
-    def climb(
-        self, node: int, target: int, ends: set[int], spans: dict, floor: int = -1
-    ) -> int | None:
-        """Climb from ``node`` to its lowest common ancestor (LCA) with
-        ``target`` and return it, adding the nodes passed, the LCA included,
-        to ``ends``; on a tree with ``scalars`` a run interior is crossed in
-        one step and merged into ``spans[run]`` as a (lo, hi) span of run
-        positions.  The entry and exit times end the climb at the LCA: it
-        costs O(nodes, or runs, between ``node`` and the LCA).  It returns
-        None at a node of depth ``floor`` or less that is not an ancestor of
-        ``target`` (the LCA lies above ``floor``); a climb by runs may cross
-        that depth and return the LCA."""
-        parent, depth, enter, leave = self._climbing
-        at_target = enter(target)
-        scalars = self._scalars
-        if scalars is not None:
-            run_of, place = scalars.run_of.item, scalars.place.item
-            run_nodes, run_start = scalars.run_nodes.item, scalars.run_start.item
-            root_run = run_of(0)
-        while not enter(node) <= at_target <= leave(node):
-            if floor > 0 and depth(node) <= floor:
-                return None
-            ends.add(node)
-            below, node = node, parent(node)
-            run = -1 if scalars is None else run_of(node)
-            if run < 0:
-                continue
-            # cross the run interior of `node` to its upper end, or to a root inside it
-            at = place(node)
-            if run == root_run:
-                top = place(0)
-                step = 1 if top >= at else -1
-            else:
-                step = -1 if run_nodes(at + 1) == below else 1
-                top = run_start(run + 1) - 1 if step > 0 else run_start(run)
-            stop = run_nodes(top)
-            if enter(stop) <= at_target <= leave(stop):
-                # the LCA is on this stretch: the target if it lies there,
-                # else the stretch's upper end
-                if run_of(target) == run and 0 <= (place(target) - at) * step <= (top - at) * step:
-                    top, stop = place(target), target
-            lo, hi = (at, top) if step > 0 else (top, at)
-            if run in spans:
-                lo, hi = min(lo, spans[run][0]), max(hi, spans[run][1])
-            spans[run] = (lo, hi)
-            node = stop
-        ends.add(node)
-        return node
+    def evidence_side(self, nodes: Iterable[int]) -> Callable[[int, int], bool]:
+        """The edge rule of a query on the evidence at ``nodes``:
+        ``beyond(u, n)`` says whether one of ``nodes`` lies on n's side of
+        the edge between the adjacent nodes u and n.  Only the nodes' entry
+        times are kept, sorted.  If n is u's child, its side is its
+        subtree, which holds an evidence node if one of those times lies in
+        ``[enter[n], exit[n]]`` (one bisect); if n is u's parent, its side
+        is everything outside u's subtree (a min and max compare)."""
+        parent, _, enter, leave = self._links
+        times = sorted(map(enter, nodes))
+        if not times:
+            return lambda u, n: False
+        first, last, k = times[0], times[-1], len(times)
+
+        def beyond(u: int, n: int) -> bool:
+            if parent(n) == u:
+                at = bisect_left(times, enter(n))
+                return at < k and times[at] <= leave(n)
+            return first < enter(u) or last > leave(u)
+
+        return beyond
+
+    def toward(self, i: int, j: int) -> int:
+        """The neighbour of node i on the path to node j, which is not i:
+        i's parent, unless i is an ancestor of j, and then the child of i
+        whose entry and exit times enclose j's entry time."""
+        parent, _, enter, leave = self._links
+        at = enter(j)
+        if not enter(i) <= at <= leave(i):
+            return parent(i)
+        above = parent(i)
+        return next(n for n in self._neighbors[i] if n != above and enter(n) <= at <= leave(n))
 
     def distance(self, i: int, j: int, limit: int) -> int:
         """The number of edges between nodes i and j, ``depth(i) +
         depth(j) - 2 depth(LCA)``, capped at ``limit + 1``: O(limit)
-        whatever the size of the tree, since the climb stops once the LCA
-        lies too high."""
+        whatever the size of the tree, since the climb from j to the lowest
+        common ancestor (LCA) stops once that lies too high.  Two interior
+        nodes of one run are their distance in run positions apart."""
         self.check_node(i)
         self.check_node(j)
-        di, dj = self._depth.item(i), self._depth.item(j)
+        scalars = self._scalars
+        if scalars is not None and 0 <= scalars.run_of.item(i) == scalars.run_of.item(j):
+            return min(abs(scalars.place.item(i) - scalars.place.item(j)), limit + 1)
+        parent, depth, enter, leave = self._links
+        di, dj = depth(i), depth(j)
         if abs(di - dj) > limit:
             return limit + 1
         # within `limit` exactly when the LCA lies at depth (di + dj - limit) / 2 or below
-        meet = self.climb(j, i, set(), {}, floor=(di + dj - limit + 1) // 2)
-        return limit + 1 if meet is None else min(di + dj - 2 * self._depth.item(meet), limit + 1)
+        floor = (di + dj - limit + 1) // 2
+        at = enter(i)
+        while not enter(j) <= at <= leave(j):
+            if depth(j) <= floor:
+                return limit + 1
+            j = parent(j)
+        return min(di + dj - 2 * depth(j), limit + 1)
 
     @cached_property
     def prior_probs(self) -> dict[int, np.ndarray]:

@@ -17,10 +17,12 @@ answered from the decay constants that the consistency check computes
 once at load (see ``TreeNetwork.decay``), setting up a ``QuerySession``
 copies no per-node state, and selection takes the distance to each of
 the k evidence nodes from one climb of the tree's parent links to its
-lowest common ancestor with the query (``TreeNetwork.distance``).  The
-answer is an exact query on the retained evidence, whose barren marking
-climbs the same way, so selection, marking and propagation visit only the
-paths from the query to the retained evidence: O(k * radius) nodes.
+lowest common ancestor with the query, or from run positions when both
+lie inside one run (``TreeNetwork.distance``).  The answer is an exact
+query on the retained evidence, whose barren marking keeps only the
+evidence's sorted entry times and records nothing per node, so selection
+and propagation visit only the paths from the query to the retained
+evidence: O(k * radius) nodes.
 
 This module certifies the bound empirically against the exact engine; it
 does not carry a proof.
@@ -150,9 +152,9 @@ def hop_distances(tree: TreeNetwork, start: int, limit: int | None = None) -> di
     """Breadth-first hop distances from ``start``, stopping at ``limit``.
 
     The paper's radius ball, searched node by node.  :func:`truncated_query`
-    climbs to each evidence node instead; this stays public as the
-    reference its selection is tested against, and the benchmark's traced
-    run times it.
+    measures the distance to each evidence node instead; this stays public
+    as the reference its selection is tested against, and the benchmark's
+    traced run times it.
     """
     tree.check_node(start)
     dist = {start: 0}

@@ -144,6 +144,15 @@ class TestQuery:
         )
         assert code == cli.EXIT_APPROX
 
+    def test_approx_value_that_is_not_a_number_exit_code(self, capsys):
+        code, out, err = run(
+            capsys,
+            "query", "asia_tables.tree", "--query", "x_H",
+            "--approx", "epsilon=abc", "alpha=0.9", "eta=0.09",
+        )
+        assert code == cli.EXIT_APPROX
+        assert "error: approx item 'epsilon=abc' is not a number" in err and out == ""
+
     def test_factors_that_are_no_sensitivity_exit_code(self, capsys, tmp_path):
         spaces = [StateSpace.binary(("a",)), StateSpace.binary(("b",))]
         priors = [Distribution(np.array([0.6, 0.4]))] * 2

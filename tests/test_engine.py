@@ -1122,12 +1122,13 @@ class TestBranchingTreesOnBothKernels:
                 assert fast.instr.touched <= set(ball)
 
     def test_live_nodes_match_the_node_by_node_marking(self, monkeypatch, asia_compiled):
-        """Marking by climbing to the evidence gives the barren marks, the
-        message log, the touched nodes and the posterior that marking by a
-        search of the whole tree gives, on both kernels where the tree has
-        a float form."""
+        """The edge rule of entry and exit times gives the barren marks,
+        the message log, the touched nodes and the posterior that the rule
+        found by a search of the whole tree gives, on both kernels where
+        the tree has a float form."""
         trees = dict(branching_trees())
         trees["chain"] = binary_chain_tree(np.random.default_rng(78), 40, alpha=0.9)
+        trees["long legs"] = spider(np.random.default_rng(77), (200, 200, 200))
         trees["asia"] = asia_compiled[0]
         net = random_tree_network(np.random.default_rng(3), 2000, max_states=3)
         trees["ternary"] = compiler.compile_network(net)[0]
@@ -1135,25 +1136,31 @@ class TestBranchingTreesOnBothKernels:
         trees["binary"] = compiler.compile_network(net)[0]
         assert trees["ternary"].scalars is None and trees["binary"].scalars is not None
 
-        def searched(self, query, evidence):
-            return searched_live_nodes(self.tree, query, set(evidence))
+        def searched(self, nodes):
+            return searched_evidence_side(self, set(nodes))
 
         kernels = (engine._FloatKernel, engine._ArrayKernel)
         checked = 0
         for name, tree in trees.items():
             rng = np.random.default_rng(75)
             labels = tree.member_labels
+            cases = []
             for _ in range(12):
                 picks = rng.choice(len(labels), size=int(rng.integers(0, 5)), replace=False)
                 ev = Evidence.of({labels[k]: member_state(tree, labels[k], rng) for k in picks})
-                query = int(rng.integers(0, tree.node_count))
+                cases.append((int(rng.integers(0, tree.node_count)), ev))
+            if name == "long legs":
+                # the query at one tip, the evidence at the other two
+                tips = node_kinds(tree)["leaf"]
+                cases.append((tips[0], Evidence.of({label(tips[1]): 1, label(tips[2]): 0})))
+            for query, ev in cases:
                 for kernel in kernels if tree.scalars is not None else kernels[1:]:
                     got, want = [], []
                     for out, patched in ((got, False), (want, True)):
                         with monkeypatch.context() as patch:
                             patch.setattr(engine, "_choose_kernel", lambda tree: kernel)
                             if patched:
-                                patch.setattr(QuerySession, "_live_nodes", searched)
+                                patch.setattr(TreeNetwork, "evidence_side", searched)
                             s = QuerySession(tree)
                             try:
                                 posterior = s.query(query, ev).probs.tobytes()
@@ -1164,26 +1171,30 @@ class TestBranchingTreesOnBothKernels:
                         )
                     assert got == want, (name, kernel)
                     checked += 1
-        assert checked == 12 * (2 * 5 + 2)
+        assert checked == 12 * (2 * 6 + 2) + 2
 
 
-def searched_live_nodes(tree, query, evidence):
-    """The query plus every node whose branch away from it holds evidence,
-    found by a breadth-first search of the whole tree from the query."""
-    parent = {query: None}
-    order = [query]
+def searched_evidence_side(tree, evidence):
+    """The edge rule of a query on ``evidence``, found by a breadth-first
+    search of the whole tree from its last node: evidence lies on n's
+    side of the edge {u, n} when n's branch away from u holds some."""
+    root = tree.node_count - 1
+    parent = {root: None}
+    order = [root]
     for node in order:
         for nxt in tree.neighbors(node):
             if nxt != parent[node]:
                 parent[nxt] = node
                 order.append(nxt)
-    live = {query}
-    for node in reversed(order):
-        if node in live or node in evidence:
-            live.add(node)
-            if parent[node] is not None:
-                live.add(parent[node])
-    return live
+    # the evidence nodes in each node's branch away from the root
+    held = {node: int(node in evidence) for node in order}
+    for node in reversed(order[1:]):
+        held[parent[node]] += held[node]
+
+    def beyond(u, n):
+        return held[n] > 0 if parent[n] == u else held[root] > held[u]
+
+    return beyond
 
 
 def member_state(tree, label, rng):
@@ -1312,10 +1323,7 @@ class TestSizeIndependence:
         "check_band",
     )
 
-    def count_steps(self, monkeypatch, length, operation):
-        from sensbn.model import TreeNetwork
-
-        tree = binary_chain_tree(np.random.default_rng(9), length, alpha=0.9, coupling_lo=0.8)
+    def count_steps(self, monkeypatch, tree, operation):
         calls = Counter()
         with monkeypatch.context() as patch:
             original = TreeNetwork.neighbors
@@ -1337,6 +1345,10 @@ class TestSizeIndependence:
             result = operation(session)
         return calls, result
 
+    @staticmethod
+    def chain(length):
+        return binary_chain_tree(np.random.default_rng(9), length, alpha=0.9, coupling_lo=0.8)
+
     def test_flood_and_query(self, monkeypatch):
         ev = Evidence.of({"v3": 1, "v400": 0, "v1500": 1})
         runs = {
@@ -1344,12 +1356,29 @@ class TestSizeIndependence:
             "query": lambda s: s.query(900, ev).probs,
         }
         for name, operation in runs.items():
-            short, at_short = self.count_steps(monkeypatch, 2_000, operation)
-            long, at_long = self.count_steps(monkeypatch, 20_000, operation)
+            short, at_short = self.count_steps(monkeypatch, self.chain(2_000), operation)
+            long, at_long = self.count_steps(monkeypatch, self.chain(20_000), operation)
             assert short == long, name
             assert short["neighbors"] > 0 and short["message"] > 0
             # nothing beyond the last evidence node changes the answer
             assert np.abs(at_short - at_long).max() <= 1e-12
+
+    def test_query_across_spider_legs(self, monkeypatch):
+        """An exact query at one tip of a spider with evidence at the other
+        two: marking and walking take the same steps with legs ten times
+        longer."""
+
+        def query(tree):
+            tips = node_kinds(tree)["leaf"]
+            ev = Evidence.of({label(tips[1]): 1, label(tips[2]): 0})
+            return lambda s: s.query(tips[0], ev)
+
+        counts = []
+        for length in (200, 2_000):
+            tree = spider(np.random.default_rng(10), (length,) * 3)
+            counts.append(self.count_steps(monkeypatch, tree, query(tree))[0])
+        assert counts[0] == counts[1]
+        assert counts[0]["neighbors"] > 0 and counts[0]["weighted"] > 0, counts[0]
 
 
 class TestReusedFloatSessions:

@@ -346,6 +346,11 @@ class TestMixedRadixDigits:
 
 
 DATA = Path(__file__).parent / "data"
+#: the trees of the tree-navigation tests: two without a float form, and
+#: four with runs, one of them rooted inside its run
+EDGE_TEST_TREES = [
+    "asia_grouped", "random_grouped", "chain", "spider", "caterpillar", "rooted mid-run"
+]
 
 
 class TestTreeViews:
@@ -433,9 +438,12 @@ class TestTreeViews:
                 grouped.node_columns, grouped.edges, grouped.edge_ends, stacks[:3] + stacks[4:]
             )
 
-    @pytest.mark.parametrize("name", ["asia_grouped", "random_grouped", "chain"])
+    @pytest.mark.parametrize("name", EDGE_TEST_TREES)
     def test_distance_climbs_to_the_searched_path(self, name):
-        tree = fileio.load_tree(DATA / f"{name}.tree")
+        """From every node to every other, including pairs inside one run,
+        pairs at run ends and, on the tree rooted mid-run, pairs on either
+        side of node 0 inside its run."""
+        tree = edge_test_tree(name)
         n = tree.node_count
         for a in range(n):
             for b in range(n):
@@ -445,34 +453,46 @@ class TestTreeViews:
                 # capped one past the limit
                 for limit in range(max(hops - 3, -1), hops):
                     assert tree.distance(a, b, limit) == limit + 1
+        scalars = tree.scalars
+        if scalars is None:
+            return
+        # the pairs of one run the shortcut answers, and its ends, which it leaves to the climb
+        longest = int(np.argmax(np.diff(scalars.run_start)))
+        run = int(scalars.run_of[0]) if name == "rooted mid-run" else longest
+        nodes = scalars.run_nodes[scalars.run_start[run] : scalars.run_start[run + 1]].tolist()
+        assert len(nodes) >= 4
+        pairs = [(nodes[1], nodes[-2]), (nodes[0], nodes[-1]), (nodes[0], nodes[2])]
+        pairs.append((nodes[-1], nodes[1]))
+        if name == "rooted mid-run":
+            at = nodes.index(0)
+            pairs.append((nodes[at - 1], nodes[at + 1]))
+        for a, b in pairs:
+            hops = abs(nodes.index(a) - nodes.index(b))
+            assert tree.distance(a, b, hops) == tree.distance(b, a, n) == hops
+            assert tree.distance(a, b, hops - 1) == hops
 
-    @pytest.mark.parametrize(
-        "name",
-        ["asia_grouped", "random_grouped", "chain", "spider", "caterpillar", "rooted mid-run"],
-    )
-    def test_climb_covers_the_path_to_the_lowest_common_ancestor(self, name):
-        """From every node toward every other, the climb returns the
-        shallowest node of the searched path between them, and what it
-        records, node by node or by runs, is the part of that path from
-        the start up to that node."""
-        tree = climb_test_tree(name)
+    @pytest.mark.parametrize("name", EDGE_TEST_TREES)
+    def test_edge_rule_finds_the_evidence_beyond_each_edge(self, name):
+        """For every ordered pair (u, n) of adjacent nodes and several
+        evidence sets, the edge rule says whether evidence lies in the part
+        of the tree on n's side of the edge, as a search from n that does
+        not cross back to u finds it; ``toward`` names the second node of
+        the searched path."""
+        tree = edge_test_tree(name)
         n = tree.node_count
-        # rooted at node 0
-        depth = [len(searched_path(tree, 0, m)) - 1 for m in range(n)]
+        sides = {(u, m): searched_side(tree, u, m) for u in range(n) for m in tree.neighbors(u)}
+        rng = np.random.default_rng(79)
+        evidence_sets = [set(), {0}, set(range(n))]
+        for k in (1, 1, 2, 3, 5):
+            evidence_sets.append(set(rng.choice(n, size=k, replace=False).tolist()))
+        for evidence in evidence_sets:
+            beyond = tree.evidence_side(iter(evidence))
+            for (u, m), side in sides.items():
+                assert beyond(u, m) == bool(side & evidence), (u, m, evidence)
         for a in range(n):
             for b in range(n):
-                path = searched_path(tree, a, b)
-                meet = min(path, key=lambda m: depth[m])
-                ends, spans = set(), {}
-                assert tree.climb(a, b, ends, spans) == meet
-                assert climbed(tree, ends, spans) == set(path[: path.index(meet) + 1])
-                # a floor at the LCA's depth lets the climb meet it; one hop
-                # below, the climb stops first, unless it crosses that depth
-                # inside a run
-                assert tree.climb(a, b, set(), {}, floor=depth[meet]) == meet
-                if depth[meet] < depth[a]:
-                    stopped = tree.climb(a, b, set(), {}, floor=depth[meet] + 1)
-                    assert stopped is None or (stopped == meet and tree.scalars is not None)
+                if a != b:
+                    assert tree.toward(a, b) == searched_path(tree, a, b)[1]
 
     def test_rank_reads_the_factor_stacks(self):
         tree = fileio.load_tree(DATA / "chain.tree")
@@ -489,10 +509,9 @@ class TestTreeViews:
             tree.rank(0, 2)
 
 
-def climb_test_tree(name):
+def edge_test_tree(name):
     """A tree file, a branching tree, or a chain whose node 0 lies inside
-    its run, so that climbs by runs meet at the root."""
-    from sensbn.generators import binary_chain_tree
+    its run, so that node 0's parent and child are in the same run."""
     from tests.test_engine import binary_tree, branching_trees
 
     if name in ("spider", "caterpillar"):
@@ -507,9 +526,14 @@ def climb_test_tree(name):
     return tree
 
 
-def climbed(tree, ends, spans):
-    """The nodes a climb recorded: ``ends``, and the run positions in ``spans``."""
-    nodes = set(ends)
-    for run, (lo, hi) in spans.items():
-        nodes.update(tree.scalars.run_nodes[lo : hi + 1].tolist())
-    return nodes
+def searched_side(tree, u, m):
+    """The nodes on m's side of the edge {u, m}: those a breadth-first
+    search from m reaches without crossing back to u."""
+    seen = {u, m}
+    order = [m]
+    for x in order:
+        for y in tree.neighbors(x):
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    return set(order)

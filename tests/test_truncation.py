@@ -290,8 +290,9 @@ def climb_test_trees():
 
 
 class TestClimbMatchesTheBall:
-    """Climbing to the evidence selects, marks and propagates exactly what
-    searching the radius ball does, on both kernels."""
+    """Climbing to the evidence selects, and the edge rule marks and
+    propagates, exactly what searching the radius ball does, on both
+    kernels."""
 
     @pytest.mark.parametrize("name", ["spider", "caterpillar", "spider-of-spiders", "chain"])
     def test_same_bits_record_and_plan(self, monkeypatch, name):
