@@ -8,86 +8,71 @@ rank-of-the-coupling numbers long, and on binary trees it supports
 bounded-error inference that ignores evidence beyond a computed radius.
 """
 
-from .algebra import (
-    BinarySensitivity,
-    QRFactors,
-    Sensitivity,
-    apply_update,
-    binary_reduce,
-    binary_reverse,
-    binary_sensitivity,
-    binary_update,
-    cpt_to_sensitivity,
-    qr_factor,
-    reduce,
-    reverse,
-    sensitivity_rank_law_check,
-    sensitivity_to_cpt,
-)
-from .compiler import (
-    ClusterPlan,
-    CompileReport,
-    accept_precompiled,
-    check_tree_consistency,
-    compile_network,
-    moralize,
-    plan_clusters,
-)
-from .engine import QuerySession
-from .model import (
-    BeliefNetwork,
-    ConditionalMatrix,
-    Distribution,
-    Evidence,
-    StateSpace,
-    TreeNetwork,
-    restrict_distribution,
-    validate_network,
-)
-from .oracle import arc_reverse_cpt, joint, marginalize_out, pairwise_conditional, posterior
-from .truncation import DecayProfile, TruncationPlan, plan_truncation, truncated_query, verify_profile
+import importlib
+
+#: the public names, by the module that defines them; each is imported on
+#: first access (PEP 562), so a process loads only the modules it uses
+_EXPORTS = {
+    "algebra": (
+        "BinarySensitivity",
+        "QRFactors",
+        "Sensitivity",
+        "apply_update",
+        "binary_reduce",
+        "binary_reverse",
+        "binary_sensitivity",
+        "binary_update",
+        "cpt_to_sensitivity",
+        "qr_factor",
+        "reduce",
+        "reverse",
+        "sensitivity_rank_law_check",
+        "sensitivity_to_cpt",
+    ),
+    "compiler": (
+        "ClusterPlan",
+        "CompileReport",
+        "accept_precompiled",
+        "check_tree_consistency",
+        "compile_network",
+        "moralize",
+        "plan_clusters",
+    ),
+    "engine": ("QuerySession",),
+    "model": (
+        "BeliefNetwork",
+        "ConditionalMatrix",
+        "Distribution",
+        "Evidence",
+        "StateSpace",
+        "TreeNetwork",
+        "restrict_distribution",
+        "validate_network",
+    ),
+    "oracle": ("arc_reverse_cpt", "joint", "marginalize_out", "pairwise_conditional", "posterior"),
+    "truncation": (
+        "DecayProfile",
+        "TruncationPlan",
+        "plan_truncation",
+        "truncated_query",
+        "verify_profile",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BeliefNetwork",
-    "BinarySensitivity",
-    "ClusterPlan",
-    "CompileReport",
-    "ConditionalMatrix",
-    "DecayProfile",
-    "Distribution",
-    "Evidence",
-    "QRFactors",
-    "QuerySession",
-    "Sensitivity",
-    "StateSpace",
-    "TreeNetwork",
-    "TruncationPlan",
-    "accept_precompiled",
-    "apply_update",
-    "arc_reverse_cpt",
-    "binary_reduce",
-    "binary_reverse",
-    "binary_sensitivity",
-    "binary_update",
-    "check_tree_consistency",
-    "compile_network",
-    "cpt_to_sensitivity",
-    "joint",
-    "marginalize_out",
-    "moralize",
-    "pairwise_conditional",
-    "plan_clusters",
-    "plan_truncation",
-    "posterior",
-    "qr_factor",
-    "reduce",
-    "restrict_distribution",
-    "reverse",
-    "sensitivity_rank_law_check",
-    "sensitivity_to_cpt",
-    "truncated_query",
-    "validate_network",
-    "verify_profile",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

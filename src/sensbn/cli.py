@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import compiler, fileio, fixtures, generators, oracle, truncation
-from .engine import QuerySession
+# oracle, generators, truncation and engine are imported by the commands
+# that run them, so a process loads only what its command uses
+from . import compiler, fileio, fixtures
 from .errors import (
     ApproxPreconditionError,
     ConsistencyError,
@@ -91,7 +92,10 @@ def _parse_evidence(raw_items: list[str]) -> Evidence:
     return Evidence.of(pairs)
 
 
-def _parse_approx(tokens: list[str]) -> truncation.DecayProfile:
+def _parse_approx(tokens: list[str]):
+    """The ``truncation.DecayProfile`` that ``--approx`` describes."""
+    from .truncation import DecayProfile
+
     values: dict[str, float] = {}
     for tok in tokens:
         for item in tok.split(","):
@@ -110,7 +114,7 @@ def _parse_approx(tokens: list[str]) -> truncation.DecayProfile:
     missing = {"epsilon", "alpha", "eta"} - set(values)
     if missing:
         raise ApproxPreconditionError(f"--approx is missing {sorted(missing)}")
-    return truncation.DecayProfile(values["alpha"], values["eta"], values["epsilon"])
+    return DecayProfile(values["alpha"], values["eta"], values["epsilon"])
 
 
 def _state_name(card: int, state: int) -> str:
@@ -182,6 +186,8 @@ def cmd_query(args) -> int:
     if engine == "oracle":
         if not args.network:
             raise UnknownLabelError("--engine oracle needs --network <file>")
+        from . import oracle
+
         net = fileio.load_network(fixtures.resolve(args.network))
         post = oracle.posterior(net, evidence, args.query)
         prior = oracle.posterior(net, Evidence.of({}), args.query)
@@ -197,10 +203,14 @@ def cmd_query(args) -> int:
         print(result.format())
         return EXIT_OK
 
+    from .engine import QuerySession
+
     session = QuerySession(tree)
     bound = None
     ident, _member = tree.resolve_query(args.query)
     if args.approx:
+        from . import truncation
+
         profile = _parse_approx(args.approx)
         dist, bound, plan = truncation.truncated_query(session, ident, evidence, profile)
         mode = f"approx radius={plan.radius}"
@@ -225,6 +235,9 @@ def cmd_query(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import oracle
+    from .engine import QuerySession
+
     net = fileio.load_network(fixtures.resolve(args.network))
     tree = fileio.load_tree(fixtures.resolve(args.compiled))
     jt = oracle.joint(net)
@@ -293,6 +306,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import generators, truncation
+    from .engine import QuerySession
+
     lengths = [int(x) for x in args.lengths.split(",")]
     eps_list = [float(x) for x in args.eps.split(",")]
     # Query sits a few hops inside the chain with retained evidence on one

@@ -89,6 +89,14 @@ from the committed baseline (the priors plus whatever
 :meth:`QuerySession.commit` froze), so one session can answer any number
 of queries.  A session itself is single-writer: never call into one
 session from two threads.
+
+Evidence is observed in place, in the kernel's own form, with no
+``Distribution`` built: a full assignment gives its state's indicator (a
+one-hot ndarray, or 0.0 or 1.0 on the float kernel), and a partial one the
+working distribution masked by the space's member digits and divided by
+its mass, bit for bit what :func:`~sensbn.model.restrict_distribution`
+gives.  A clamped array-kernel step divides its values by their total,
+so every distribution the session holds sums to one to rounding.
 """
 
 from __future__ import annotations
@@ -109,7 +117,7 @@ from .errors import (
     ZeroEvidenceError,
     ZeroMassError,
 )
-from .model import Distribution, Evidence, TreeNetwork, restrict_distribution
+from .model import ENTRY_TOL, Distribution, Evidence, TreeNetwork
 
 #: probabilities driven below this by an update are clamped to exactly zero
 CLAMP_EPS = 1e-12
@@ -352,12 +360,17 @@ class _ArrayKernel:
 
     @staticmethod
     def update(base: np.ndarray, q: np.ndarray, m: np.ndarray) -> np.ndarray | None:
-        """base + Q^T m with entries below CLAMP_EPS set to zero."""
+        """base + Q^T m with entries below CLAMP_EPS set to zero; clamped
+        values are divided by their total once it passes the mass check,
+        so they sum to one as a :class:`Distribution` must."""
         values = base + q.T @ m
-        if np.minimum.reduce(values) < CLAMP_EPS:
+        clamped = np.minimum.reduce(values) < CLAMP_EPS
+        if clamped:
             values = np.where(values < CLAMP_EPS, 0.0, values)
         total = float(np.add.reduce(values))
-        return values if abs(total - 1.0) <= MASS_TOL else None
+        if not abs(total - 1.0) <= MASS_TOL:
+            return None
+        return values / total if clamped else values
 
     @staticmethod
     def enter(
@@ -366,9 +379,9 @@ class _ArrayKernel:
         """The step of a node entered with the message ``m`` through the
         factor ``r`` toward the sender: the weighted factor
         ``Q = (R - (R@p) 1^T) diag(p)``, the update ``base + Q^T m`` with
-        its clamp, and the refreshed factor ``Q diag(p')^{-1} (I - E/n)``
-        toward the sender.  Returns ``(p', refreshed)``, or None where the
-        session must raise.
+        its clamp and renormalisation (see :meth:`update`), and the
+        refreshed factor ``Q diag(p')^{-1} (I - E/n)`` toward the sender.
+        Returns ``(p', refreshed)``, or None where the session must raise.
 
         A column whose probability collapsed to zero is zeroed: a dead
         state stays dead, since its weighted column and its baseline entry
@@ -379,10 +392,12 @@ class _ArrayKernel:
         clamped = np.minimum.reduce(values) < CLAMP_EPS
         if clamped:
             values = np.where(values < CLAMP_EPS, 0.0, values)
+        total = float(np.add.reduce(values))
         # written so that a NaN total is refused too
-        if not abs(float(np.add.reduce(values)) - 1.0) <= MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             return None
         if clamped:
+            values = values / total
             x = np.divide(q, values, out=np.zeros_like(q), where=values > 0.0)
         else:
             x = q / values
@@ -622,32 +637,48 @@ class QuerySession:
         return ZeroMassError(f"update left {name} without a valid distribution")
 
     def _observe(self, node: int, assignment: Mapping[str, int]):
-        """The node's distribution once the evidence on it is fixed."""
-        kernel = self._kernel
-        probs = kernel.to_array(self._p[node])
-        return kernel.from_array(self._instantiated_value(node, assignment, probs))
-
-    def _instantiated_value(
-        self, node: int, assignment: Mapping[str, int], probs: np.ndarray
-    ) -> np.ndarray:
+        """The node's distribution once the evidence on it is fixed, in the
+        kernel's own form and without leaving it: the observed state's
+        one-hot for a full assignment, else the working distribution
+        restricted to the states consistent with the assignment, bit for
+        bit as :func:`~sensbn.model.restrict_distribution` gives it.  The
+        states come from the space (its index, or its member digits),
+        since a pruned two-state compound of two members has its own
+        order."""
         comp = self.tree.compound(node)
         space = comp.space
-        if set(assignment) == set(space.members):
+        p = self._p[node]
+        flat = self._kernel is _FloatKernel
+        if assignment.keys() == set(space.members):
             try:
                 state = space.index(assignment)
             except PrunedStateError as exc:
                 raise ZeroEvidenceError(str(exc)) from exc
-            if probs[state] <= 0.0:
+            if flat:
+                mass = p if state else 1.0 - p
+            else:
+                mass = p[state]
+            if mass <= 0.0:
                 raise ZeroEvidenceError(
                     f"state {dict(assignment)} of {comp.name} has probability zero"
                 )
+            if flat:
+                return float(state)
             out = np.zeros(space.cardinality)
             out[state] = 1.0
             return out
-        try:
-            return restrict_distribution(Distribution(probs), space, assignment).probs.copy()
-        except ZeroMassError as exc:
-            raise ZeroEvidenceError(str(exc)) from exc
+        mask = space.consistent_mask(assignment)
+        if flat:
+            kept = (1.0 - p if mask[0] else 0.0, p if mask[1] else 0.0)
+            mass = kept[0] + kept[1]
+        else:
+            kept = np.where(mask, p, 0.0)
+            mass = float(np.add.reduce(kept))
+        if mass <= ENTRY_TOL:
+            raise ZeroEvidenceError(
+                f"no probability mass consistent with {dict(assignment)} on {space.members}"
+            )
+        return kept[1] / mass if flat else kept / mass
 
     def _evidence_stops(self, nodes) -> dict[int, list[int]]:
         """The run positions of those of ``nodes`` inside runs, sorted per run."""

@@ -123,15 +123,19 @@ class StateSpace:
 
     def original_index(self, assignment: Mapping[str, int]) -> int:
         """Index of a full member assignment in the unpruned enumeration."""
-        missing = [m for m in self.members if m not in assignment]
-        if missing:
-            raise UnknownLabelError(f"assignment missing members {missing}")
-        extra = [k for k in assignment if k not in self.members]
-        if extra:
+        try:
+            values = [assignment[m] for m in self.members]
+        except KeyError:
+            values = None
+        if values is None or len(assignment) != len(values):
+            missing = [m for m in self.members if m not in assignment]
+            if missing:
+                raise UnknownLabelError(f"assignment missing members {missing}")
+            extra = [k for k in assignment if k not in self.members]
             raise UnknownLabelError(f"assignment names non-members {extra}")
         idx = 0
-        for member, card in zip(self.members, self.cards):
-            state = int(assignment[member])
+        for member, card, value in zip(self.members, self.cards, values):
+            state = int(value)
             if not 0 <= state < card:
                 raise PrunedStateError(
                     f"state {state} of {member} outside [0, {card})"
@@ -160,26 +164,32 @@ class StateSpace:
 
     def member_states(self, member: str) -> np.ndarray:
         """The state of ``member`` in every retained state, in state order:
-        its mixed-radix digit of each retained original index."""
-        k = self.members.index(member)
-        stride = math.prod(self.cards[k + 1 :])
-        return self._retained_array // stride % self.cards[k]
+        its mixed-radix digit of each retained original index.  A read-only
+        row of the space's digit table, computed once per space."""
+        return self._digits[self.members.index(member)]
 
     @cached_property
-    def _retained_array(self) -> np.ndarray:
-        """``retained`` as an array, built on first use: a space that never
-        takes partial evidence never pays for it."""
-        return frozen_array(self._retained, dtype=int)
+    def _digits(self) -> np.ndarray:
+        """Every member's digit of every retained original index, one
+        read-only row per member, built on first use: a space that never
+        takes partial evidence or a member query never pays for it."""
+        strides = [math.prod(self.cards[k + 1 :]) for k in range(len(self.cards))]
+        retained = np.array(self._retained, dtype=int)
+        digits = retained // np.array(strides)[:, None] % np.array(self.cards)[:, None]
+        digits.setflags(write=False)
+        return digits
 
     def consistent_mask(self, partial: Mapping[str, int]) -> np.ndarray:
         """Boolean mask over retained states matching a partial assignment."""
-        extra = [k for k in partial if k not in self.members]
-        if extra:
+        if not all(k in self.members for k in partial):
+            extra = [k for k in partial if k not in self.members]
             raise UnknownLabelError(f"partial assignment names non-members {extra}")
-        mask = np.ones(self.cardinality, dtype=bool)
+        digits = self._digits
+        mask = None
         for member, value in partial.items():
-            mask &= self.member_states(member) == int(value)
-        return mask
+            match = digits[self.members.index(member)] == int(value)
+            mask = match if mask is None else mask & match
+        return np.ones(self.cardinality, dtype=bool) if mask is None else mask
 
 
 def _refuse_non_finite(arr: np.ndarray) -> None:

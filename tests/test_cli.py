@@ -135,6 +135,20 @@ class TestQuery:
         )
         assert code == cli.EXIT_INFERENCE
 
+    @pytest.mark.parametrize("engine", ["misq", "simq"])
+    def test_evidence_that_a_clamp_settles(self, capsys, engine):
+        """x_C false makes x_B false for certain; on the published tables
+        a clamp settles that state, and both engines answer as the oracle
+        does."""
+        code, out, err = run(
+            capsys,
+            "query", "asia_tables.tree", "--query", "x_B", "--evidence", "x_C=false",
+            "--engine", engine,
+        )
+        assert code == cli.EXIT_OK, err
+        assert "false      1.000000   +0.010400" in out.splitlines()
+        assert "true       0.000000   -0.010400" in out.splitlines()
+
     def test_approx_on_non_binary_tree_exit_code(self, capsys):
         code, out, err = run(
             capsys,
@@ -367,6 +381,34 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "0.68" in proc.stdout
+
+    def test_commands_load_only_the_modules_they_run(self, tmp_path):
+        """A compile loads no engine, and an exact query on a compiled tree
+        loads neither the oracle, the generators nor the truncation."""
+        tree_file = tmp_path / "asia.tree"
+        script = (
+            "import sys\n"
+            "from sensbn.cli import main\n"
+            "main(sys.argv[1:])\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('sensbn.')))\n"
+        )
+        runs = {
+            "compile": ["compile", "asia.net", "-o", str(tree_file)],
+            "misq": ["query", str(tree_file), "--query", "x_H", "--evidence", "x_A=true"],
+            "simq": ["query", str(tree_file), "--query", "x_H", "--engine", "simq"],
+        }
+        loaded = {}
+        for name, argv in runs.items():
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *argv], capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            loaded[name] = set(proc.stdout.splitlines()[-1].split())
+        assert "sensbn.compiler" in loaded["compile"]
+        assert "sensbn.engine" not in loaded["compile"]
+        for name in ("misq", "simq"):
+            assert "sensbn.engine" in loaded[name]
+            assert not loaded[name] & {"sensbn.oracle", "sensbn.generators", "sensbn.truncation"}
 
     def test_compile_and_query_run_with_scipy_blocked(self, tmp_path):
         """The package needs numpy alone: with scipy made unimportable, a

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from pathlib import Path
 import subprocess
 import sys
 import textwrap
@@ -7,10 +8,11 @@ import textwrap
 import numpy as np
 import pytest
 
-from sensbn import algebra, compiler, engine, oracle, truncation
+from sensbn import algebra, compiler, engine, fileio, oracle, truncation
 from sensbn.engine import QuerySession
 from sensbn.errors import (
     ConsistencyError,
+    PrunedStateError,
     SensBnError,
     UnknownLabelError,
     ZeroEvidenceError,
@@ -22,8 +24,18 @@ from sensbn.generators import (
     random_groupings,
     random_tree_network,
 )
-from sensbn.model import Distribution, Evidence, FactorStack, StateSpace, TreeNetwork
+from sensbn.model import (
+    BeliefNetwork,
+    Distribution,
+    Evidence,
+    FactorStack,
+    StateSpace,
+    TreeNetwork,
+    restrict_distribution,
+)
 from tests.conftest import accepted_without_table_check, unchecked_copy
+
+DATA = Path(__file__).parent / "data"
 
 
 def fresh(tree, **kw):
@@ -876,6 +888,203 @@ def test_flood_answers_every_asia_evidence_set_the_oracle_answers(asia_net, asia
                     answered += 1
     assert answered == 4400
     assert refused == 26
+
+
+def test_published_tables_answer_what_clamped_steps_accept(asia_tables):
+    """On the tree entered from the published four-digit tables, a clamp
+    can zero a slightly negative state and leave the mass up to MASS_TOL
+    off; the array kernel then divides by the total, so no query and no
+    posterior after a flood is refused as a distribution that does not
+    sum to one.  With x_C false, x_B is false for certain."""
+    tree = asia_tables
+    labels = tree.member_labels
+    nodes_of_tree = range(tree.node_count)
+    answered = 0
+    for k in (1, 2, 3):
+        for nodes in itertools.combinations(labels, k):
+            for states in itertools.product((0, 1), repeat=k):
+                ev = Evidence.of(dict(zip(nodes, states)))
+                flood = fresh(tree)
+                results = [outcome(lambda: flood.multi_evidence_simq(ev))]
+                if not isinstance(results[0], tuple):
+                    results += [outcome(lambda: flood.posterior(q)) for q in nodes_of_tree]
+                results += [outcome(lambda: fresh(tree).query(q, ev)) for q in nodes_of_tree]
+                for result in results:
+                    if isinstance(result, tuple):
+                        assert "sums to" not in result[1], (ev, result)
+                    else:
+                        answered += 1
+    assert answered > 2000
+    home = tree.member_home("x_B")
+    ev = Evidence.of({"x_C": 0})
+    for dist in (fresh(tree).query(home, ev), fresh(tree).multi_evidence_simq(ev).posterior(home)):
+        assert dist.probs.tolist() == [1.0, 0.0]
+
+
+def pair_network(flip):
+    """x0 -> a -> b -> x3 and x0 -> x4, where b is a copy of a
+    (``flip=False``) or its negation, and x3 a copy of b: grouping (a, b)
+    when compiling prunes two of its four states, which leaves a
+    two-state compound of two binary members."""
+    det = np.array([[0.0, 1.0], [1.0, 0.0]]) if flip else np.eye(2)
+    cpts = {
+        "x0": np.array([[0.3], [0.7]]),
+        "a": np.array([[0.8, 0.25], [0.2, 0.75]]),
+        "b": det,
+        "x3": np.eye(2),
+        "x4": np.array([[0.6, 0.1], [0.4, 0.9]]),
+    }
+    labels = ("x0", "a", "b", "x3", "x4")
+    parents = {"a": ("x0",), "b": ("a",), "x3": ("b",), "x4": ("x0",)}
+    return BeliefNetwork(tuple((label, 2) for label in labels), parents, cpts)
+
+
+def outcome(operation):
+    """What ``operation()`` returns, or the type and text of the sensbn
+    error it raises."""
+    try:
+        return operation()
+    except SensBnError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestObservation:
+    """Evidence is observed in place on both kernels: a full assignment
+    gives its state's indicator, a partial one the distribution that
+    ``restrict_distribution`` gives, bit for bit, and both refuse what it
+    refuses with the same text."""
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["copy", "negation"])
+    def test_two_member_two_state_compound_on_the_float_kernel(self, flip):
+        net = pair_network(flip)
+        tree, _ = compiler.compile_network(net, forced_groups=(("a", "b"),))
+        pair = tree.compound(tree.member_home("a")).space
+        assert pair.members == ("a", "b") and pair.cardinality == 2
+        assert pair.pruned == ((1, 2) if not flip else (0, 3))
+        assert QuerySession(tree)._kernel is engine._FloatKernel
+        cases = [{"a": v} for v in (0, 1)] + [{"b": v} for v in (0, 1)]
+        cases += [{"a": v, "b": w} for v in (0, 1) for w in (0, 1)]
+        cases += [{**case, "x4": 1} for case in cases]
+        answered = 0
+        for case in cases:
+            ev = Evidence.of(case)
+            try:
+                want = oracle_all_nodes(net, tree, ev)
+            except ZeroEvidenceError:
+                with pytest.raises(ZeroEvidenceError):
+                    fresh(tree).multi_evidence_simq(ev)
+                for q in range(tree.node_count):
+                    with pytest.raises(ZeroEvidenceError):
+                        fresh(tree).query(q, ev)
+                continue
+            s = fresh(tree).multi_evidence_simq(ev)
+            for q, expected in want.items():
+                assert np.abs(s.p[q] - expected).max() <= 1e-12, (case, q)
+                got = fresh(tree).query(q, ev).probs
+                assert np.abs(got - expected).max() <= 1e-12, (case, q)
+                answered += 1
+        assert answered == 12 * tree.node_count
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_observations_are_restrict_distribution_bit_for_bit(self, seed):
+        """On one-node trees over random spaces with pruning, on the array
+        kernel and, for two-state spaces, on the float kernel: instantiating
+        every partial and full assignment gives what
+        ``restrict_distribution`` gives, or refuses with its text."""
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for _ in range(8):
+            n = int(rng.integers(1, 4))
+            members = tuple(f"m{k}" for k in range(n))
+            cards = tuple(int(c) for c in rng.integers(2, 4, size=n))
+            full = int(np.prod(cards))
+            # keep at least two states, and now and then exactly two
+            keep = 2 if rng.random() < 0.4 else int(rng.integers(2, full + 1))
+            pruned = rng.choice(full, size=full - keep, replace=False).tolist()
+            space = StateSpace(members, cards, pruned)
+            raw = rng.random(space.cardinality)
+            raw[rng.random(space.cardinality) < 0.3] = 0.0
+            raw[int(rng.integers(0, space.cardinality))] += 0.5
+            prior = Distribution.normalized(raw)
+            tree = compiler.accept_precompiled([space], [prior], {})
+            flat = tree.scalars is not None
+            assert flat == (space.cardinality == 2)
+            probs = QuerySession(tree).p[0]
+            for k in range(n + 1):
+                for names in itertools.combinations(members, k):
+                    for values in itertools.product(*(range(3) for _ in names)):
+                        assignment = dict(zip(names, values))
+                        got = outcome(lambda: QuerySession(tree).instantiate(0, assignment).p[0])
+                        if k == n:
+                            want = outcome(lambda: indicator(space, probs, assignment))
+                        else:
+                            want = outcome(lambda: restricted(space, probs, assignment))
+                        if isinstance(want, np.ndarray):
+                            assert isinstance(got, np.ndarray), (assignment, got)
+                            # the float kernel keeps P(state 1) alone
+                            got, want = (got[1:], want[1:]) if flat else (got, want)
+                            assert got.tobytes() == want.tobytes(), (assignment, got, want)
+                        else:
+                            assert got == want, assignment
+                        checked += 1
+        assert checked > 100
+
+    def test_refusals_on_both_kernels(self, monkeypatch):
+        """The three refusals of an observation, with their texts, from a
+        query and from a flood that observes the refused node last: a full
+        assignment of a pruned state, a full assignment of a state that
+        other evidence made impossible, and a partial one that no state of
+        positive probability matches."""
+        grouped = fileio.load_tree(DATA / "asia_grouped.tree")
+        pair, _ = compiler.compile_network(pair_network(True), forced_groups=(("a", "b"),))
+        cases = [
+            (grouped, 2, {"x_C": 0, "x_E": 1, "x_G": 0}, [2],
+             "assignment maps to pruned state 2 of ('x_C', 'x_E', 'x_G')"),
+            (grouped, 0, {"x_B": 1, "x_C": 0}, [2, 1],
+             "state {'x_B': 1} of X_2 has probability zero"),
+            (grouped, 2, {"x_B": 1, "x_C": 0}, [1, 2],
+             "no probability mass consistent with {'x_C': 0} on ('x_C', 'x_E', 'x_G')"),
+            (pair, 0, {"a": 1, "b": 1}, [1], "assignment maps to pruned state 3 of ('a', 'b')"),
+            (pair, 0, {"a": 1, "b": 0, "x3": 1}, [2, 1],
+             "state {'a': 1, 'b': 0} of X_2 has probability zero"),
+            (pair, 3, {"a": 1, "x3": 1}, [2, 1],
+             "no probability mass consistent with {'a': 1} on ('a', 'b')"),
+        ]
+        kernels = set()
+        for tree, query, case, order, text in cases:
+            ev = Evidence.of(case)
+            for force in (False, True):
+                with monkeypatch.context() as patch:
+                    if force:
+                        patch.setattr(engine, "_choose_kernel", lambda t: engine._ArrayKernel)
+                    kernels.add(QuerySession(tree)._kernel)
+                    for operation in (
+                        lambda: QuerySession(tree).query(query, ev),
+                        lambda: QuerySession(tree).multi_evidence_simq(ev, order),
+                    ):
+                        assert outcome(operation) == ("ZeroEvidenceError", text), (case, force)
+        assert kernels == {engine._ArrayKernel, engine._FloatKernel}
+
+
+def indicator(space, probs, assignment):
+    """The observation of a full assignment, from the space's index."""
+    try:
+        state = space.index(assignment)
+    except PrunedStateError as exc:
+        raise ZeroEvidenceError(str(exc)) from exc
+    if probs[state] <= 0.0:
+        raise ZeroEvidenceError(f"state {assignment} of X_1 has probability zero")
+    out = np.zeros(space.cardinality)
+    out[state] = 1.0
+    return out
+
+
+def restricted(space, probs, assignment):
+    """The observation of a partial assignment: the reference form."""
+    try:
+        return restrict_distribution(Distribution(probs), space, assignment).probs
+    except ZeroMassError as exc:
+        raise ZeroEvidenceError(str(exc)) from exc
 
 
 # -- walking by runs ----------------------------------------------------------

@@ -135,6 +135,33 @@ class TestStateIndex:
         assert space.index({"x_C": 1, "x_E": 0, "x_G": 0}) == 2
         assert space.index({"x_C": 1, "x_E": 1, "x_G": 1}) == 5
 
+    @pytest.mark.parametrize(
+        "assignment, error, text",
+        [
+            ({"x_C": 0, "x_G": 0}, UnknownLabelError, "assignment missing members ['x_E']"),
+            (
+                {"x_C": 0, "zz": 0, "x_G": 0},
+                UnknownLabelError,
+                "assignment missing members ['x_E']",
+            ),
+            (
+                {"x_C": 0, "x_E": 0, "x_G": 0, "zz": 1},
+                UnknownLabelError,
+                "assignment names non-members ['zz']",
+            ),
+            ({"x_C": 0, "x_E": 3, "x_G": 0}, PrunedStateError, "state 3 of x_E outside [0, 2)"),
+            (
+                {"x_C": 0, "x_E": 1, "x_G": 1},
+                PrunedStateError,
+                "assignment maps to pruned state 3 of ('x_C', 'x_E', 'x_G')",
+            ),
+        ],
+    )
+    def test_refusals_name_what_is_wrong(self, assignment, error, text):
+        with pytest.raises(error) as caught:
+            self.asia_x3().index(assignment)
+        assert str(caught.value) == text
+
     @given(
         n=st.integers(min_value=1, max_value=4),
         cards=st.lists(st.integers(min_value=2, max_value=3), min_size=4, max_size=4),
@@ -312,6 +339,15 @@ class TestMixedRadixDigits:
         for member in space.members:
             want = [space.assignment(i)[member] for i in range(space.cardinality)]
             assert space.member_states(member).tolist() == want
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_digits_are_one_read_only_table_per_space(self, space):
+        rows = [space.member_states(member) for member in space.members]
+        assert all(not row.flags.writeable for row in rows)
+        table = rows[0].base
+        assert table is not None and all(row.base is table for row in rows)
+        # computed once: a later call reads the same table
+        assert space.member_states(space.members[-1]).base is table
 
     @pytest.mark.parametrize("space", SPACES)
     def test_consistent_mask_matches_the_state_loop(self, space):
