@@ -2,7 +2,10 @@
 """Walk through the two classic chest-clinic queries on the shipped tree.
 
 Prints every intermediate the engine produces so the run can be compared
-line by line against the published four-digit tables.
+line by line against the published four-digit tables.  Exits 1 unless the
+single query, asked again on a fresh session over the same tree, gives the
+same bytes: the first session fills the tree's cache of weighted factors
+and the second reads it.
 """
 
 import sys
@@ -55,9 +58,17 @@ def main():
     print(f"  p(dyspnea | visit, X-ray) = {fmt(session.p[x6])}")
 
     print("\n-- same query through the single-query walk")
-    answer = QuerySession(tree).query(x6, Evidence.of({"x_A": 1, "x_D": 1}))
+    evidence = Evidence.of({"x_A": 1, "x_D": 1})
+    cold = fixtures.asia_tables_tree()  # loaded again: no session has read it yet
+    answer = QuerySession(cold).query(x6, evidence)
     print(f"  p(dyspnea | visit, X-ray) = {fmt(answer.probs)}")
+    again = QuerySession(cold).query(x6, evidence)
+    if again.probs.tobytes() != answer.probs.tobytes():
+        print(f"  a second fresh session answered {again.probs!r}, not {answer.probs!r}")
+        return 1
+    print("  a second fresh session, on the warmed tree, answers the same bytes")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -123,6 +123,13 @@ def _state_name(card: int, state: int) -> str:
     return str(state)
 
 
+def signed(value: float, places: int) -> str:
+    """``value`` with its sign and ``places`` decimals; one that rounds to
+    zero prints as +0, so rounding noise below zero shows no sign."""
+    text = f"{value:+.{places}f}"
+    return "+" + text[1:] if text[0] == "-" and float(text) == 0.0 else text
+
+
 @dataclass(frozen=True)
 class QueryResult:
     """One answered query, ready for printing."""
@@ -140,7 +147,7 @@ class QueryResult:
         lines = [f"query {self.query}  evidence {self.evidence or '{}'}  mode {self.mode}"]
         lines.append("state      posterior   delta")
         for name, p, p0 in zip(self.state_names, self.posterior, self.prior):
-            lines.append(f"{name:<10} {p:1.6f}   {p - p0:+1.6f}")
+            lines.append(f"{name:<10} {p:1.6f}   {signed(p - p0, 6)}")
         if self.bound is not None:
             lines.append(f"guaranteed relative error bound {self.bound:1.6f}")
         if self.instrumentation:
@@ -371,9 +378,9 @@ def cmd_report(args) -> int:
             continue
         print(f"S {ci.name} {cj.name} rank {pair.rank}")
         for row in pair.q:
-            print("  q " + " ".join(f"{v:+.4f}" for v in row))
+            print("  q " + " ".join(signed(v, 4) for v in row))
         for row in pair.r_mat:
-            print("  r " + " ".join(f"{v:+.4f}" for v in row))
+            print("  r " + " ".join(signed(v, 4) for v in row))
     return EXIT_OK
 
 

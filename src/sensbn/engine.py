@@ -21,11 +21,12 @@ instrumentation record, the posterior bookkeeping (``p``, ``p0``, ``p1``),
 trace events, and the restart and commit baselines.
 
 The arithmetic comes in two kernels with the same four steps: message,
-entry step, accumulate and pass-through transfer.  The entry step of a
-node reached by a message computes the weighted factor toward the
-sender, the update with its clamp and mass check, and the refreshed
-factor, in one kernel call; accumulating a branch's reply computes the
-weighted factor and the update only.
+entry step, accumulate and pass-through transfer.  The last three take
+the weighted factor of a node toward a neighbour, computed by the kernel
+or read from the tree (see below).  The entry step of a node reached by a
+message computes the update with its clamp and mass check and the
+refreshed factor toward the sender in one kernel call; accumulating a
+branch's reply computes the update only.
 
 * The array kernel is the general form: distributions are ndarrays and
   a stored factor is a rank x n matrix R.  The weighted factor
@@ -82,13 +83,24 @@ values into small layers over them, and copies the float arrays only when
 it writes whole runs.  Restart puts new empty layers over the baseline;
 commit copies a base only while the tree holds it, moves the layers'
 values into it and makes it the baseline, so neither copies what earlier
-operations wrote.  ``p``, ``p0``, ``r`` and ``p1`` are read-only views
-that convert the state to ndarrays on every read; ``r[(i, j)]`` reads the
-half edge from j to i.  Every ``query`` and every ``instantiate`` starts
-from the committed baseline (the priors plus whatever
-:meth:`QuerySession.commit` froze), so one session can answer any number
-of queries.  A session itself is single-writer: never call into one
-session from two threads.
+operations wrote.
+
+The tree also caches what depends on it alone: the weighted factor at the
+priors of every half edge (``TreeNetwork.weighted_factors``, filled per
+half edge on first read, array kernel) and each run position's
+pass-through weight in both directions (``BinaryScalars.transfer``, float
+kernel).  A session reads them only while its layers lie over the tree's
+own bases, that is before its first commit of a write, and only for a
+node with no write in its working layer; past that, every step computes
+from session state.  The caches hold the bytes those steps would compute,
+and two sessions filling one entry at once write equal values.
+
+``p``, ``p0``, ``r`` and ``p1`` are read-only views that convert the state
+to ndarrays on every read; ``r[(i, j)]`` reads the half edge from j to i.
+Every ``query`` and every ``instantiate`` starts from the committed
+baseline (the priors plus whatever :meth:`QuerySession.commit` froze), so
+one session can answer any number of queries.  A session itself is
+single-writer: never call into one session from two threads.
 
 Evidence is observed in place, in the kernel's own form, with no
 ``Distribution`` built: a full assignment gives its state's indicator (a
@@ -374,20 +386,19 @@ class _ArrayKernel:
 
     @staticmethod
     def enter(
-        r: np.ndarray, p: np.ndarray, base: np.ndarray, m: np.ndarray
+        q: np.ndarray, base: np.ndarray, m: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """The step of a node entered with the message ``m`` through the
-        factor ``r`` toward the sender: the weighted factor
-        ``Q = (R - (R@p) 1^T) diag(p)``, the update ``base + Q^T m`` with
-        its clamp and renormalisation (see :meth:`update`), and the
-        refreshed factor ``Q diag(p')^{-1} (I - E/n)`` toward the sender.
-        Returns ``(p', refreshed)``, or None where the session must raise.
+        """The step of a node entered with the message ``m``, given the
+        weighted factor ``q`` toward the sender (:meth:`weighted`): the
+        update ``base + Q^T m`` with its clamp and renormalisation (see
+        :meth:`update`), and the refreshed factor
+        ``Q diag(p')^{-1} (I - E/n)`` toward the sender.  Returns
+        ``(p', refreshed)``, or None where the session must raise.
 
         A column whose probability collapsed to zero is zeroed: a dead
         state stays dead, since its weighted column and its baseline entry
         are zero from then on, so that column is never read.
         """
-        q = (r - (r @ p)[:, None]) * p  # weighted, inlined
         values = base + q.T @ m
         clamped = np.minimum.reduce(values) < CLAMP_EPS
         if clamped:
@@ -404,8 +415,10 @@ class _ArrayKernel:
         return values, x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
 
     @staticmethod
-    def transfer(r_above: np.ndarray, r_below: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return r_below @ _ArrayKernel.weighted(r_above, p).T
+    def transfer(q_above: np.ndarray, r_below: np.ndarray) -> np.ndarray:
+        """The pass-through transfer, given the weighted factor toward
+        the node above."""
+        return r_below @ q_above.T
 
     @staticmethod
     def forward(t: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -470,17 +483,15 @@ class _FloatKernel:
                 raise _LeftBand
 
     @staticmethod
-    def enter(c: float, p: float, base: float, m: float) -> tuple[float, float] | None:
-        """:meth:`_ArrayKernel.enter`: ``q = p(1-p) c``, the update, then
-        the refreshed factor ``q / (p'(1-p'))``."""
-        q = p * (1.0 - p) * c
+    def enter(q: float, base: float, m: float) -> tuple[float, float] | None:
+        """:meth:`_ArrayKernel.enter`: given ``q = p(1-p) c``, the update,
+        then the refreshed factor ``q / (p'(1-p'))``."""
         value = _FloatKernel.update(base, q, m)
         return None if value is None else (value, _FloatKernel.refresh(q, value))
 
     @staticmethod
-    def enter_banded(c: float, p: float, base: float, m: float) -> tuple[float, float]:
+    def enter_banded(q: float, base: float, m: float) -> tuple[float, float]:
         """:meth:`enter` through :meth:`banded`, for a walk by runs."""
-        q = p * (1.0 - p) * c
         value = _FloatKernel.banded(base, q, m)
         return value, _FloatKernel.refresh(q, value)
 
@@ -491,8 +502,8 @@ class _FloatKernel:
         return q / weight if weight > 0.0 else q
 
     @staticmethod
-    def transfer(c_above: float, c_below: float, p: float) -> float:
-        return p * (1.0 - p) * c_above * c_below
+    def transfer(q_above: float, c_below: float) -> float:
+        return q_above * c_below
 
     @staticmethod
     def forward(t: float, m: float) -> float:
@@ -625,6 +636,11 @@ class QuerySession:
                 layer.base = list(base) if type(base) is tuple else base.copy()
             layer.flush()
 
+    def _on_tree(self) -> bool:
+        """Whether the working layers lie over the tree's own bases, so
+        that a value no layer holds a write for is the tree's own."""
+        return self._p.base is self._shared[0] and self._r.base is self._shared[1]
+
     def _commit(self) -> None:
         self._settle(stretch=False)
         self._p0, self._r0 = self._p.empty(), self._r.empty()
@@ -733,6 +749,12 @@ class QuerySession:
         ends at the run positions ``stops[run]`` of its evidence nodes.
         ``None`` walks one node at a time.
 
+        On the array kernel, while the session's layers lie over the tree's
+        own bases, a node with no write in its layer still holds its prior,
+        so the weighted factor of a half edge out of it is read from
+        ``TreeNetwork.weighted_factors``, not computed again: on entry, in
+        a pass-through transfer and for a reply into it.
+
         A frame is ``[node, parent, h_in, children, next child, transfer
         or None, message received, reply stretch or None]``; a node's next
         message is computed only when its previous branch has replied, as
@@ -748,6 +770,7 @@ class QuerySession:
         p, r, p1 = self._p, self._r, self._p1
         # the baseline's layer is always empty, so its base is read directly
         p0 = partial(kernel.read, self._p0.base)
+        cached = None if flat or not self._on_tree() else self.tree.weighted_factors
         neighbors = self.tree.neighbors
         offsets, adjacent = self.tree.csr
         first, target, twin = offsets.item, adjacent.item, self.tree.twin.item
@@ -772,21 +795,26 @@ class QuerySession:
             out = enumerate(neighbors(node), first(node))
             children = [h for h, n in out if n != parent and (flood or beyond(node, n))]
             transfer = None
-            if parent is None:
-                pass  # the operation's own node: its state is the caller's
-            elif not flood and node not in grouped and len(children) == 1:
-                # a pass-through: collapsed without updating its state
-                transfer = kernel.transfer(r[twin(h_in)], r[children[0]], p[node])
-            else:
+            # the operation's own node (no parent) is the caller's to update
+            if parent is not None:
+                # the weighted factor toward the parent
                 back = twin(h_in)
-                entered = enter(r[back], p[node], p0(node), m)
-                if entered is None:
-                    raise self._zero_mass(node)
-                p[node], r[back] = entered
-                if not flood:
-                    p1[node] = entered[0]
-                if tracing:
-                    self._trace("simq-update" if flood else "misq-enter", node)
+                if cached is not None and node not in p:
+                    q = cached[back]
+                else:
+                    q = weighted(r[back], p[node])
+                if not flood and node not in grouped and len(children) == 1:
+                    # a pass-through: collapsed without updating its state
+                    transfer = kernel.transfer(q, r[children[0]])
+                else:
+                    entered = enter(q, p0(node), m)
+                    if entered is None:
+                        raise self._zero_mass(node)
+                    p[node], r[back] = entered
+                    if not flood:
+                        p1[node] = entered[0]
+                    if tracing:
+                        self._trace("simq-update" if flood else "misq-enter", node)
             stack.append([node, parent, h_in, children, 0, transfer, m, None])
             # resume the innermost frame until one sends a message down
             while stack:
@@ -826,7 +854,10 @@ class QuerySession:
                 if stack[-1][5] is None:
                     # a junction or the query node takes the reply in now; a
                     # pass-through turns it into its own reply when it finishes
-                    q = weighted(r[h_in], p[parent])
+                    if cached is not None and parent not in p:
+                        q = cached[h_in]
+                    else:
+                        q = weighted(r[h_in], p[parent])
                     value = update(p[parent], q, reply)
                     if value is None:
                         raise self._zero_mass(parent)
@@ -844,7 +875,9 @@ class QuerySession:
         way.
 
         A flood updates the stretch's nodes and refreshes their factors; a
-        query collapses them into one transfer and pushes their frame.
+        query collapses them into one transfer and pushes their frame.  On
+        the tree's own bases that transfer is the product of a slice of
+        ``BinaryScalars.transfer``, taken in walk order.
         Returns the node the stretch reaches, the stretch's last node, the
         half edge between them and the message the reached node receives.
         """
@@ -859,35 +892,68 @@ class QuerySession:
         count = (end - at) * step
         # positions lo..hi-1 ascending, taken in walk order
         lo, hi, order = (at, end, slice(None)) if step > 0 else (end + 1, at + 1, slice(None, None, -1))
-        ids = nodes[lo:hi][order]
-        last, reached = ids.item(-1), nodes.item(end)
+        last, reached = nodes.item(end - step), nodes.item(end)
         h_out = self.tree.half_edge(last, reached)
         self.instr.log.append((at, count, step))
         if flood:
-            self._settle(stretch=True)
-        probs, factors = self._p.base, self._r.base
-        # each node's factors toward its run neighbors: edge g - run joins
-        # positions g and g + 1, and the key toward the lower one is in row 0
-        offset = scalars.factor.shape[1] - run
-        lower = factors[lo - 1 - run : hi - 1 - run][order]
-        upper = factors[lo + offset : hi + offset][order]
-        c_in, c_out = (lower, upper) if step > 0 else (upper, lower)
-        old = probs[ids]
-        if flood:
-            base = self._p0.base[ids]
-            q = old * (1.0 - old) * c_in
-            gain = q.copy()
-            gain[1:] *= c_out[:-1]
-            values = base + m * np.cumprod(gain)
-            _FloatKernel.check_band(values, base)
-            weight = values * (1.0 - values)
-            c_in[:] = np.divide(q, weight, out=q, where=weight > 0.0)
-            probs[ids] = values
-            sent = _FloatKernel.message(c_out.item(-1), values.item(-1), base.item(-1))
-            return reached, last, h_out, sent
-        transfer = float(np.prod(old * (1.0 - old) * c_in * c_out))
+            return reached, last, h_out, self._update_run(run, lo, hi, order, step, m)
+        if self._on_tree():
+            through = scalars.transfer[0 if step > 0 else 1, lo:hi][order]
+        else:
+            old = self._p.base[nodes[lo:hi][order]]
+            c_in, c_out = self._run_factors(run, lo, hi, order, step)
+            through = old * (1.0 - old) * c_in * c_out
+        transfer = float(np.multiply.reduce(through))
         stack.append([node, parent, h_in, [h_out], 1, transfer, m, (end - step, count, -step)])
         return reached, last, h_out, transfer * m
+
+    def _run_factors(
+        self, run: int, lo: int, hi: int, order: slice, step: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the working factors of run positions lo..hi-1 of
+        ``run`` toward their run neighbours, in walk order: (toward the
+        neighbour the walk comes from, toward the one it goes to)."""
+        factors = self._r.base
+        # edge g - run joins positions g and g + 1, and the key toward the
+        # lower one is in row 0
+        offset = self.tree.scalars.factor.shape[1] - run
+        lower = factors[lo - 1 - run : hi - 1 - run][order]
+        upper = factors[lo + offset : hi + offset][order]
+        return (lower, upper) if step > 0 else (upper, lower)
+
+    def _update_run(self, run: int, lo: int, hi: int, order: slice, step: int, m: float) -> float:
+        """Update the nodes of a flood's stretch (run positions lo..hi-1,
+        in walk order) from the message ``m``, refresh their factors
+        toward the sender, and return the message the stretch's last node
+        sends on.  It writes into the working bases, copied first while
+        the baseline or the tree holds them."""
+        self._settle(stretch=True)
+        probs = self._p.base
+        ids = self.tree.scalars.run_nodes[lo:hi][order]
+        c_in, c_out = self._run_factors(run, lo, hi, order, step)
+        # a flood enters each node once, so the working values are still
+        # the committed ones; every step below is in place
+        base = probs[ids]
+        q = 1.0 - base
+        q *= base
+        q *= c_in
+        values = q.copy()
+        values[1:] *= c_out[:-1]
+        np.multiply.accumulate(values, out=values)
+        values *= m
+        values += base
+        low, high = np.minimum.reduce(values), np.maximum.reduce(values)
+        clear = low >= CLAMP_EPS and 1.0 - high >= CLAMP_EPS
+        if not clear:  # NaN included
+            _FloatKernel.check_band(values, base)
+        weight = 1.0 - values
+        weight *= values
+        if clear:
+            np.divide(q, weight, out=c_in)
+        else:
+            c_in[:] = np.divide(q, weight, out=q, where=weight > 0.0)
+        probs[ids] = values
+        return _FloatKernel.message(c_out.item(-1), values.item(-1), base.item(-1))
 
     # -- single instantiation, all posteriors (flood) -----------------------
 

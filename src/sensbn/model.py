@@ -564,11 +564,20 @@ class BinaryScalars:
       message from y toward x is c times the change in y's probability of
       state 1.  ``slot[h]`` is the index in ``factor.ravel()`` of the
       factor that half edge h of ``TreeNetwork.csr`` holds.
+    * ``transfer[0, g]`` and ``transfer[1, g]`` are the pass-through
+      transfer ``p(1-p) c_in c_out`` at the priors of the node at run
+      position g, crossed toward higher and toward lower positions: with
+      c_lower and c_upper its factors toward its run neighbours,
+      ``p(1-p) c_lower c_upper`` and ``p(1-p) c_upper c_lower``, each in
+      the order a query multiplies them (0 at run ends).  They depend on
+      the tree only, so a query on the tree's own state reads a stretch's
+      product off one slice.
     """
 
     prior: np.ndarray
     factor: np.ndarray
     slot: np.ndarray
+    transfer: np.ndarray
     run_nodes: np.ndarray
     run_start: np.ndarray
     run_of: np.ndarray
@@ -628,9 +637,17 @@ class BinaryScalars:
         factor = c[held].reshape(2, n_edges)
         slot = np.empty(2 * n_edges, dtype=np.intp)
         slot[held] = np.arange(2 * n_edges)
-        for arr in (prior, factor, slot, run_nodes, run_start, run_of, place):
+        at = np.flatnonzero(inner)
+        run = run_of[run_nodes[at]]
+        lower, upper = factor[0, at - 1 - run], factor[1, at - run]
+        p = prior[run_nodes[at]]
+        weight = p * (1.0 - p)
+        transfer = np.zeros((2, run_nodes.size))
+        transfer[0, at] = weight * lower * upper
+        transfer[1, at] = weight * upper * lower
+        for arr in (prior, factor, slot, transfer, run_nodes, run_start, run_of, place):
             arr.setflags(write=False)
-        return cls(prior, factor, slot, run_nodes, run_start, run_of, place)
+        return cls(prior, factor, slot, transfer, run_nodes, run_start, run_of, place)
 
 
 @dataclass(frozen=True)
@@ -793,7 +810,8 @@ class TreeNetwork:
     ``compound(i)``, ``compounds``, ``prior_probs``, ``half_edge_factors``
     (the stored factors by half edge) and ``r_factors`` (the same factors
     by key) are read-only views built from the columns on first use and
-    kept.
+    kept.  ``weighted_factors`` maps each half edge to its weighted factor
+    at the priors, filled per half edge on first read.
 
     ``decay`` is None until compiler.check_tree_consistency has passed on
     the tree; that pass records the tree's :class:`DecayConstants`, and
@@ -1053,6 +1071,14 @@ class TreeNetwork:
         return tuple(out)
 
     @cached_property
+    def weighted_factors(self) -> "WeightedFactors":
+        """The weighted factor at the priors of every half edge, by half
+        edge, computed on first read (see :class:`WeightedFactors`)."""
+        source = self._csr[1][self._twin]
+        source.setflags(write=False)
+        return WeightedFactors(self.half_edge_factors, self.prior_probs, source)
+
+    @cached_property
     def r_factors(self) -> dict[tuple[int, int], np.ndarray]:
         """Both stored factors of every edge, by key: the entries of
         ``half_edge_factors`` in half-edge order."""
@@ -1113,6 +1139,34 @@ class TreeNetwork:
                 raise UnknownLabelError(f"state {value} outside node {label!r} range")
             grouped.setdefault(home, {})[label] = value
         return grouped
+
+
+class WeightedFactors(dict):
+    """``map[h]`` is the weighted factor ``Q_h = (R_h - (R_h p) 1^T)
+    diag(p)`` of half edge h, with R_h its stored factor and p the prior of
+    its source: what a session weighs at that source (on entry, in a
+    pass-through or for a reply) while the source still holds its prior.
+    An entry is computed on first read, with the engine's own expression,
+    and kept read-only, so a query pays only for the half edges it crosses.
+    Two threads that fill one entry at once store equal values.
+
+    It reads the tree's ``half_edge_factors``, ``prior_probs`` and the
+    source node of every half edge, not the tree, which holds the map."""
+
+    __slots__ = ("_factors", "_priors", "_source")
+
+    def __init__(
+        self, factors: Sequence[np.ndarray], priors: Mapping[int, np.ndarray], source: np.ndarray
+    ):
+        super().__init__()
+        self._factors, self._priors, self._source = factors, priors, source
+
+    def __missing__(self, h: int) -> np.ndarray:
+        r, p = self._factors[h], self._priors[self._source.item(h)]
+        q = (r - (r @ p)[:, None]) * p
+        q.setflags(write=False)
+        self[h] = q
+        return q
 
 
 def _check_edge_count(n_edges: int, n: int) -> None:

@@ -85,6 +85,32 @@ class TestQuery:
         delta = float(line.split()[2])
         assert delta == pytest.approx(3.3e-4, abs=1e-5)
 
+    def test_rounding_noise_prints_no_negative_zero(self, capsys, tmp_path):
+        run(capsys, "compile", str(FIXTURE_DIR / "asia.net"), "--group", "x_C,x_E,x_G",
+            "-o", str(tmp_path / "asia.tree"))
+        code, out, err = run(
+            capsys, "query", str(tmp_path / "asia.tree"), "--query", "X_3", "--evidence", "x_A=1"
+        )
+        assert code == 0
+        rows = {l.split()[0]: l.split()[1:] for l in out.splitlines()[2:8]}
+        assert rows["4"][1] == rows["5"][1] == "+0.000000"
+        assert "-0.000000" not in out
+        code, out, err = run(capsys, "report", str(tmp_path / "asia.tree"))
+        assert code == 0
+        assert "+0.0000" in out and "-0.0000" not in out
+
+    @pytest.mark.parametrize(
+        "value,places,text",
+        [
+            (-4e-7, 6, "+0.000000"),
+            (-0.0, 4, "+0.0000"),
+            (-6e-5, 4, "-0.0001"),
+            (3e-5, 4, "+0.0000"),
+        ],
+    )
+    def test_signed_values(self, value, places, text):
+        assert cli.signed(value, places) == text
+
     def test_no_evidence_prints_prior(self, capsys):
         code, out, err = run(capsys, "query", "asia_tables.tree", "--query", "x_A")
         assert code == 0

@@ -1720,3 +1720,182 @@ class TestOperationRecord:
                 ])
             assert code == 0
             assert want in capsys.readouterr().out.splitlines()
+
+
+# -- what the tree caches for sessions ------------------------------------
+
+
+def asia_twin(asia_compiled):
+    """A tree of its own, built again from the compiled asia tree's
+    columns, whose caches no other test has filled; it runs the array
+    kernel."""
+    return unchecked_copy(asia_compiled[0])
+
+
+def poison_weighted_factors(tree, scale=0.5):
+    """Replace every entry of ``tree.weighted_factors`` by ``scale`` times
+    itself: a wrong factor that still moves no probability mass."""
+    cache = tree.weighted_factors
+    for h in range(tree.twin.size):
+        cache[h] = scale * cache[h]
+
+
+class TestWeightedFactorCache:
+    """The array kernel reads Q at the priors from the tree, and only
+    while the session's bases are the tree's own."""
+
+    def test_entries_are_the_walks_own_and_read_only(self, asia_compiled):
+        trees = [
+            asia_twin(asia_compiled),
+            compiler.compile_network(
+                random_tree_network(np.random.default_rng(3), 60, max_states=3)
+            )[0],
+        ]
+        for tree in trees:
+            adjacent, twin = tree.csr[1], tree.twin
+            for h in range(twin.size):
+                q = tree.weighted_factors[h]
+                want = engine._ArrayKernel.weighted(
+                    tree.half_edge_factors[h], tree.prior_probs[int(adjacent[twin[h]])]
+                )
+                assert not q.flags.writeable
+                assert q.shape == want.shape and q.tobytes() == want.tobytes()
+                assert tree.weighted_factors[h] is q
+
+    def test_a_fresh_session_reads_the_entries(self, asia_compiled):
+        ev = Evidence.of({"x_A": 1, "x_D": 1})
+        home = asia_compiled[0].member_home("x_H")
+        clean, poisoned = asia_twin(asia_compiled), asia_twin(asia_compiled)
+        poison_weighted_factors(poisoned)
+        want, got = fresh(clean).query(home, ev).probs, fresh(poisoned).query(home, ev).probs
+        assert np.abs(want - got).max() > 1e-3
+        want, got = fresh(clean).multi_evidence_simq(ev), fresh(poisoned).multi_evidence_simq(ev)
+        assert np.abs(want.p[home] - got.p[home]).max() > 1e-3
+
+    def test_a_committed_session_no_longer_reads_them(self, asia_net, asia_compiled):
+        tree = asia_twin(asia_compiled)
+        committed = {"x_A": 1}
+        s = fresh(tree)
+        s.multi_evidence_simq(Evidence.of(committed))
+        poison_weighted_factors(tree)
+        for query, asked in [("x_H", {"x_D": 1}), ("x_B", {"x_F": 0, "x_C": 1}), ("x_E", {})]:
+            ev = Evidence.of({**committed, **asked})
+            got = s.query(tree.member_home(query), Evidence.of(asked)).probs
+            got = tree.member_marginal(tree.member_home(query), query, got)
+            want = oracle.posterior(asia_net, ev, query).probs
+            assert np.abs(got - want).max() <= 1e-9
+        s.multi_evidence_simq(Evidence.of({"x_H": 0}))
+        want = oracle_all_nodes(asia_net, tree, Evidence.of({**committed, "x_H": 0}))
+        for ident, probs in want.items():
+            assert np.abs(s.p[ident] - probs).max() <= 1e-9
+
+    def test_nodes_an_operation_wrote_no_longer_read_them(self, asia_compiled):
+        """``simq_step`` after an uncommitted flood enters nodes the flood
+        wrote, on the tree's own bases: it weighs them at their working
+        values, whatever the entries say."""
+        states = []
+        for poison in (False, True):
+            tree = asia_twin(asia_compiled)
+            s = fresh(tree)
+            s.instantiate(tree.member_home("x_A"), {"x_A": 1})
+            if poison:
+                poison_weighted_factors(tree)
+            s.simq_step(2, 5, np.full(tree.rank(2, 5), 0.01))
+            probs = [s.p[i].tobytes() for i in range(tree.node_count)]
+            states.append((probs, [r.tobytes() for r in s.r.values()]))
+        assert states[0] == states[1]
+
+    def test_threads_on_one_cold_tree_answer_as_one_thread(self, asia_compiled):
+        import threading
+
+        tree = asia_compiled[0]
+        rng = np.random.default_rng(21)
+        labels = tree.member_labels
+        asked = [
+            (int(rng.integers(tree.node_count)), {
+                label: int(rng.integers(2)) for label in rng.choice(labels, 2, replace=False)
+            })
+            for _ in range(40)
+        ]
+
+        def answers(tree):
+            out = []
+            for node, ev in asked:
+                try:
+                    out.append(fresh(tree).query(node, Evidence.of(ev)).probs.tobytes())
+                except ZeroEvidenceError as exc:
+                    out.append(str(exc))
+            return out
+
+        want = answers(asia_twin(asia_compiled))
+        shared = asia_twin(asia_compiled)
+        got: list = [None] * 4
+
+        def work(k):
+            got[k] = answers(shared)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 4
+
+
+class TestRunTransferColumns:
+    """The float kernel reads a query stretch's product off the tree's
+    run columns, and only while the session's bases are the tree's own."""
+
+    def test_columns_are_their_formulas_and_read_only(self):
+        trees = [binary_chain_tree(np.random.default_rng(2), 50), *branching_trees().values()]
+        for tree in trees:
+            sc = tree.scalars
+            assert not sc.transfer.flags.writeable
+            assert sc.transfer.shape == (2, sc.run_nodes.size)
+            factor = sc.factor
+            for run in range(sc.run_start.size - 1):
+                first, stop = sc.run_start[run], sc.run_start[run + 1]
+                assert (sc.transfer[:, [first, stop - 1]] == 0.0).all()
+                for g in range(first + 1, stop - 1):
+                    p = sc.prior[sc.run_nodes[g]]
+                    lower, upper = factor[0, g - 1 - run], factor[1, g - run]
+                    assert sc.transfer[0, g] == p * (1.0 - p) * lower * upper
+                    assert sc.transfer[1, g] == p * (1.0 - p) * upper * lower
+
+    def test_a_committed_session_no_longer_reads_them(self):
+        def build():
+            return binary_chain_tree(np.random.default_rng(12), 3000, alpha=0.9, coupling_lo=0.8)
+
+        profile = truncation.DecayProfile(0.9, 0.09, 0.1)
+        committed = Evidence.of({"v100": 1, "v1500": 0, "v2900": 1})
+        asked = [
+            (1450, Evidence.of({"v1460": 1, "v1200": 0})),
+            (700, Evidence.of({"v10": 0, "v2000": 1})),
+        ]
+
+        def answers(tree, poison):
+            s = QuerySession(tree)
+            s.multi_evidence_simq(committed)
+            if poison:
+                tree.scalars.transfer.setflags(write=True)
+                tree.scalars.transfer[:] = 0.0
+            out = []
+            for node, ev in asked:
+                out.append(s.query(node, ev).probs.tobytes())
+                got, _, _ = truncation.truncated_query(s, node, ev, profile, verified=True)
+                out.append(got.probs.tobytes())
+            return out
+
+        poisoned = build()
+        assert answers(poisoned, True) == answers(build(), False)
+        # a fresh session reads the poisoned columns
+        node, ev = asked[0]
+        want = QuerySession(build()).query(node, ev).probs
+        assert np.abs(QuerySession(poisoned).query(node, ev).probs - want).max() > 1e-3
+        assert "weighted_factors" not in vars(poisoned)
