@@ -97,6 +97,8 @@ and two sessions filling one entry at once write equal values.
 
 ``p``, ``p0``, ``r`` and ``p1`` are read-only views that convert the state
 to ndarrays on every read; ``r[(i, j)]`` reads the half edge from j to i.
+``barren`` reads the last query's marks the same way, from its node and
+edge rule.
 Every ``query`` and every ``instantiate`` starts from the committed
 baseline (the priors plus whatever :meth:`QuerySession.commit` froze), so
 one session can answer any number of queries.  A session itself is
@@ -137,37 +139,6 @@ CLAMP_EPS = 1e-12
 MASS_TOL = 1e-6
 
 
-class BarrenMarks(Mapping):
-    """Read-only ``node -> barren`` map of a query, answered per node by
-    the query's edge rule ``beyond`` (see
-    :meth:`TreeNetwork.evidence_side`): a node other than the query is
-    live when evidence lies on its side of the edge from its neighbour
-    toward the query.  The walk reads ``beyond`` itself.
-
-    ``beyond=None`` marks nothing barren.
-    """
-
-    def __init__(
-        self, tree: TreeNetwork, query: int = 0, beyond: Callable[[int, int], bool] | None = None
-    ):
-        self._tree = tree
-        self._query = query
-        self.beyond = beyond
-
-    def __getitem__(self, node: int) -> bool:
-        if not 0 <= node < self._tree.node_count:
-            raise KeyError(node)
-        if self.beyond is None or node == self._query:
-            return False
-        return not self.beyond(self._tree.toward(node, self._query), node)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._tree.node_count))
-
-    def __len__(self) -> int:
-        return self._tree.node_count
-
-
 class _Layer(dict):
     """One operation's writes over a base of committed values.
 
@@ -199,55 +170,26 @@ class _Layer(dict):
         self.clear()
 
 
-class _StateView(Mapping):
-    """Read-only ndarray view of session state, converted on every read.
+class _View(Mapping):
+    """Read-only map of session state: ``get(key)`` reads a key, converted
+    on every read, and raises ``KeyError`` for anything that is not one;
+    ``keys()`` gives the keys in order.  Both are called on every read,
+    so a view follows the session across operations."""
 
-    ``state()`` is the layer read and ``keys()`` its keys, both looked up
-    on every read, so a view follows the session across operations.
-    """
+    __slots__ = ("_get", "_keys")
 
-    def __init__(
-        self, state: Callable[[], Mapping], keys: Callable[[], Collection], convert: Callable
-    ):
-        self._state = state
+    def __init__(self, get: Callable, keys: Callable[[], Collection]):
+        self._get = get
         self._keys = keys
-        self._convert = convert
 
     def __getitem__(self, key):
-        if key not in self._keys():
-            raise KeyError(key)
-        return self._convert(self._state()[key])
+        return self._get(key)
 
     def __iter__(self) -> Iterator:
         return iter(self._keys())
 
     def __len__(self) -> int:
         return len(self._keys())
-
-
-class _FactorView(Mapping):
-    """Read-only ndarray view of a session's working factors by the keys
-    of ``TreeNetwork.r_factors``, in their order, converted on every read:
-    key (i, j) reads the half edge from j to i."""
-
-    def __init__(self, session: "QuerySession"):
-        self._session = session
-
-    def __getitem__(self, key):
-        session = self._session
-        try:
-            i, j = key
-            h = session.tree.half_edge(j, i)
-        except (TypeError, ValueError, UnknownLabelError):
-            raise KeyError(key) from None  # not a pair of node ids of the tree
-        return session._kernel.factor_array(session._r[h])
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        adjacent, twin = self._session.tree.csr[1], self._session.tree.twin
-        return zip(adjacent.tolist(), adjacent[twin].tolist())
-
-    def __len__(self) -> int:
-        return self._session.tree.twin.size
 
 
 class _LeftBand(Exception):
@@ -547,8 +489,8 @@ def _stop_ahead(positions: list[int] | None, at: int, step: int, end: int) -> in
 class QuerySession:
     """Mutable inference state layered over an immutable TreeNetwork.
 
-    ``p``, ``p0``, ``r`` and ``p1`` show the state of the last public
-    operation as read-only views that convert the kernel's state to
+    ``p``, ``p0``, ``r``, ``p1`` and ``barren`` show the state of the last
+    public operation as read-only views that convert the kernel's state to
     ndarrays on every read.
     """
 
@@ -570,7 +512,9 @@ class QuerySession:
         self._r0 = _Layer(bases[1], self._kernel.read, index)
         self.instr = Instrumentation(runs)
         self._restart()
-        self.barren = BarrenMarks(tree)
+        #: the last query's node and edge rule (see mark_barren); before
+        #: the first query every node is live
+        self._query_node, self._beyond = 0, lambda u, n: True
         self.trace: list[tuple[str, int, np.ndarray]] = []
         self._record_trace = record_trace
 
@@ -579,26 +523,53 @@ class QuerySession:
     @property
     def p(self) -> Mapping[int, np.ndarray]:
         """Working distributions."""
-        return self._nodes_view(lambda: self._p)
+        return self._nodes_view(lambda node: self._kernel.to_array(self._p[node]))
 
     @property
     def p0(self) -> Mapping[int, np.ndarray]:
         """Committed distributions."""
-        return self._nodes_view(lambda: self._p0)
-
-    @property
-    def r(self) -> Mapping[tuple[int, int], np.ndarray]:
-        """Working factors, by key."""
-        return _FactorView(self)
+        return self._nodes_view(lambda node: self._kernel.to_array(self._p0[node]))
 
     @property
     def p1(self) -> Mapping[int, np.ndarray]:
         """A query's distributions as updated on entry, before any reply."""
-        return _StateView(lambda: self._p1, lambda: self._p1, self._kernel.to_array)
+        return _View(lambda node: self._kernel.to_array(self._p1[node]), lambda: self._p1)
 
-    def _nodes_view(self, state: Callable[[], Mapping]) -> _StateView:
+    @property
+    def r(self) -> Mapping[tuple[int, int], np.ndarray]:
+        """Working factors by the keys of ``TreeNetwork.r_factors``, in
+        their order: key (i, j) reads the half edge from j to i."""
+        adjacent, twin = self.tree.csr[1], self.tree.twin
+        return _View(self._factor, lambda: list(zip(adjacent.tolist(), adjacent[twin].tolist())))
+
+    @property
+    def barren(self) -> Mapping[int, bool]:
+        """The last query's marks by node: a node other than the query is
+        barren unless the query's edge rule puts evidence on its side of
+        the edge from its neighbour toward the query."""
+        toward = self.tree.toward
+        return self._nodes_view(
+            lambda node: node != self._query_node
+            and not self._beyond(toward(node, self._query_node), node)
+        )
+
+    def _nodes_view(self, get: Callable[[int], object]) -> _View:
         nodes = range(self.tree.node_count)
-        return _StateView(state, lambda: nodes, self._kernel.to_array)
+
+        def checked(node):
+            if node not in nodes:
+                raise KeyError(node)
+            return get(node)
+
+        return _View(checked, lambda: nodes)
+
+    def _factor(self, key) -> np.ndarray:
+        try:
+            i, j = key
+            h = self.tree.half_edge(j, i)
+        except (TypeError, ValueError, UnknownLabelError):
+            raise KeyError(key) from None  # not a pair of node ids of the tree
+        return self._kernel.factor_array(self._r[h])
 
     def posterior(self, ident: int) -> Distribution:
         self.tree.check_node(ident)
@@ -777,7 +748,7 @@ class QuerySession:
         sent = self.instr.log.append
         self.instr.roots.append(root)
         flood = grouped is None
-        beyond = self.barren.beyond
+        beyond = self._beyond
         tracing = self._record_trace
         run_of = None if stops is None else self.tree.scalars.run_of
         stack: list[list] = []
@@ -1024,15 +995,16 @@ class QuerySession:
         self, query: int, evidence_nodes: Iterable[int], within: set[int] | None = None
     ) -> Mapping[int, bool]:
         """Mark barren every node off the paths from the query to
-        ``evidence_nodes``.  Nothing is recorded per node: the marks and
-        the walk read one edge rule (:meth:`TreeNetwork.evidence_side`), a
-        neighbour being live when evidence lies on its side of the edge.
-        It keeps the evidence nodes' entry times sorted, O(k log k) for k
-        evidence nodes, and answers each edge in O(log k).
+        ``evidence_nodes``, and return :attr:`barren`.  Nothing is recorded
+        per node: the marks and the walk read one edge rule
+        (:meth:`TreeNetwork.evidence_side`), a neighbour being live when
+        evidence lies on its side of the edge.  It keeps the evidence
+        nodes' entry times sorted, O(k log k) for k evidence nodes, and
+        answers each edge in O(log k).
 
-        ``within`` keeps only the evidence inside it, and must be closed
-        under paths from the query (a radius ball, or a union of paths from
-        it); a query node outside it leaves only itself live.
+        ``within`` filters the evidence, with no precondition on its
+        shape: only the evidence inside it is kept, and none when the
+        query lies outside it, which leaves only the query live.
         """
         # read once: an iterator would be used up by the check
         evidence = tuple(evidence_nodes)
@@ -1040,7 +1012,7 @@ class QuerySession:
             self.tree.check_node(node)
         if within is not None:
             evidence = tuple(n for n in evidence if n in within) if query in within else ()
-        self.barren = BarrenMarks(self.tree, query, self.tree.evidence_side(evidence))
+        self._query_node, self._beyond = query, self.tree.evidence_side(evidence)
         return self.barren
 
     def query(
@@ -1050,17 +1022,19 @@ class QuerySession:
         within: set[int] | None = None,
     ) -> Distribution:
         """Posterior of one node given an evidence set, touching only the
-        chains between the query and the evidence; ``within`` is as in
-        :meth:`mark_barren`."""
+        chains between the query and the evidence.  ``within`` filters the
+        evidence as in :meth:`mark_barren`: any set will do."""
         grouped = self.tree.group_evidence(evidence)
         if within is not None:
             grouped = {n: a for n, a in grouped.items() if n in within and query_node in within}
         return self._query_grouped(query_node, grouped)
 
     def _query_grouped(self, query_node: int, grouped: dict[int, dict[str, int]]) -> Distribution:
-        """:meth:`query` on evidence already grouped by compound node."""
+        """:meth:`query` on evidence already grouped by compound node,
+        whose node ids need no check."""
         self.instr.start_operation("misq")
-        self.mark_barren(query_node, grouped)
+        self.tree.check_node(query_node)
+        self._query_node, self._beyond = query_node, self.tree.evidence_side(grouped)
         stops = self._evidence_stops(grouped) if self._kernel is _FloatKernel else None
         self._propagate(query_node, grouped, self._restart, stops)
         return Distribution(self._kernel.to_array(self._p[query_node]))

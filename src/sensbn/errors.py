@@ -10,7 +10,7 @@ class SensBnError(Exception):
 
 
 class ParseError(SensBnError):
-    """A network or tree file could not be parsed."""
+    """A network or tree file could not be read or parsed."""
 
     def __init__(self, message, path=None, line=None):
         where = ""

@@ -163,9 +163,19 @@ def serialize_network(net: BeliefNetwork) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read(path: Path) -> str:
+    """The text of an input file; one that cannot be read or decoded
+    is a :class:`ParseError` naming the file."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(f"cannot read the file: {reason}", str(path)) from exc
+
+
 def load_network(path) -> BeliefNetwork:
     path = Path(path)
-    return parse_network(path.read_text(), path=str(path))
+    return parse_network(_read(path), path=str(path))
 
 
 def parse_tree(text: str, path=None) -> TreeNetwork:
@@ -417,7 +427,7 @@ def serialize_tree(tree: TreeNetwork) -> str:
 
 def load_tree(path) -> TreeNetwork:
     path = Path(path)
-    return parse_tree(path.read_text(), path=str(path))
+    return parse_tree(_read(path), path=str(path))
 
 
 def save(path, text: str) -> None:

@@ -19,7 +19,7 @@ copies no per-node state, and selection takes the distance to each of
 the k evidence nodes from one climb of the tree's parent links to its
 lowest common ancestor with the query, or from run positions when both
 lie inside one run (``TreeNetwork.distance``).  The answer is an exact
-query on the retained evidence, whose barren marking keeps only the
+query on the retained evidence, whose edge rule keeps only the
 evidence's sorted entry times and records nothing per node, so selection
 and propagation visit only the paths from the query to the retained
 evidence: O(k * radius) nodes.

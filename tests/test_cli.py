@@ -184,6 +184,39 @@ class TestQuery:
         )
         assert code == cli.EXIT_APPROX
 
+    def test_approx_prints_the_truncated_answer(self, capsys):
+        """The posterior, radius and bound that ``--approx`` prints are
+        those of ``truncation.truncated_query`` on the same evidence."""
+        from sensbn import truncation
+        from sensbn.engine import QuerySession
+
+        path = DATA / "chain.tree"
+        evidence = {"v2": 1, "v60": 1, "v100": 0}
+        code, out, err = run(
+            capsys,
+            "query", str(path), "--query", "v5",
+            "--evidence", ",".join(f"{k}={v}" for k, v in evidence.items()),
+            "--approx", "epsilon=0.1", "alpha=0.9", "eta=0.09",
+        )
+        assert code == 0 and err == ""
+        tree = fileio.load_tree(path)
+        ident, member = tree.resolve_query("v5")
+        profile = truncation.DecayProfile(0.9, 0.09, 0.1)
+        dist, bound, plan = truncation.truncated_query(
+            QuerySession(tree), ident, Evidence.of(evidence), profile
+        )
+        # the radius drops the farthest evidence, so the answer is truncated
+        assert tree.resolve_query("v100")[0] not in plan.retained_evidence
+        assert tree.resolve_query("v60")[0] in plan.retained_evidence
+        posterior = tree.member_marginal(ident, member, dist.probs)
+        lines = out.splitlines()
+        assert lines[0].endswith(f"mode approx radius={plan.radius}")
+        assert [l.split()[:2] for l in lines[2:4]] == [
+            ["false", f"{posterior[0]:1.6f}"],
+            ["true", f"{posterior[1]:1.6f}"],
+        ]
+        assert lines[4] == f"guaranteed relative error bound {bound:1.6f}"
+
     def test_approx_value_that_is_not_a_number_exit_code(self, capsys):
         code, out, err = run(
             capsys,
@@ -303,6 +336,38 @@ class TestValidate:
         assert code == cli.EXIT_GUARD
         assert f"joint table would exceed {oracle.SIZE_GUARD} states" in err
 
+    def test_exhaustive_sweep_passes(self, capsys, tmp_path):
+        out_file = tmp_path / "asia.tree"
+        run(
+            capsys,
+            "compile", str(FIXTURE_DIR / "asia.net"),
+            "--group", "x_C,x_E,x_G", "-o", str(out_file),
+        )
+        code, out, err = run(capsys, "validate", "asia.net", str(out_file))
+        assert code == 0 and err == ""
+        # no evidence, then each state of each of the 8 members
+        assert out.startswith("checked 17 evidence sets")
+        assert out.splitlines()[-1] == "PASS"
+
+    def test_exhaustive_sweep_past_4096_cases_is_refused(self, capsys, tmp_path):
+        """One node of 4096 states sweeps 4097 evidence sets over one
+        compound, past the sweep's guard."""
+        states = 4096
+        src = tmp_path / "wide.net"
+        src.write_text(
+            f"network wide\nnode a {states}\ncpt a dims {states} 1\n"
+            + f"{1.0 / states!r}\n" * states
+        )
+        code, out, err = run(capsys, "compile", str(src))
+        assert code == 0
+        code, out, err = run(capsys, "validate", str(src), str(tmp_path / "wide.tree"))
+        assert code == cli.EXIT_GUARD
+        assert out == ""
+        assert err == (
+            "error: the exhaustive sweep is too large for this network; "
+            "use --samples N instead\n"
+        )
+
 
 class TestBench:
     def test_touched_constant_and_radius_monotone(self, capsys):
@@ -362,6 +427,50 @@ class TestReport:
         code, out, err = run(capsys, "report", str(tmp_path / "pair.tree"))
         assert code == 0
         assert "independent" in out
+
+
+class TestUnreadableInput:
+    """An input file that is missing or cannot be read ends in one error
+    line and the parse-error exit code, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "{missing}"],
+            ["query", "{missing}", "--query", "x_H"],
+            ["query", "asia_tables.tree", "--query", "x_H", "--engine", "oracle",
+             "--network", "{missing}"],
+            ["validate", "{missing}", "asia_tables.tree"],
+            ["validate", "asia.net", "{missing}"],
+            ["report", "{missing}"],
+        ],
+    )
+    def test_missing_file_exit_code(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing.txt"
+        code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err == f"error: {missing}: cannot read the file: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", ["compile", "query", "validate", "report"])
+    def test_undecodable_file_exit_code(self, capsys, tmp_path, command):
+        path = tmp_path / "binary.tree"
+        path.write_bytes(b"\xff\xfe\x00 not text")
+        argv = {
+            "compile": ["compile", str(path)],
+            "query": ["query", str(path), "--query", "x_H"],
+            "validate": ["validate", "asia.net", str(path)],
+            "report": ["report", str(path)],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"error: {path}: cannot read the file: ") and err.count("\n") == 1
+
+    def test_directory_exit_code(self, capsys, tmp_path):
+        code, out, err = run(capsys, "report", str(tmp_path))
+        assert code == cli.EXIT_PARSE
+        assert err.startswith(f"error: {tmp_path}: cannot read the file: ")
 
 
 class TestFixtureEnvVar:

@@ -216,6 +216,41 @@ class TestMarkBarren:
             assert s._kernel is (engine._ArrayKernel if kernel == "array" else engine._FloatKernel)
             assert dict(s.mark_barren(0, nodes)) == want
 
+    @pytest.mark.parametrize("name", ["spider", "caterpillar", "spider-of-spiders"])
+    def test_within_is_an_evidence_filter(self, name):
+        """``within`` keeps the evidence inside it, whatever its shape: the
+        marks and the answer are those of that evidence alone, for sets
+        that are not closed under paths from the query, and a query
+        outside ``within`` leaves only itself live."""
+        tree = branching_trees()[name]
+        n = tree.node_count
+        rng = np.random.default_rng(79)
+        unclosed = 0
+        for _ in range(10):
+            query = int(rng.integers(n))
+            ev = {int(v) for v in rng.choice(n, size=4, replace=False)}
+            # the query and some of the evidence, and none of the nodes between
+            within = {query, *rng.choice(sorted(ev), size=2, replace=False).tolist()}
+            kept = [e for e in ev if e in within]
+            marks = dict(fresh(tree).mark_barren(query, ev, within))
+            assert marks == dict(fresh(tree).mark_barren(query, kept))
+            unclosed += any(not barren and node not in within for node, barren in marks.items())
+            evidence = Evidence.of({label(e): int(rng.integers(0, 2)) for e in ev})
+            s = fresh(tree)
+            got = s.query(query, evidence, within).probs.tobytes()
+            assert dict(s.barren) == marks
+            kept_evidence = Evidence.of({label(e): evidence.as_dict()[label(e)] for e in kept})
+            assert got == fresh(tree).query(query, kept_evidence).probs.tobytes()
+            # the query outside `within`: no evidence is kept
+            outside = set(ev) - {query}
+            marks = fresh(tree).mark_barren(query, ev, outside)
+            assert [node for node, barren in marks.items() if not barren] == [query]
+            s = fresh(tree)
+            got = s.query(query, evidence, outside).probs.tobytes()
+            assert dict(s.barren) == dict(marks)
+            assert got == fresh(tree).query(query, Evidence.of({})).probs.tobytes()
+        assert unclosed
+
     def test_barren_marking_does_not_change_answers(self, asia_net, asia_compiled):
         tree, _ = asia_compiled
         ev = Evidence.of({"x_D": 1})
@@ -516,6 +551,23 @@ class TestLayer:
             for view, at in ((s.p, 0), (s.p0, 0), (s.r, key), (s.p1, 0)):
                 with pytest.raises(TypeError):
                     view[at] = np.zeros(2)
+
+    def test_node_views_refuse_what_is_not_a_node(self, asia_tables):
+        """``p``, ``p0``, ``p1`` and ``barren`` raise KeyError for anything
+        that is not one of their keys, and it is not in them."""
+        chain = binary_chain_tree(np.random.default_rng(5), 6)
+        for tree, ev in ((asia_tables, {"x_D": 1}), (chain, {"v5": 1})):
+            n = tree.node_count
+            s = fresh(tree)
+            # before any query no node is barren
+            assert dict(s.barren) == dict.fromkeys(range(n), False)
+            s.query(0, Evidence.of(ev))
+            for view in (s.p, s.p0, s.p1, s.barren):
+                for key in (-1, n, "0", None, (0, 1)):
+                    assert key not in view
+                    with pytest.raises(KeyError):
+                        view[key]
+            assert list(s.barren) == list(range(n)) and len(s.barren) == n
 
     def test_factor_view_keys_come_from_the_float_slots(self):
         """On a float-kernel session, ``r`` answers reads and membership

@@ -7,7 +7,9 @@ every answer, ``p``, ``p0``, ``p1``, ``r``, the operation record and, with
 cached anything a session reads (numpy 2.4 on x86-64 with OpenBLAS 0.3;
 another BLAS may round a product differently), so a cache must leave every
 value, message and refusal as computing it afresh does, on a cold tree and
-on one that earlier sessions warmed.
+on one that earlier sessions warmed.  The same property is also checked in
+process, byte for byte, against a session that reads no cache, so it is
+checked on every build whether or not the digests hold there.
 """
 
 import hashlib
@@ -194,3 +196,20 @@ def test_state_is_pinned_on_cold_and_warmed_trees(monkeypatch, name, kernel):
         for trace in (False, True):
             session = session_on(monkeypatch, tree, kernel, trace)
             assert fingerprint(session, operations) == PINS[name, kernel][trace]
+
+
+@pytest.mark.parametrize("name,kernel", list(PINS))
+def test_caches_change_no_byte_on_this_build(monkeypatch, name, kernel):
+    """The pins' property checked against this build's own arithmetic, so
+    it holds whatever BLAS rounds the products: a session on a cold tree,
+    one on the tree it warmed and one that reads neither
+    ``TreeNetwork.weighted_factors`` nor ``BinaryScalars.transfer`` give
+    the same fingerprint."""
+    for trace in (False, True):
+        tree, operations = TREES[name]()
+        cold = fingerprint(session_on(monkeypatch, tree, kernel, trace), operations)
+        warmed = fingerprint(session_on(monkeypatch, tree, kernel, trace), operations)
+        with monkeypatch.context() as patch:
+            patch.setattr(QuerySession, "_on_tree", lambda self: False)
+            free = fingerprint(session_on(monkeypatch, tree, kernel, trace), operations)
+        assert cold == warmed == free
