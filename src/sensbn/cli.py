@@ -44,6 +44,7 @@ EXIT_BAD_REQUEST = 4
 EXIT_INFERENCE = 5
 EXIT_APPROX = 6
 EXIT_GUARD = 7
+EXIT_WRITE = 8
 
 _EXIT_OF = (
     (ParseError, EXIT_PARSE),
@@ -88,7 +89,11 @@ def _parse_evidence(raw_items: list[str]) -> Evidence:
                     state = int(value)
                 except ValueError:
                     raise UnknownLabelError(f"bad evidence value {value!r}") from None
-            pairs[label.strip()] = state
+            label = label.strip()
+            if pairs.setdefault(label, state) != state:
+                raise UnknownLabelError(
+                    f"evidence gives {label} two values, {pairs[label]} and {state}"
+                )
     return Evidence.of(pairs)
 
 
@@ -165,7 +170,12 @@ def cmd_compile(args) -> int:
     groups = tuple(tuple(g.split(",")) for g in args.group or ())
     tree, report = compiler.compile_network(net, forced_groups=groups)
     out = Path(args.output) if args.output else Path(args.network).with_suffix(".tree")
-    fileio.save(out, fileio.serialize_tree(tree))
+    text = fileio.serialize_tree(tree)
+    try:
+        fileio.save(out, text)
+    except OSError as exc:
+        print(f"error: {out}: cannot write the file: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_WRITE
     print(f"wrote {out}")
     print(report.format())
     return EXIT_OK

@@ -44,7 +44,7 @@ from .model import (
     StateSpace,
     TreeNetwork,
     Violation,
-    normalized_rows,
+    normalized_stacks,
     validate_network,
 )
 
@@ -305,16 +305,6 @@ class CompileReport:
         return "\n".join(lines)
 
 
-def _reverse_factor(q: np.ndarray, p_i: np.ndarray) -> np.ndarray:
-    """R factor of the flipped coupling: Q_ij diag(p_i)^{-1} (I - E/n_i).
-
-    Takes one edge (Q of shape (r, n_i), p_i of shape (n_i,)) or a stack
-    of edges ((E, r, n_i) and (E, n_i)).
-    """
-    inv_i = algebra.inverse_weights(p_i)
-    return algebra.center_rows(q * inv_i[..., None, :])
-
-
 def _family_table(net: BeliefNetwork, label: str, axes: tuple[str, ...]) -> np.ndarray:
     """The CPT of ``label`` laid onto the node axes ``axes``, with length
     one on every axis outside its family."""
@@ -466,21 +456,18 @@ def compile_network(
 
 def _normalized_priors(raw: list[np.ndarray]) -> list[Distribution]:
     """:meth:`Distribution.normalized` of every vector of ``raw``, one
-    stack per length; the first vector that method refuses, in list
-    order, is passed to it for the error."""
+    stack per length (see :func:`normalized_stacks`)."""
     by_size: dict[int, list[int]] = {}
     for k, row in enumerate(raw):
         by_size.setdefault(len(row), []).append(k)
+    stacks = normalized_stacks(
+        {n: (np.array([raw[k] for k in at]), at) for n, at in by_size.items()}
+    )
     priors: list = [None] * len(raw)
-    refused: list[int] = []
-    for at in by_size.values():
-        probs, bad = normalized_rows(np.array([raw[k] for k in at]))
-        probs.setflags(write=False)
-        refused.extend(k for k, refuse in zip(at, bad.tolist()) if refuse)
-        for k, row in zip(at, probs):
+    for n, at in by_size.items():
+        stacks[n].setflags(write=False)
+        for k, row in zip(at, stacks[n]):
             priors[k] = Distribution._of_checked(row)
-    for k in sorted(refused):
-        Distribution.normalized(raw[k])
     return priors
 
 
@@ -565,14 +552,11 @@ def accept_precompiled(
     """Build a TreeNetwork directly from per-edge factor pairs.
 
     ``edge_factors[(i, j)]`` is the coupling of node i with respect to
-    node j.  The opposite-direction stored factor is derived from Q and
-    the prior of node i, and factor rows are re-centered so the zero-sum
-    invariant survives rounded input (e.g. four-digit published tables).
-
-    The work is done per edge shape, not per edge: the pairs are grouped
-    by (n_i, n_j, rank) and each group is stacked into 3-D arrays, so that
-    re-centering, deriving the reverse factors and the consistency check
-    cost a few numpy calls per group (see :func:`accept_batches`).
+    node j.  The pairs are stacked per (n_i, n_j, rank) shape for
+    :func:`accept_batches`, which re-centres the rows (so the zero-sum
+    invariant survives rounded input, e.g. four-digit published tables),
+    derives the opposite-direction factors from Q and the priors, and
+    checks the tree with a few numpy calls per shape.
     """
     nodes = NodeColumns.of(spaces, priors, names)
     grouped: dict[tuple, tuple[list[int], list, list]] = {}
@@ -614,9 +598,10 @@ def accept_batches(
     for batch in batches:
         pos = np.array(batch.positions, dtype=np.intp)
         p_i = nodes.prior_stack(ends[pos, 0], batch.q.shape[2])
-        r_ij = algebra.center_rows(batch.r)
-        r_ji = _reverse_factor(algebra.center_rows(batch.q), p_i)
-        stacks.append(FactorStack(pos, r_ij, r_ji))
+        # the R factor of the flipped coupling: Q_ij diag(p_i)^{-1} (I - E/n_i)
+        q_ij = algebra.center_rows(batch.q)
+        r_ji = algebra.center_rows(q_ij * algebra.inverse_weights(p_i)[:, None, :])
+        stacks.append(FactorStack(pos, algebra.center_rows(batch.r), r_ji))
     tree = TreeNetwork(nodes, edges, ends, stacks, name)
     check_tree_consistency(tree)
     return tree
@@ -625,8 +610,10 @@ def accept_batches(
 def _dense_couplings(r_ab: np.ndarray, r_ba: np.ndarray, p_a: np.ndarray) -> np.ndarray:
     """Dense couplings of a stack of edges: the coupling of each a with
     respect to its b, (R_ba W(p_a))^T R_ab, from stored factors of shapes
-    (E, r, n_b) and (E, r, n_a) and priors of shape (E, n_a)."""
-    return (r_ba @ algebra.weight_matrix(p_a)).transpose(0, 2, 1) @ r_ab
+    (E, r, n_b) and (E, r, n_a) and priors of shape (E, n_a).  R W(p) is
+    formed as (R - (R p) 1^T) diag(p), without the (E, n_a, n_a) weights."""
+    q = (r_ba - r_ba @ p_a[:, :, None]) * p_a[:, None, :]
+    return q.transpose(0, 2, 1) @ r_ab
 
 
 def factor_pairs(tree: TreeNetwork) -> dict[tuple[int, int], QRFactors]:
@@ -645,11 +632,12 @@ def factor_pairs(tree: TreeNetwork) -> dict[tuple[int, int], QRFactors]:
 
 
 def _reversed_dense(s: np.ndarray, p_i: np.ndarray, p_j: np.ndarray) -> np.ndarray:
-    """:func:`algebra.reverse_dense` of every coupling in a stack."""
+    """:func:`algebra.reverse_dense` of every coupling in a stack, with
+    W(p_j) X formed as diag(p_j) (X - 1 p_j^T X)."""
     with np.errstate(divide="ignore"):
         inv_i = 1.0 / p_i
     flipped = algebra.center_rows(s.transpose(0, 2, 1) * inv_i[:, None, :])
-    return algebra.weight_matrix(p_j) @ flipped
+    return (flipped - p_j[:, None, :] @ flipped) * p_j[:, :, None]
 
 
 def reconstruct_dense(tree: TreeNetwork, i: int, j: int) -> np.ndarray:

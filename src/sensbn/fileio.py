@@ -22,26 +22,22 @@ Tree format::
     r <float...>                  # r rows, |X_j| values each
 
 Number tokens may carry a ``/rt2`` suffix (divide by sqrt(2)) so that
-published factor tables can be entered verbatim.
+published factor tables can be entered verbatim.  :func:`load_tree` reads
+a tree file line by line, converting each line as it comes.
 """
 
 from __future__ import annotations
 
+import io
 import math
+from array import array
 from pathlib import Path
 
 import numpy as np
 
 from . import compiler
 from .errors import ParseError, SensBnError
-from .model import (
-    BeliefNetwork,
-    Distribution,
-    NodeColumns,
-    TreeNetwork,
-    normalized_rows,
-    space_cardinality,
-)
+from .model import BeliefNetwork, NodeColumns, TreeNetwork, normalized_stacks, space_cardinality
 
 _RT2 = math.sqrt(2.0)
 
@@ -163,14 +159,19 @@ def serialize_network(net: BeliefNetwork) -> str:
     return "\n".join(out) + "\n"
 
 
+def _unreadable(path: Path, exc: Exception) -> ParseError:
+    """The error of an input file that cannot be read or decoded."""
+    reason = getattr(exc, "strerror", None) or exc
+    return ParseError(f"cannot read the file: {reason}", str(path))
+
+
 def _read(path: Path) -> str:
     """The text of an input file; one that cannot be read or decoded
     is a :class:`ParseError` naming the file."""
     try:
         return path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ParseError(f"cannot read the file: {reason}", str(path)) from exc
+        raise _unreadable(path, exc) from exc
 
 
 def load_network(path) -> BeliefNetwork:
@@ -181,12 +182,14 @@ def load_network(path) -> BeliefNetwork:
 def parse_tree(text: str, path=None) -> TreeNetwork:
     """Load a tree file into columns, without one object per node.
 
-    One pass over the lines collects flat lists: compound names, member
-    labels and their offsets, cards and pruned states where a line gives
-    them, prior numbers in one list per number of states, and factor
-    rows in one list per (n_i, n_j, rank) edge shape.  The priors are
-    then checked and normalised one stack per size, and
-    :func:`compiler.accept_batches` derives and checks the factors.
+    One pass over the lines (ended by ``\\n``, ``\\r\\n`` or ``\\r``) converts
+    each line as it comes into flat columns: names, member labels and
+    their offsets, cards and pruned states where a line gives them, and
+    the numbers, prior rows in one ``array('d')`` per number of states and
+    factor rows in one per (n_i, n_j, rank) edge shape.  The priors are
+    normalised one stack per size and :func:`compiler.accept_batches`
+    derives and checks the factors, each reading the buffers through
+    ``np.frombuffer``; no array of the tree keeps a buffer.
 
     Errors are raised in file order: a prior that
     :meth:`Distribution.normalized` refuses or a token that is not a
@@ -194,14 +197,14 @@ def parse_tree(text: str, path=None) -> TreeNetwork:
     the whole file (missing priors, then row widths, then the tree's
     structure) come after.
     """
-    nodes, edges, batches, name = _tree_columns(text, path)
-    return compiler.accept_batches(nodes, edges, batches, name=name)
+    return _parse_lines(io.StringIO(text, newline=None), path)
 
 
-def _tree_columns(text: str, path):
-    """The columns of a tree file: (nodes, edges, edge batches, name)."""
+def _parse_lines(lines, path) -> TreeNetwork:
+    """:func:`parse_tree` of the iterator ``lines``.  After an error the rest
+    of ``lines`` is still read, so that a line that cannot be read or
+    decoded raises its own error, whatever the lines before it hold."""
     name = "tree"
-    names: list[str] = []
     index: dict[str, int] = {}
     members: list[str] = []
     member_start = [0]
@@ -210,36 +213,20 @@ def _tree_columns(text: str, path):
     size: list[int] = []
     # node -> its row among the prior rows of its size (-1: no prior yet);
     # size -> (numbers, line of each row)
-    prior_at: list[int] = []
-    prior_rows: dict[int, tuple[list[float], list[int]]] = {}
+    prior_at = array("q")
+    prior_rows: dict[int, tuple[array, array]] = {}
     edges: list[tuple[int, int]] = []
-    # shape -> (edge positions, q numbers, r numbers), each a flat list
-    groups: dict[tuple[int, int, int], tuple[list[int], list[float], list[float]]] = {}
+    # shape -> (edge positions, q numbers, r numbers)
+    groups: dict[tuple[int, int, int], tuple[array, array, array]] = {}
     bad_width: ParseError | None = None
-    # the open edge block: (i, j, rank, line), its rows so far, the lists
-    # its numbers go to, and (tag, length) of each row of a wrong width
+    # the open edge block (name_i, name_j, line), its rank, rows so far, the
+    # buffers and row widths of its q and r rows, and (tag, length, width) of
+    # its rows of a wrong width; the next directive or the file's end closes it
     block = None
-    q_count = r_count = q_width = r_width = 0
+    rank, q_count, r_count, q_width, r_width = 0, 0, 0, -1, -1
     q_out = r_out = wrong = None
-
-    def close_block():
-        nonlocal block, bad_width
-        i, j, rank, at = block
-        block = None
-        if q_count != rank or r_count != rank:
-            raise ParseError(f"edge block needs {rank} q rows and {rank} r rows", path, at)
-        if wrong and bad_width is None:
-            # q rows are checked before r rows
-            tag, length = min(wrong, key=lambda row: row[0] == "r")
-            bad_width = ParseError(
-                f"edge {names[i]} {names[j]}: {tag} row has {length} values, "
-                f"expected {q_width if tag == 'q' else r_width}",
-                path,
-                at,
-            )
-
     try:
-        for line, raw in enumerate(text.splitlines(), start=1):
+        for line, raw in enumerate(lines, start=1):
             if "#" in raw:
                 raw = raw[: raw.index("#")]
             tokens = raw.split()
@@ -247,155 +234,158 @@ def _tree_columns(text: str, path):
                 continue
             key = tokens[0]
             if key == "q" or key == "r":
-                if block is None:
-                    raise ParseError("factor row outside an edge block", path, line)
-                values = _nums(tokens[1:], path, line)
-                if len(values) != (q_width if key == "q" else r_width):
-                    wrong = (wrong or []) + [(key, len(values))]
                 if key == "q":
+                    out, width = q_out, q_width
                     q_count += 1
-                    q_out.extend(values)
                 else:
+                    out, width = r_out, r_width
                     r_count += 1
-                    r_out.extend(values)
-            elif key == "edge":
-                if block is not None:
-                    close_block()
+                if len(tokens) != width + 1:
+                    # no block is open while the widths are -1
+                    if block is None:
+                        raise ParseError("factor row outside an edge block", path, line)
+                    wrong = (wrong or []) + [(key, len(tokens) - 1, width)]
+                del tokens[0]
+                try:
+                    out.fromlist(list(map(float, tokens)))
+                except ValueError:  # a /rt2 suffix, or not a number
+                    out.fromlist([_num(t, path, line) for t in tokens])
+                continue
+            if block is not None and key in ("edge", "prior", "compound", "tree"):
+                if q_count != rank or r_count != rank or wrong:
+                    bad_width = _closed_block(block, rank, q_count, r_count, wrong, bad_width, path)
+                block, q_width, r_width = None, -1, -1
+            if key == "edge":
                 if len(tokens) != 5 or tokens[3] != "rank":
-                    raise ParseError(
-                        "edge line needs: edge <name_i> <name_j> rank <r>", path, line
-                    )
+                    raise ParseError("edge line needs: edge <name_i> <name_j> rank <r>", path, line)
                 i = index.get(tokens[1])
                 j = index.get(tokens[2])
                 if i is None or j is None:
                     cname = tokens[1] if i is None else tokens[2]
                     raise ParseError(f"edge names unknown compound {cname!r}", path, line)
                 rank = int(tokens[4])
-                q_width, r_width = size[i], size[j]
-                shape = (q_width, r_width, rank)
-                group = groups.get(shape)
+                q_width = size[i]
+                r_width = size[j]
+                group = groups.get((q_width, r_width, rank))
                 if group is None:
-                    group = groups[shape] = ([], [], [])
+                    group = groups[q_width, r_width, rank] = (array("q"), array("d"), array("d"))
                 positions, q_out, r_out = group
                 positions.append(len(edges))
                 edges.append((i, j))
-                block = (i, j, rank, line)
+                block = (tokens[1], tokens[2], line)
                 q_count = r_count = 0
                 wrong = None
             elif key == "prior":
-                if block is not None:
-                    close_block()
-                if len(tokens) < 3 or tokens[1] not in index:
+                ident = index.get(tokens[1]) if len(tokens) > 2 else None
+                if ident is None:
                     raise ParseError("prior line needs a declared compound name", path, line)
-                ident = index[tokens[1]]
-                values = _nums(tokens[2:], path, line)
+                try:
+                    values = list(map(float, tokens[2:]))
+                except ValueError:
+                    values = [_num(t, path, line) for t in tokens[2:]]
                 k = size[ident]
                 if len(values) != k:
                     raise ParseError(
-                        f"prior for {tokens[1]} has {len(values)} values, expected {k}",
-                        path,
-                        line,
+                        f"prior for {tokens[1]} has {len(values)} values, expected {k}", path, line
                     )
                 rows = prior_rows.get(k)
                 if rows is None:
-                    rows = prior_rows[k] = ([], [])
-                numbers, lines = rows
-                prior_at[ident] = len(lines)
-                lines.append(line)
-                numbers.extend(values)
+                    rows = prior_rows[k] = (array("d"), array("q"))
+                prior_at[ident] = len(rows[1])
+                rows[1].append(line)
+                rows[0].fromlist(values)
             elif key == "compound":
-                if block is not None:
-                    close_block()
                 if len(tokens) < 4 or tokens[2] != "members":
                     raise ParseError(
                         "compound line needs: compound <name> members <label...>", path, line
                     )
                 cname, listed = tokens[1], tokens[3:]
-                given: dict[str, list[int]] = {}
                 if "cards" in listed or "pruned" in listed:
-                    labels: list[str] = []
-                    bucket = None
-                    for tok in listed:
-                        if tok in ("cards", "pruned"):
-                            bucket = given.setdefault(tok, [])
-                        elif bucket is None:
-                            labels.append(tok)
-                        else:
-                            bucket.append(int(tok))
-                    listed = labels
-                if cname in index:
+                    listed, k = _stated_space(cname, listed, index, cards, pruned, path, line)
+                elif cname in index:
                     raise ParseError(f"duplicate compound {cname!r}", path, line)
-                ident = len(names)
-                given_cards, given_pruned = given.get("cards"), given.get("pruned")
-                if given_cards or given_pruned:
-                    k = space_cardinality(
-                        listed, given_cards or [2] * len(listed), given_pruned or ()
-                    )
-                    if given_cards:
-                        cards[ident] = tuple(given_cards)
-                    if given_pruned:
-                        pruned[ident] = tuple(given_pruned)
                 else:
                     # binary members, nothing pruned
                     k = 1 << len(listed)
-                index[cname] = ident
-                names.append(cname)
-                members.extend(listed)
+                index[cname] = len(size)
+                members += listed
                 member_start.append(len(members))
                 size.append(k)
                 prior_at.append(-1)
             elif key == "tree":
-                if block is not None:
-                    close_block()
                 name = tokens[1] if len(tokens) > 1 else name
             else:
                 raise ParseError(f"unknown directive {key!r}", path, line)
-        if block is not None:
-            close_block()
+        if block is not None and (q_count != rank or r_count != rank or wrong):
+            bad_width = _closed_block(block, rank, q_count, r_count, wrong, bad_width, path)
     except (SensBnError, ValueError) as exc:
+        if isinstance(exc, UnicodeDecodeError):
+            raise
         error = exc
+        for _ in lines:
+            pass
     else:
         error = None
     # a prior refused on an earlier line raises before the error, if any
-    priors = _prior_stacks(prior_rows)
+    priors = normalized_stacks(
+        {k: (np.frombuffer(nums).reshape(len(at), k), at) for k, (nums, at) in prior_rows.items()}
+    )
     if error is not None:
         raise error
-    missing = [c for c, at in zip(names, prior_at) if at < 0]
+    names = list(index)
+    prior_row = np.array(prior_at, dtype=np.intp)
+    missing = np.flatnonzero(prior_row < 0).tolist()
     if missing:
-        raise ParseError(f"compounds without a prior: {missing}", path)
+        raise ParseError(f"compounds without a prior: {[names[i] for i in missing]}", path)
     if bad_width is not None:
         raise bad_width
     batches = [
         compiler.EdgeBatch(
             positions,
-            np.array(qs).reshape(len(positions), rank, n_i),
-            np.array(rs).reshape(len(positions), rank, n_j),
+            np.frombuffer(qs).reshape(len(positions), rank, n_i),
+            np.frombuffer(rs).reshape(len(positions), rank, n_j),
         )
         for (n_i, n_j, rank), (positions, qs, rs) in groups.items()
     ]
-    nodes = NodeColumns(
-        names, members, member_start, cards, pruned, size, priors,
-        np.array(prior_at, dtype=np.intp),
+    nodes = NodeColumns(names, members, member_start, cards, pruned, size, priors, prior_row)
+    return compiler.accept_batches(nodes, edges, batches, name=name)
+
+
+def _closed_block(block, rank, q_count, r_count, wrong, bad_width, path):
+    """The first row-width error of the file once the edge block ``block``
+    closes: ``bad_width`` if one is already known.  Raises at once if the
+    block lacks q or r rows."""
+    name_i, name_j, at = block
+    if q_count != rank or r_count != rank:
+        raise ParseError(f"edge block needs {rank} q rows and {rank} r rows", path, at)
+    # q rows are checked before r rows
+    tag, length, width = min(wrong, key=lambda row: row[0] == "r")
+    return bad_width or ParseError(
+        f"edge {name_i} {name_j}: {tag} row has {length} values, expected {width}", path, at
     )
-    return nodes, edges, batches, name
 
 
-def _prior_stacks(rows: dict[int, tuple[list[float], list[int]]]) -> dict[int, np.ndarray]:
-    """The prior rows of each size normalised as one stack.
-
-    Rows that :meth:`Distribution.normalized` refuses are passed to it in
-    file order, so the first of them raises that method's own error.
-    """
-    stacks: dict[int, np.ndarray] = {}
-    refused: list[tuple[int, np.ndarray]] = []
-    for k, (numbers, lines) in rows.items():
-        raw = np.array(numbers).reshape(len(lines), k)
-        probs, bad = normalized_rows(raw)
-        refused.extend((lines[r], raw[r]) for r in np.flatnonzero(bad).tolist())
-        stacks[k] = probs
-    for _, row in sorted(refused, key=lambda item: item[0]):
-        Distribution.normalized(row)
-    return stacks
+def _stated_space(cname, listed, index, cards, pruned, path, line):
+    """The member labels and the number of states of a compound line that
+    gives cards or pruned states, entered in ``cards`` and ``pruned``."""
+    labels: list[str] = []
+    given: dict[str, list[int]] = {}
+    bucket = None
+    for tok in listed:
+        if tok in ("cards", "pruned"):
+            bucket = given.setdefault(tok, [])
+        elif bucket is None:
+            labels.append(tok)
+        else:
+            bucket.append(int(tok))
+    if cname in index:
+        raise ParseError(f"duplicate compound {cname!r}", path, line)
+    given_cards, given_pruned = given.get("cards"), given.get("pruned")
+    if given_cards:
+        cards[len(index)] = tuple(given_cards)
+    if given_pruned:
+        pruned[len(index)] = tuple(given_pruned)
+    return labels, space_cardinality(labels, given_cards or [2] * len(labels), given_pruned or ())
 
 
 def serialize_tree(tree: TreeNetwork) -> str:
@@ -426,8 +416,15 @@ def serialize_tree(tree: TreeNetwork) -> str:
 
 
 def load_tree(path) -> TreeNetwork:
+    """:func:`parse_tree` of the file at ``path``, read line by line.  A
+    file that cannot be read or decoded, on any line, is a
+    :class:`ParseError` naming the file, whatever its other lines hold."""
     path = Path(path)
-    return parse_tree(_read(path), path=str(path))
+    try:
+        with path.open() as lines:
+            return _parse_lines(lines, str(path))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from exc
 
 
 def save(path, text: str) -> None:

@@ -7,8 +7,7 @@ import math
 import numpy as np
 
 from . import compiler
-from .algebra import QRFactors
-from .model import BeliefNetwork, Distribution, Evidence, StateSpace, TreeNetwork
+from .model import BeliefNetwork, Evidence, NodeColumns, TreeNetwork
 
 _INV_RT2 = 1.0 / math.sqrt(2.0)
 
@@ -102,14 +101,26 @@ def binary_chain_tree(
     priors, couplings, _, _ = _chain_params(
         rng, length, alpha, marginal_lo, marginal_hi, coupling_lo
     )
-    spaces = [StateSpace.binary((f"v{i}",)) for i in range(length)]
-    dists = [Distribution(np.array([1 - p, p])) for p in priors]
-    factors: dict[tuple[int, int], QRFactors] = {}
+    # one column per attribute and one factor stack: no object per node
+    p = np.array(priors)
+    nodes = NodeColumns(
+        [f"X_{i + 1}" for i in range(length)],
+        [f"v{i}" for i in range(length)],
+        range(length + 1),
+        {},
+        {},
+        [2] * length,
+        {2: np.stack([1.0 - p, p], axis=1)},
+        np.arange(length, dtype=np.intp),
+    )
     unit = np.array([[-_INV_RT2, _INV_RT2]])
-    for k in range(1, length):
-        s = couplings[k - 1]
-        factors[(k, k - 1)] = QRFactors(unit, s * unit)
-    return compiler.accept_precompiled(spaces, dists, factors, name="chain")
+    edges = [(k, k - 1) for k in range(1, length)]
+    batch = compiler.EdgeBatch(
+        range(len(edges)),
+        np.repeat(unit[None], len(edges), axis=0),
+        np.array(couplings)[:, None, None] * unit,
+    )
+    return compiler.accept_batches(nodes, edges, [batch] if edges else [], name="chain")
 
 
 def _chain_params(rng, length, alpha, lo, hi, coupling_lo=0.05):

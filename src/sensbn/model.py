@@ -291,6 +291,21 @@ def normalized_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return probs, ~accepted
 
 
+def normalized_stacks(stacks: Mapping[int, tuple]) -> dict[int, np.ndarray]:
+    """:func:`normalized_rows` of every stack of weights in ``stacks``, a map
+    to (rows, the order key of each row).  The rows that
+    :meth:`Distribution.normalized` refuses are passed to it in key order,
+    so the first of them raises that method's own error."""
+    out: dict[int, np.ndarray] = {}
+    refused: list[tuple[int, np.ndarray]] = []
+    for size, (raw, keys) in stacks.items():
+        out[size], bad = normalized_rows(raw)
+        refused.extend((keys[r], raw[r]) for r in np.flatnonzero(bad).tolist())
+    for _, row in sorted(refused, key=lambda item: item[0]):
+        Distribution.normalized(row)
+    return out
+
+
 @dataclass(frozen=True)
 class ConditionalMatrix:
     """Conditional table p(child | parent): one unit-sum column per parent state."""

@@ -36,6 +36,14 @@ class TestCompile:
         priors = {c.name: c.prior.probs for c in tree.compounds}
         assert np.abs(priors["X_3"] - [0.5210, 0.4141, 0.0055, 0.0044, 0.0235, 0.0315]).max() <= 5e-5
 
+    def test_output_into_a_missing_directory_is_one_error_line(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "asia.tree"
+        code, out, err = run(capsys, "compile", "asia.net", "-o", str(out_file))
+        assert code == cli.EXIT_WRITE == 8
+        assert out == ""
+        assert err == f"error: {out_file}: cannot write the file: No such file or directory\n"
+        assert not out_file.parent.exists()
+
     def test_three_node_chain(self, capsys, tmp_path):
         src = tmp_path / "chain3.net"
         src.write_text(
@@ -146,6 +154,33 @@ class TestQuery:
         assert code == 0
         line = next(l for l in out.splitlines() if l.startswith("true"))
         assert float(line.split()[1]) == pytest.approx(0.68, abs=5e-3)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--evidence", "x_A=1,x_A=0"],
+            ["--evidence", "x_A=true", "--evidence", "x_A=false"],
+            ["--evidence", "x_D=1, x_A = yes ,x_A=0"],
+        ],
+    )
+    def test_contradictory_evidence_is_refused(self, capsys, flags):
+        code, out, err = run(capsys, "query", "asia_tables.tree", "--query", "x_H", *flags)
+        assert code == cli.EXIT_BAD_REQUEST
+        assert out == ""
+        assert err == "error: evidence gives x_A two values, 1 and 0\n"
+
+    @pytest.mark.parametrize(
+        "flags, plain",
+        [
+            (["--evidence", "x_A=1,x_A=true"], "x_A=1"),
+            (["--evidence", "x_A=yes,x_D=1", "--evidence", "x_A=1"], "x_A=1,x_D=1"),
+        ],
+    )
+    def test_equal_repeats_answer_as_one_item(self, capsys, flags, plain):
+        repeated = run(capsys, "query", "asia_tables.tree", "--query", "x_H", *flags)
+        once = run(capsys, "query", "asia_tables.tree", "--query", "x_H", "--evidence", plain)
+        assert repeated[0] == 0
+        assert repeated == once
 
     def test_unknown_label_exit_code(self, capsys):
         code, out, err = run(

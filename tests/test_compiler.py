@@ -668,6 +668,33 @@ class TestBatchedLoad:
         with pytest.raises(ConsistencyError, match=f"^edge {name(early)}:"):
             check_tree_consistency(both)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_couplings_in_weighted_form_match_the_weight_matrix_form(self, seed, monkeypatch):
+        """The check rebuilds R W(p) as (R - (R p) 1^T) diag(p) and W(p) X as
+        diag(p) (X - 1 p^T X): within a few ulps of the products with the
+        n x n weights, and with no weight matrix built."""
+        trees = [mixed_shape_tree(seed), binary_chain_tree(np.random.default_rng(seed), 50)]
+        tol = 8 * np.finfo(float).eps
+        for tree in trees:
+            nodes, ends = tree.node_columns, tree.edge_ends
+            for st in tree.factor_stacks:
+                p_a = nodes.prior_stack(ends[st.edges, 0], st.bwd.shape[2])
+                p_b = nodes.prior_stack(ends[st.edges, 1], st.fwd.shape[2])
+                s_ab = compiler._dense_couplings(st.fwd, st.bwd, p_a)
+                want = (st.bwd @ algebra.weight_matrix(p_a)).transpose(0, 2, 1) @ st.fwd
+                scale = np.maximum(1.0, np.abs(want).max(axis=(1, 2), initial=0.0))
+                assert (np.abs(s_ab - want).max(axis=(1, 2), initial=0.0) <= tol * scale).all()
+                back = compiler._reversed_dense(s_ab, p_a, p_b)
+                for k in range(len(st.edges)):
+                    ref = algebra.reverse_dense(s_ab[k], p_a[k], p_b[k])
+                    bound = tol * max(1.0, np.abs(ref).max(initial=0.0))
+                    assert np.abs(back[k] - ref).max(initial=0.0) <= bound
+        monkeypatch.setattr(algebra, "weight_matrix", None)
+        for tree in trees:
+            check_tree_consistency(tree)
+            for a, b in tree.edges:
+                compiler.reconstruct_dense(tree, a, b)
+
     def test_check_makes_as_many_numpy_calls_on_a_longer_chain(self):
         counts = {}
         for length in (200, 2000):

@@ -242,6 +242,64 @@ class TestColumnarLoad:
         assert calls[2_000] == calls[20_000] > 0
 
 
+
+class TestLineLoop:
+    """The loader reads a file line by line, as ``parse_tree`` reads a text."""
+
+    @pytest.mark.parametrize("name", sorted(PER_NODE_LOADS))
+    def test_crlf_twin_loads_bit_identical(self, tmp_path, name):
+        twin = (DATA / f"{name}.tree").read_bytes().replace(b"\n", b"\r\n")
+        assert twin.count(b"\r\n") > 10
+        path = tmp_path / f"{name}.tree"
+        path.write_bytes(twin)
+        assert load_digest(fileio.load_tree(path)) == PER_NODE_LOADS[name]
+        assert load_digest(fileio.parse_tree(twin.decode())) == PER_NODE_LOADS[name]
+
+    @pytest.mark.parametrize(
+        "early",
+        [
+            None,
+            "bogus line",
+            "prior X_1 nan 1",
+            "prior X_1 0.5 0.x5",
+            "edge X_1 X_999 rank 1",
+            "compound X_1 members z",
+        ],
+    )
+    def test_a_bad_byte_after_valid_lines_is_a_read_error(self, tmp_path, capsys, early):
+        """Whatever the earlier lines hold, an undecodable byte 20 kB into
+        the file (past the first block the reader decodes) makes the load
+        a ParseError that names the file, and the CLI exits 2."""
+        lines = (DATA / "chain.tree").read_text().splitlines()
+        if early is not None:
+            lines.insert(5, early)
+        path = tmp_path / "late.tree"
+        path.write_bytes("\n".join(lines).encode() + b"\nq 0.1 \xff\xfe 0.2\n")
+        assert path.stat().st_size > 20_000
+        with pytest.raises(ParseError) as err:
+            fileio.load_tree(path)
+        assert str(err.value).startswith(f"{path}: cannot read the file: ")
+        assert err.value.line is None
+        from sensbn import cli
+
+        assert cli.main(["query", str(path), "--query", "v0"]) == cli.EXIT_PARSE
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: {path}: cannot read the file: ")
+
+    def test_a_bad_number_on_a_late_line_names_that_line(self, tmp_path):
+        lines = (DATA / "chain.tree").read_text().splitlines()
+        assert lines[-1].startswith("r ")
+        lines[-1] = lines[-1].rsplit(" ", 1)[0] + " -0.3x6"
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "late.tree"
+        path.write_text(text)
+        for load in (lambda: fileio.load_tree(path), lambda: fileio.parse_tree(text, str(path))):
+            with pytest.raises(ParseError) as err:
+                load()
+            assert err.value.line == len(lines) == 599
+            assert str(err.value) == f"{path}:{len(lines)}: expected a number, got '-0.3x6'"
+
+
 def numpy_calls(fn):
     """``fn()`` and the number of calls it made into numpy: numpy's own
     Python functions, its builtins and the methods of its arrays and
