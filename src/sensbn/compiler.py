@@ -457,14 +457,12 @@ def compile_network(
 def _normalized_priors(raw: list[np.ndarray]) -> list[Distribution]:
     """:meth:`Distribution.normalized` of every vector of ``raw``, one
     stack per length (see :func:`normalized_stacks`)."""
-    by_size: dict[int, list[int]] = {}
+    sizes: dict[int, list[int]] = {}
     for k, row in enumerate(raw):
-        by_size.setdefault(len(row), []).append(k)
-    stacks = normalized_stacks(
-        {n: (np.array([raw[k] for k in at]), at) for n, at in by_size.items()}
-    )
+        sizes.setdefault(len(row), []).append(k)
+    stacks = normalized_stacks({n: (np.array([raw[k] for k in at]), at) for n, at in sizes.items()})
     priors: list = [None] * len(raw)
-    for n, at in by_size.items():
+    for n, at in sizes.items():
         stacks[n].setflags(write=False)
         for k, row in zip(at, stacks[n]):
             priors[k] = Distribution._of_checked(row)

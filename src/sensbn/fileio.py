@@ -197,13 +197,14 @@ def parse_tree(text: str, path=None) -> TreeNetwork:
     the whole file (missing priors, then row widths, then the tree's
     structure) come after.
     """
-    return _parse_lines(io.StringIO(text, newline=None), path)
+    return compiler.accept_batches(*_parse_lines(io.StringIO(text, newline=None), path))
 
 
-def _parse_lines(lines, path) -> TreeNetwork:
-    """:func:`parse_tree` of the iterator ``lines``.  After an error the rest
-    of ``lines`` is still read, so that a line that cannot be read or
-    decoded raises its own error, whatever the lines before it hold."""
+def _parse_lines(lines, path):
+    """The columns (nodes, edges, batches, name) that :func:`parse_tree`
+    accepts, from the iterator ``lines``.  After an error the rest of
+    ``lines`` is read, so that a line that cannot be read or decoded
+    raises its own error, whatever the lines before it hold."""
     name = "tree"
     index: dict[str, int] = {}
     members: list[str] = []
@@ -348,7 +349,7 @@ def _parse_lines(lines, path) -> TreeNetwork:
         for (n_i, n_j, rank), (positions, qs, rs) in groups.items()
     ]
     nodes = NodeColumns(names, members, member_start, cards, pruned, size, priors, prior_row)
-    return compiler.accept_batches(nodes, edges, batches, name=name)
+    return nodes, edges, batches, name
 
 
 def _closed_block(block, rank, q_count, r_count, wrong, bad_width, path):
@@ -422,9 +423,10 @@ def load_tree(path) -> TreeNetwork:
     path = Path(path)
     try:
         with path.open() as lines:
-            return _parse_lines(lines, str(path))
+            columns = _parse_lines(lines, str(path))
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from exc
+    return compiler.accept_batches(*columns)
 
 
 def save(path, text: str) -> None:
