@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tree_corpus
-from sensbn import algebra, compiler, fileio
+from sensbn import algebra, cli, compiler, fileio
 from sensbn.errors import ParseError, ZeroMassError
 from sensbn.generators import binary_chain_tree, random_groupings, random_tree_network
 from sensbn.model import CompoundNode, Distribution, StateSpace, validate_network
@@ -280,8 +280,6 @@ class TestLineLoop:
             fileio.load_tree(path)
         assert str(err.value).startswith(f"{path}: cannot read the file: ")
         assert err.value.line is None
-        from sensbn import cli
-
         assert cli.main(["query", str(path), "--query", "v0"]) == cli.EXIT_PARSE
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith(f"error: {path}: cannot read the file: ")
