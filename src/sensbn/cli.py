@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -45,6 +46,10 @@ EXIT_INFERENCE = 5
 EXIT_APPROX = 6
 EXIT_GUARD = 7
 EXIT_WRITE = 8
+#: standard output closed before everything was written, as in
+#: ``sensbn report x.tree | head -1``: the status a shell reports for a
+#: process that SIGPIPE ended
+EXIT_PIPE = 141
 
 _EXIT_OF = (
     (ParseError, EXIT_PARSE),
@@ -197,9 +202,11 @@ def _tree_posterior(tree, label, dist):
 
 
 def cmd_query(args) -> int:
+    engine = args.engine
+    if args.approx and engine != "misq":
+        raise UnknownLabelError(f"--approx answers by misq; it cannot run with --engine {engine}")
     tree = fileio.load_tree(fixtures.resolve(args.compiled))
     evidence = _parse_evidence(args.evidence or [])
-    engine = args.engine
     if engine == "oracle":
         if not args.network:
             raise UnknownLabelError("--engine oracle needs --network <file>")
@@ -421,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--approx",
         nargs="+",
         metavar="key=value",
-        help="bounded-error mode: epsilon=<e> alpha=<a> eta=<h>",
+        help="bounded-error mode, on the misq engine: epsilon=<e> alpha=<a> eta=<h>",
     )
     p.set_defaults(func=cmd_query)
 
@@ -458,10 +465,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that has gone shows here rather than at exit
+        sys.stdout.flush()
+        return code
     except SensBnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    except BrokenPipeError:
+        # as the Python docs advise: the flush at exit then writes to
+        # devnull, not to the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -44,10 +44,9 @@ A state that an update drives to zero stays at zero: its column of the
 refreshed factor is zeroed, which is exact because that column is never
 read again (the state's weighted column and its baseline entry are zero).
 
-The tree picks the kernel.  The load pass (compiler.check_tree_consistency)
-records the float form on ``TreeNetwork.scalars`` when the tree qualifies,
-so a session chooses in O(1); a tree that skipped the load pass runs the
-array kernel.
+The tree picks the kernel in O(1): the float kernel when the load pass
+(compiler.check_tree_consistency) recorded its float form on
+``TreeNetwork.scalars``, the array kernel otherwise.
 
 Walking by runs.  On the float kernel a message is one number, so a run
 of the tree (a maximal path whose interior nodes have degree 2, see
@@ -64,6 +63,9 @@ a walk by runs keeps every value inside the clamp-free band
 move excepted); if one leaves it, the operation starts over one node at a
 time, so clamped values, error types and error texts are those of the
 scalar steps.  ``record_trace=True`` always walks one node at a time.
+Scalar steps are Python floats, which never warn, so ``np.errstate``
+wraps only what runs vector arithmetic that can overflow or turn NaN: a
+flood's walk by runs, and a query's stretch product from session state.
 
 Messages between adjacent nodes are always the factored form
 ``r_factor @ delta_p`` and therefore exactly rank-of-the-edge numbers
@@ -95,10 +97,6 @@ node with no write in its working layer; past that, every step computes
 from session state.  The caches hold the bytes those steps would compute,
 and two sessions filling one entry at once write equal values.
 
-``p``, ``p0``, ``r`` and ``p1`` are read-only views that convert the state
-to ndarrays on every read; ``r[(i, j)]`` reads the half edge from j to i.
-``barren`` reads the last query's marks the same way, from its node and
-edge rule.
 Every ``query`` and every ``instantiate`` starts from the committed
 baseline (the priors plus whatever :meth:`QuerySession.commit` froze), so
 one session can answer any number of queries.  A session itself is
@@ -110,14 +108,14 @@ one-hot ndarray, or 0.0 or 1.0 on the float kernel), and a partial one the
 working distribution masked by the space's member digits and divided by
 its mass, bit for bit what :func:`~sensbn.model.restrict_distribution`
 gives.  A clamped array-kernel step divides its values by their total,
-so every distribution the session holds sums to one to rounding.
+so every distribution the session holds sums to one to rounding.  A
+float-kernel answer p is accepted by :meth:`~sensbn.model.Distribution.binary`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from functools import partial
 from operator import getitem
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
@@ -218,14 +216,12 @@ class Instrumentation:
 
     def __init__(self, runs: np.ndarray | None = None):
         self.runs = runs
+        self.start_operation(None)
+
+    def start_operation(self, mode: str | None):
+        """Forget the previous operation's record."""
         self.log: list[tuple] = []
         self.roots: list[int] = []
-        self.mode: str | None = None
-
-    def start_operation(self, mode: str):
-        """Forget the previous operation's record."""
-        self.log = []
-        self.roots = []
         self.mode = mode
 
     def mark(self) -> tuple[int, int]:
@@ -374,7 +370,8 @@ class _ArrayKernel:
     def to_array(p: np.ndarray) -> np.ndarray:
         return p
 
-    from_array = factor_array = to_array
+    factor_array = to_array
+    answer = Distribution
 
 
 class _FloatKernel:
@@ -458,32 +455,15 @@ class _FloatKernel:
         return np.array((1.0 - p, p))
 
     @staticmethod
-    def from_array(p: np.ndarray) -> float:
-        return float(p[1])
-
-    @staticmethod
     def factor_array(c: float) -> np.ndarray:
         return np.array(((-0.5 * c, 0.5 * c),))
+
+    answer = staticmethod(Distribution.binary)
 
 
 def _choose_kernel(tree: TreeNetwork) -> type:
     """The float kernel when the load pass recorded the tree's scalars."""
     return _ArrayKernel if tree.scalars is None else _FloatKernel
-
-
-def _stop_ahead(positions: list[int] | None, at: int, step: int, end: int) -> int:
-    """The first of the sorted ``positions`` from ``at`` on in the
-    direction ``step``, or ``end`` if there is none."""
-    if positions:
-        if step > 0:
-            k = bisect_left(positions, at)
-            if k < len(positions):
-                return positions[k]
-        else:
-            k = bisect_right(positions, at) - 1
-            if k >= 0:
-                return positions[k]
-    return end
 
 
 class QuerySession:
@@ -503,7 +483,7 @@ class QuerySession:
         else:
             scalars = tree.scalars
             bases = (scalars.prior, scalars.factor.reshape(-1))
-            index, runs = scalars.slot, scalars.run_nodes
+            index, runs = scalars.views[4], scalars.run_nodes
         self._shared = bases
         #: the committed baseline (distributions, and factors refreshed by
         #: floods), as layers that stay empty; an operation writes into
@@ -511,7 +491,8 @@ class QuerySession:
         self._p0 = _Layer(bases[0], self._kernel.read)
         self._r0 = _Layer(bases[1], self._kernel.read, index)
         self.instr = Instrumentation(runs)
-        self._restart()
+        self._p, self._r, self._p1 = self._p0.empty(), self._r0.empty(), {}
+        self._walked = False
         #: the last query's node and edge rule (see mark_barren); before
         #: the first query every node is live
         self._query_node, self._beyond = 0, lambda u, n: True
@@ -573,7 +554,7 @@ class QuerySession:
 
     def posterior(self, ident: int) -> Distribution:
         self.tree.check_node(ident)
-        return Distribution(self.p[ident])
+        return self._kernel.answer(self._p[ident])
 
     def dense_sensitivity(self, i: int, j: int) -> np.ndarray:
         """Current dense coupling of adjacent node i with respect to j,
@@ -592,9 +573,11 @@ class QuerySession:
     # -- shared state steps ------------------------------------------------
 
     def _restart(self) -> None:
-        """Drop uncommitted work, so the operation starts from the baseline."""
-        self._p, self._r = self._p0.empty(), self._r0.empty()
-        self._p1: dict = {}
+        """Drop uncommitted work, so the operation starts from the baseline:
+        none before the session's first walk."""
+        if self._walked:
+            self._p, self._r = self._p0.empty(), self._r0.empty()
+            self._p1 = {}
 
     def _settle(self, stretch: bool) -> None:
         """Flush the working layers into their bases.  A base the tree
@@ -611,10 +594,6 @@ class QuerySession:
         """Whether the working layers lie over the tree's own bases, so
         that a value no layer holds a write for is the tree's own."""
         return self._p.base is self._shared[0] and self._r.base is self._shared[1]
-
-    def _commit(self) -> None:
-        self._settle(stretch=False)
-        self._p0, self._r0 = self._p.empty(), self._r.empty()
 
     def _trace(self, event: str, node: int):
         self.trace.append((event, node, np.array(self._kernel.to_array(self._p[node]))))
@@ -669,14 +648,12 @@ class QuerySession:
 
     def _evidence_stops(self, nodes) -> dict[int, list[int]]:
         """The run positions of those of ``nodes`` inside runs, sorted per run."""
-        scalars = self.tree.scalars
+        _, _, run_of, place, _ = self.tree.scalars.views
         stops: dict[int, list[int]] = {}
-        for node in nodes:
-            run = scalars.run_of.item(node)
+        for node in sorted(nodes, key=place.__getitem__):
+            run = run_of[node]
             if run >= 0:
-                stops.setdefault(run, []).append(scalars.place.item(node))
-        for positions in stops.values():
-            positions.sort()
+                stops.setdefault(run, []).append(place[node])
         return stops
 
     # -- the traversal ------------------------------------------------------
@@ -689,8 +666,10 @@ class QuerySession:
             mark = self.instr.mark()
             start()
             try:
-                # the band check refuses what overflows or turns NaN
-                with np.errstate(all="ignore"):
+                if grouped is None:  # the band check refuses what run updates overflow
+                    with np.errstate(all="ignore"):
+                        self._walk(root, None, None, grouped, stops)
+                else:
                     self._walk(root, None, None, grouped, stops)
                 return
             except _LeftBand:
@@ -720,12 +699,6 @@ class QuerySession:
         ends at the run positions ``stops[run]`` of its evidence nodes.
         ``None`` walks one node at a time.
 
-        On the array kernel, while the session's layers lie over the tree's
-        own bases, a node with no write in its layer still holds its prior,
-        so the weighted factor of a half edge out of it is read from
-        ``TreeNetwork.weighted_factors``, not computed again: on entry, in
-        a pass-through transfer and for a reply into it.
-
         A frame is ``[node, parent, h_in, children, next child, transfer
         or None, message received, reply stretch or None]``; a node's next
         message is computed only when its previous branch has replied, as
@@ -738,38 +711,38 @@ class QuerySession:
             enter, update = kernel.enter, kernel.update
         else:
             enter, update = _FloatKernel.enter_banded, _FloatKernel.banded
+        self._walked = True
         p, r, p1 = self._p, self._r, self._p1
         # the baseline's layer is always empty, so its base is read directly
-        p0 = partial(kernel.read, self._p0.base)
+        read, p0 = kernel.read, self._p0.base
         cached = None if flat or not self._on_tree() else self.tree.weighted_factors
         neighbors = self.tree.neighbors
-        offsets, adjacent = self.tree.csr
-        first, target, twin = offsets.item, adjacent.item, self.tree.twin.item
+        first, target, twin = self.tree.index_views
         sent = self.instr.log.append
         self.instr.roots.append(root)
         flood = grouped is None
         beyond = self._beyond
         tracing = self._record_trace
-        run_of = None if stops is None else self.tree.scalars.run_of
+        run_of = None if stops is None else self.tree.scalars.views[2]
         stack: list[list] = []
         node, h_in, m = root, h_root, payload
-        parent = None if h_in is None else target(twin(h_in))
+        parent = None if h_in is None else target[twin[h_in]]
         while True:
             if (
                 run_of is not None
                 and parent is not None
-                and run_of.item(node) >= 0
+                and run_of[node] >= 0
                 and (flood or node not in grouped)
             ):
                 node, parent, h_in, m = self._stretch(node, parent, h_in, m, stops, flood, stack)
             # enter `node` from `parent` along `h_in` with the message `m`
-            out = enumerate(neighbors(node), first(node))
+            out = enumerate(neighbors(node), first[node])
             children = [h for h, n in out if n != parent and (flood or beyond(node, n))]
             transfer = None
             # the operation's own node (no parent) is the caller's to update
             if parent is not None:
                 # the weighted factor toward the parent
-                back = twin(h_in)
+                back = twin[h_in]
                 if cached is not None and node not in p:
                     q = cached[back]
                 else:
@@ -778,7 +751,7 @@ class QuerySession:
                     # a pass-through: collapsed without updating its state
                     transfer = kernel.transfer(q, r[children[0]])
                 else:
-                    entered = enter(q, p0(node), m)
+                    entered = enter(q, read(p0, node), m)
                     if entered is None:
                         raise self._zero_mass(node)
                     p[node], r[back] = entered
@@ -797,10 +770,10 @@ class QuerySession:
                     if flood and i + 1 == len(children):
                         stack.pop()  # nothing left for the frame to do
                     if transfer is None:
-                        m = message(r[h], p[node], p0(node))
+                        m = message(r[h], p[node], read(p0, node))
                     else:
                         m = kernel.forward(transfer, m)
-                    child = target(h)
+                    child = target[h]
                     sent(((node, child), 1 if flat else m.shape[0]))
                     node, parent, h_in = child, node, h
                     break
@@ -817,7 +790,7 @@ class QuerySession:
                             self._trace(f"{stage}-instantiate", node)
                     if parent is None:
                         continue
-                    reply = message(r[twin(h_in)], p[node], p1[node])
+                    reply = message(r[twin[h_in]], p[node], p1[node])
                 if stretch is None:
                     sent(((node, parent), 1 if flat else reply.shape[0]))
                 else:
@@ -846,35 +819,39 @@ class QuerySession:
         way.
 
         A flood updates the stretch's nodes and refreshes their factors; a
-        query collapses them into one transfer and pushes their frame.  On
-        the tree's own bases that transfer is the product of a slice of
-        ``BinaryScalars.transfer``, taken in walk order.
+        query collapses them into one transfer and pushes their frame.
         Returns the node the stretch reaches, the stretch's last node, the
         half edge between them and the message the reached node receives.
         """
         scalars = self.tree.scalars
-        nodes = scalars.run_nodes
-        run = scalars.run_of.item(node)
-        at = scalars.place.item(node)
-        step = 1 if nodes.item(at - 1) == parent else -1
-        end = scalars.run_start.item(run + 1) - 1 if step > 0 else scalars.run_start.item(run)
-        if not flood:
-            end = _stop_ahead(stops.get(run), at, step, end)
+        nodes, start, run_of, place, _ = scalars.views
+        run, at = run_of[node], place[node]
+        step = 1 if nodes[at - 1] == parent else -1
+        end = start[run + 1] - 1 if step > 0 else start[run]
+        if not flood and (ahead := stops.get(run)):
+            # the first evidence position from `at` on in the walk's direction
+            k = bisect_left(ahead, at) if step > 0 else bisect_right(ahead, at) - 1
+            if 0 <= k < len(ahead):
+                end = ahead[k]
         count = (end - at) * step
         # positions lo..hi-1 ascending, taken in walk order
         lo, hi, order = (at, end, slice(None)) if step > 0 else (end + 1, at + 1, slice(None, None, -1))
-        last, reached = nodes.item(end - step), nodes.item(end)
-        h_out = self.tree.half_edge(last, reached)
+        last, reached = nodes[end - step], nodes[end]
+        # `last` is interior to the run: of its two half edges, the one to `reached`
+        offsets, adjacent, _ = self.tree.index_views
+        h_out = offsets[last] + (adjacent[offsets[last]] != reached)
         self.instr.log.append((at, count, step))
         if flood:
             return reached, last, h_out, self._update_run(run, lo, hi, order, step, m)
         if self._on_tree():
             through = scalars.transfer[0 if step > 0 else 1, lo:hi][order]
+            transfer = float(np.multiply.reduce(through))
         else:
-            old = self._p.base[nodes[lo:hi][order]]
-            c_in, c_out = self._run_factors(run, lo, hi, order, step)
-            through = old * (1.0 - old) * c_in * c_out
-        transfer = float(np.multiply.reduce(through))
+            # the band check refuses what overflows or turns NaN
+            with np.errstate(all="ignore"):
+                old = self._p.base[scalars.run_nodes[lo:hi][order]]
+                c_in, c_out = self._run_factors(run, lo, hi, order, step)
+                transfer = float(np.multiply.reduce(old * (1.0 - old) * c_in * c_out))
         stack.append([node, parent, h_in, [h_out], 1, transfer, m, (end - step, count, -step)])
         return reached, last, h_out, transfer * m
 
@@ -896,8 +873,7 @@ class QuerySession:
         """Update the nodes of a flood's stretch (run positions lo..hi-1,
         in walk order) from the message ``m``, refresh their factors
         toward the sender, and return the message the stretch's last node
-        sends on.  It writes into the working bases, copied first while
-        the baseline or the tree holds them."""
+        sends on, writing into the working bases (see :meth:`_settle`)."""
         self._settle(stretch=True)
         probs = self._p.base
         ids = self.tree.scalars.run_nodes[lo:hi][order]
@@ -971,7 +947,8 @@ class QuerySession:
     def commit(self) -> "QuerySession":
         """Freeze the current posteriors and factors as the baseline for
         more evidence."""
-        self._commit()
+        self._settle(stretch=False)
+        self._p0, self._r0 = self._p.empty(), self._r.empty()
         return self
 
     def multi_evidence_simq(self, evidence: Evidence, order=None) -> "QuerySession":
@@ -986,7 +963,7 @@ class QuerySession:
         self.instr.start_operation("simq")
         for node in order:
             self._flood(node, grouped[node])
-            self._commit()
+            self.commit()
         return self
 
     # -- many instantiations, one query (barren-pruned walk) ----------------
@@ -1037,4 +1014,4 @@ class QuerySession:
         self._query_node, self._beyond = query_node, self.tree.evidence_side(grouped)
         stops = self._evidence_stops(grouped) if self._kernel is _FloatKernel else None
         self._propagate(query_node, grouped, self._restart, stops)
-        return Distribution(self._kernel.to_array(self._p[query_node]))
+        return self._kernel.answer(self._p[query_node])

@@ -258,6 +258,17 @@ class Distribution:
         return cls(arr / total)
 
     @classmethod
+    def binary(cls, p: float) -> "Distribution":
+        """``cls(np.array((1 - p, p)))`` for a float p, checked by its rules
+        on floats; a p they refuse goes to the constructor, for its error."""
+        q = 1.0 - p
+        probs = np.array((q, p))
+        if _finite(p, p) and _sums_to_one(q + p) and _in_unit_range(min(q, p, 0.0), max(q, p, 0.0)):
+            probs.setflags(write=False)
+            return cls._of_checked(probs)
+        return cls(probs)
+
+    @classmethod
     def _of_checked(cls, probs: np.ndarray) -> "Distribution":
         """Wrap ``probs``, a read-only vector that has already passed the
         checks of this class, without copying or checking it again."""
@@ -664,6 +675,12 @@ class BinaryScalars:
             arr.setflags(write=False)
         return cls(prior, factor, slot, transfer, run_nodes, run_start, run_of, place)
 
+    @cached_property
+    def views(self) -> tuple[memoryview, ...]:
+        """``run_nodes``, ``run_start``, ``run_of``, ``place`` and ``slot``."""
+        columns = (self.run_nodes, self.run_start, self.run_of, self.place, self.slot)
+        return tuple(map(memoryview, columns))
+
 
 @dataclass(frozen=True)
 class NodeColumns:
@@ -817,10 +834,10 @@ class TreeNetwork:
     * four columns rooted at node 0 from the walk that checks the tree is
       connected: each node's parent (-1 at the root), depth in hops,
       and entry and exit times in the walk's preorder, an O(1) ancestor
-      test.  ``evidence_side`` reads them as the edge rule of a query,
-      ``toward(i, j)`` finds the neighbour of i on the path to j, and
-      ``distance(i, j, limit)`` counts the path between them, capped at
-      ``limit + 1``.
+      test, read by ``evidence_side``, ``toward`` and ``distance``.  These
+      and the walks (through ``index_views`` and ``BinaryScalars.views``)
+      read single items through memoryviews of the columns: no copy, and
+      cheaper than ``ndarray.item``.
 
     ``compound(i)``, ``compounds``, ``prior_probs``, ``half_edge_factors``
     (the stored factors by half edge) and ``r_factors`` (the same factors
@@ -919,12 +936,12 @@ class TreeNetwork:
             _stacks=tuple(stacks),
             _ends=ends,
             _csr=(offsets, adjacent),
+            _views=tuple(map(memoryview, (offsets, adjacent, twin))),
             _twin=twin,
             _halves=halves,
             _neighbors=neighbors,
             _stack_at=stack_at,
-            # bound once: a query tests one or more edges per node it enters
-            _links=(parent.item, depth.item, enter.item, leave.item),
+            _links=tuple(map(memoryview, (parent, depth, enter, leave))),
             _by_name=dict(zip(nodes.names, range(n))),
             _member_home=home,
             _built={},
@@ -964,6 +981,11 @@ class TreeNetwork:
     def twin(self) -> np.ndarray:
         """The reverse of every half edge, from ``adjacent[h]`` back."""
         return self._twin
+
+    @property
+    def index_views(self) -> tuple[memoryview, memoryview, memoryview]:
+        """``offsets``, ``adjacent`` and ``twin`` as memoryviews."""
+        return self._views
 
     def half_edge(self, i: int, j: int) -> int:
         """The half edge from node i to node j, which holds the factor
@@ -1017,16 +1039,16 @@ class TreeNetwork:
         ``[enter[n], exit[n]]`` (one bisect); if n is u's parent, its side
         is everything outside u's subtree (a min and max compare)."""
         parent, _, enter, leave = self._links
-        times = sorted(map(enter, nodes))
+        times = sorted(map(enter.__getitem__, nodes))
         if not times:
             return lambda u, n: False
         first, last, k = times[0], times[-1], len(times)
 
         def beyond(u: int, n: int) -> bool:
-            if parent(n) == u:
-                at = bisect_left(times, enter(n))
-                return at < k and times[at] <= leave(n)
-            return first < enter(u) or last > leave(u)
+            if parent[n] == u:
+                at = bisect_left(times, enter[n])
+                return at < k and times[at] <= leave[n]
+            return first < enter[u] or last > leave[u]
 
         return beyond
 
@@ -1035,11 +1057,11 @@ class TreeNetwork:
         i's parent, unless i is an ancestor of j, and then the child of i
         whose entry and exit times enclose j's entry time."""
         parent, _, enter, leave = self._links
-        at = enter(j)
-        if not enter(i) <= at <= leave(i):
-            return parent(i)
-        above = parent(i)
-        return next(n for n in self._neighbors[i] if n != above and enter(n) <= at <= leave(n))
+        at = enter[j]
+        if not enter[i] <= at <= leave[i]:
+            return parent[i]
+        above = parent[i]
+        return next(n for n in self._neighbors[i] if n != above and enter[n] <= at <= leave[n])
 
     def distance(self, i: int, j: int, limit: int) -> int:
         """The number of edges between nodes i and j, ``depth(i) +
@@ -1049,21 +1071,22 @@ class TreeNetwork:
         nodes of one run are their distance in run positions apart."""
         self.check_node(i)
         self.check_node(j)
-        scalars = self._scalars
-        if scalars is not None and 0 <= scalars.run_of.item(i) == scalars.run_of.item(j):
-            return min(abs(scalars.place.item(i) - scalars.place.item(j)), limit + 1)
+        if self._scalars is not None:
+            _, _, run_of, place, _ = self._scalars.views
+            if 0 <= run_of[i] == run_of[j]:
+                return min(abs(place[i] - place[j]), limit + 1)
         parent, depth, enter, leave = self._links
-        di, dj = depth(i), depth(j)
+        di, dj = depth[i], depth[j]
         if abs(di - dj) > limit:
             return limit + 1
         # within `limit` exactly when the LCA lies at depth (di + dj - limit) / 2 or below
         floor = (di + dj - limit + 1) // 2
-        at = enter(i)
-        while not enter(j) <= at <= leave(j):
-            if depth(j) <= floor:
+        at = enter[i]
+        while not enter[j] <= at <= leave[j]:
+            if depth[j] <= floor:
                 return limit + 1
-            j = parent(j)
-        return min(di + dj - 2 * depth(j), limit + 1)
+            j = parent[j]
+        return min(di + dj - 2 * depth[j], limit + 1)
 
     @cached_property
     def prior_probs(self) -> dict[int, np.ndarray]:

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -251,6 +252,21 @@ class TestQuery:
             ["true", f"{posterior[1]:1.6f}"],
         ]
         assert lines[4] == f"guaranteed relative error bound {bound:1.6f}"
+
+    @pytest.mark.parametrize(
+        "extra", [["--engine", "simq"], ["--engine", "oracle", "--network", "asia.net"]]
+    )
+    def test_approx_with_an_engine_other_than_misq_is_refused(self, capsys, extra):
+        """``--approx`` answers by misq, so with another engine it is
+        refused in one error line, not dropped."""
+        code, out, err = run(
+            capsys,
+            "query", "asia_tables.tree", "--query", "x_H", "--evidence", "x_A=true",
+            "--approx", "epsilon=0.1", "alpha=0.9", "eta=0.09", *extra,
+        )
+        assert code == cli.EXIT_BAD_REQUEST == 4
+        assert out == ""
+        assert err == f"error: --approx answers by misq; it cannot run with --engine {extra[1]}\n"
 
     def test_approx_value_that_is_not_a_number_exit_code(self, capsys):
         code, out, err = run(
@@ -539,6 +555,25 @@ class TestRepeatedMain:
                 [sys.executable, "-m", "sensbn", *argv], capture_output=True, text=True
             )
             assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+
+
+class TestClosedOutput:
+    def test_a_closed_standard_output_ends_quietly(self):
+        """A reader that closed standard output before the command wrote
+        ends the process with ``EXIT_PIPE`` and nothing on stderr, not a
+        ``BrokenPipeError`` traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sensbn", "report", "asia_tables.tree"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, "")
 
 
 class TestEntryPoint:

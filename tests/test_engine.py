@@ -4,6 +4,7 @@ from pathlib import Path
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -764,6 +765,52 @@ class TestKernelEquivalence:
             )
             assert_same_state(fast, slow)
             assert all(abs(n - node) <= radius for n in fast.instr.touched)
+
+
+class TestFloatPosterior:
+    """A float-kernel query's answer, the one number p, is accepted by
+    ``Distribution``'s own rules applied to floats: what they accept is
+    the constructor's distribution byte for byte, and what they refuse
+    raises the constructor's error."""
+
+    @staticmethod
+    def answer(p):
+        """The answer of a query on a node whose committed state is ``p``."""
+        tree = binary_chain_tree(np.random.default_rng(4), 6)
+        s = fresh(tree)
+        assert s._kernel is engine._FloatKernel
+        s.instantiate(0, {"v0": 1}).commit()
+        s._p0.base[3] = p
+        return s.query(3, Evidence.of({}))
+
+    @staticmethod
+    def constructed(p):
+        try:
+            return Distribution(np.array((1 - p, p)))
+        except SensBnError as exc:
+            return exc
+
+    VALUES = (
+        0.0, -0.0, 1.0, 0.3, 0.7, 5e-324, 1e-300, 1 - 2**-53, 1e-12, -1e-12, -2e-12,
+        1 + 1e-12, 1 + 2e-12, -1e-9, 1.5, -0.5, 1e308, np.nan, np.inf, -np.inf,
+    )
+
+    @pytest.mark.parametrize("p", VALUES)
+    def test_answers_and_refusals_are_the_constructors(self, p):
+        want = self.constructed(p)
+        if isinstance(want, Distribution):
+            got = self.answer(p)
+            assert got.probs.tobytes() == want.probs.tobytes()
+            assert got.probs.shape == want.probs.shape and got.probs.dtype == want.probs.dtype
+            assert not got.probs.flags.writeable
+        else:
+            with pytest.raises(SensBnError) as got:
+                self.answer(p)
+            assert type(got.value) is type(want) and str(got.value) == str(want)
+
+    def test_out_of_range_states_are_refused(self):
+        for p in (np.nan, 1.5, -1e-9):
+            assert isinstance(self.constructed(p), ZeroMassError)
 
 
 class TestFloatKernelSessions:
@@ -1623,6 +1670,34 @@ class TestSizeIndependence:
             assert short["neighbors"] > 0 and short["message"] > 0
             # nothing beyond the last evidence node changes the answer
             assert np.abs(at_short - at_long).max() <= 1e-12
+
+    def test_extreme_committed_factors_leak_no_warning(self, monkeypatch):
+        """A query and a flood after a commit whose factors overflow the
+        vector arithmetic of a run: the band check refuses what that gives
+        and the operation starts over one node at a time, as a session
+        that walks one node at a time answers, with no RuntimeWarning."""
+        tree = self.chain(2_000)
+        modes = walk_modes(monkeypatch)
+        sessions = [fresh(tree), fresh(tree, record_trace=True)]
+        operations = [
+            lambda s: s.query(900, Evidence.of({"v3": 1, "v1500": 0})).probs,
+            lambda s: s.instantiate(900, {"v900": 0}).p[1200],
+        ]
+        for s in sessions:
+            s.multi_evidence_simq(Evidence.of({"v400": 1}))
+            s._r0.base[:] *= 1e200
+        for operation in operations:
+            del modes[:]
+            outcomes = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                for s in sessions:
+                    try:
+                        outcomes.append(operation(s).tobytes())
+                    except SensBnError as exc:
+                        outcomes.append((type(exc), str(exc)))
+            assert modes == ["runs", "nodes", "nodes"]
+            assert outcomes[0] == outcomes[1]
 
     def test_query_across_spider_legs(self, monkeypatch):
         """An exact query at one tip of a spider with evidence at the other

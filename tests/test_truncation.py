@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,23 @@ from sensbn.truncation import (
 )
 from tests.conftest import searched_path, unchecked_copy
 from tests.test_engine import binary_tree, branching_trees, on_both_kernels
+from tests.test_fileio import numpy_calls
+
+
+def python_calls(fn):
+    """The number of Python function calls that ``fn()`` makes."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
 
 
 def complete_binary_tree(depth):
@@ -469,6 +488,26 @@ class _CountedTuple(tuple):
 
 
 class TestSizeIndependence:
+    def test_calls_do_not_grow_with_the_chain(self):
+        """One bounded-error query, profile verified as ``sensbn query
+        --approx`` does, makes the same numpy calls and the same Python
+        function calls on a chain ten times longer."""
+        profile = DecayProfile(0.9, 0.09, 0.1)
+        query = 1000
+        evidence = Evidence.of({f"v{query + 20}": 1, f"v{query - 80}": 0})
+        counts = {}
+        for length in (2_000, 20_000):
+            tree = binary_chain_tree(
+                np.random.default_rng(5), length, alpha=0.9, coupling_lo=0.8
+            )
+
+            def ask(tree=tree):
+                return truncated_query(QuerySession(tree), query, evidence, profile)
+
+            counts[length] = (numpy_calls(ask)[1], python_calls(ask))
+        assert counts[2_000] == counts[20_000]
+        assert min(counts[2_000]) > 0
+
     def test_work_does_not_grow_with_the_chain(self, monkeypatch):
         """One bounded-error query, profile verified as ``sensbn query
         --approx`` does, makes the same neighbor lookups on a chain ten
