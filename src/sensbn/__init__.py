@@ -53,7 +53,6 @@ _EXPORTS = {
     "truncation": (
         "DecayProfile",
         "TruncationPlan",
-        "plan_truncation",
         "truncated_query",
         "verify_profile",
     ),

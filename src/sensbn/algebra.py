@@ -141,6 +141,15 @@ def weight_matrix(p) -> np.ndarray:
     return column * np.eye(v.shape[-1]) - column * v[..., None, :]
 
 
+def weighted(r: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """R (diag(p) - p p^T), formed as (R - (R p) 1^T) diag(p) in
+    O(rank * n), without the n x n weight.
+
+    Takes one factor (rank, n) at p (n,), or a stack (E, rank, n) at (E, n).
+    """
+    return (r - r @ p[..., None]) * p[..., None, :]
+
+
 def inverse_weights(p) -> np.ndarray:
     """1/p entrywise; refuses zero entries (prune the state instead)."""
     v = _entries(p)

@@ -608,10 +608,9 @@ def accept_batches(
 def _dense_couplings(r_ab: np.ndarray, r_ba: np.ndarray, p_a: np.ndarray) -> np.ndarray:
     """Dense couplings of a stack of edges: the coupling of each a with
     respect to its b, (R_ba W(p_a))^T R_ab, from stored factors of shapes
-    (E, r, n_b) and (E, r, n_a) and priors of shape (E, n_a).  R W(p) is
-    formed as (R - (R p) 1^T) diag(p), without the (E, n_a, n_a) weights."""
-    q = (r_ba - r_ba @ p_a[:, :, None]) * p_a[:, None, :]
-    return q.transpose(0, 2, 1) @ r_ab
+    (E, r, n_b) and (E, r, n_a) and priors of shape (E, n_a), with R W(p)
+    from :func:`algebra.weighted`, without the (E, n_a, n_a) weights."""
+    return algebra.weighted(r_ba, p_a).transpose(0, 2, 1) @ r_ab
 
 
 def factor_pairs(tree: TreeNetwork) -> dict[tuple[int, int], QRFactors]:

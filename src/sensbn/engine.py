@@ -30,8 +30,8 @@ branch's reply computes the update only.
 
 * The array kernel is the general form: distributions are ndarrays and
   a stored factor is a rank x n matrix R.  The weighted factor
-  ``R (diag(p) - p p^T)`` is computed as ``(R - (R@p)[:, None]) * p``,
-  without building the n x n weight.
+  ``R (diag(p) - p p^T)`` is :func:`~sensbn.algebra.weighted`, formed as
+  ``(R - (R p) 1^T) diag(p)`` without building the n x n weight.
 * The float kernel serves trees whose compounds all have two states and
   whose edges all have rank 1.  There a distribution is the one number
   p = P(state 1) and a stored factor the one number c = R[0,1] - R[0,0].
@@ -88,14 +88,15 @@ values into it and makes it the baseline, so neither copies what earlier
 operations wrote.
 
 The tree also caches what depends on it alone: the weighted factor at the
-priors of every half edge (``TreeNetwork.weighted_factors``, filled per
-half edge on first read, array kernel) and each run position's
-pass-through weight in both directions (``BinaryScalars.transfer``, float
-kernel).  A session reads them only while its layers lie over the tree's
-own bases, that is before its first commit of a write, and only for a
-node with no write in its working layer; past that, every step computes
-from session state.  The caches hold the bytes those steps would compute,
-and two sessions filling one entry at once write equal values.
+priors of every half edge (``TreeNetwork.weighted_factors``, a tuple
+built on first read with one ``algebra.weighted`` call per factor stack
+and direction, array kernel) and each run position's pass-through weight
+in both directions (``BinaryScalars.transfer``, float kernel).  A session
+reads them only while its layers lie over the tree's own bases, that is
+before its first commit of a write, and only for a node with no write in
+its working layer; past that, every step computes from session state.
+The caches hold the bytes those steps would compute, and two sessions
+building one at once build equal values.
 
 Every ``query`` and every ``instantiate`` starts from the committed
 baseline (the priors plus whatever :meth:`QuerySession.commit` froze), so
@@ -303,10 +304,7 @@ class _ArrayKernel:
     def message(r: np.ndarray, p: np.ndarray, base: np.ndarray) -> np.ndarray:
         return r @ (p - base)
 
-    @staticmethod
-    def weighted(r: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """R (diag(p) - p p^T), in O(rank * n)."""
-        return (r - (r @ p)[:, None]) * p
+    weighted = staticmethod(algebra.weighted)
 
     @staticmethod
     def update(base: np.ndarray, q: np.ndarray, m: np.ndarray) -> np.ndarray | None:

@@ -842,8 +842,8 @@ class TreeNetwork:
     ``compound(i)``, ``compounds``, ``prior_probs``, ``half_edge_factors``
     (the stored factors by half edge) and ``r_factors`` (the same factors
     by key) are read-only views built from the columns on first use and
-    kept.  ``weighted_factors`` maps each half edge to its weighted factor
-    at the priors, filled per half edge on first read.
+    kept.  ``weighted_factors`` holds the weighted factor at the priors of
+    every half edge, by half edge, built on first read per factor stack.
 
     ``decay`` is None until compiler.check_tree_consistency has passed on
     the tree; that pass records the tree's :class:`DecayConstants`, and
@@ -1109,12 +1109,24 @@ class TreeNetwork:
         return tuple(out)
 
     @cached_property
-    def weighted_factors(self) -> "WeightedFactors":
-        """The weighted factor at the priors of every half edge, by half
-        edge, computed on first read (see :class:`WeightedFactors`)."""
-        source = self._csr[1][self._twin]
-        source.setflags(write=False)
-        return WeightedFactors(self.half_edge_factors, self.prior_probs, source)
+    def weighted_factors(self) -> tuple[np.ndarray, ...]:
+        """The weighted factor ``Q_h = R_h (diag(p) - p p^T)`` of every half
+        edge h, by half edge, with R_h its stored factor and p the prior of
+        its source: what a session weighs at that source (on entry, in a
+        pass-through or for a reply) while the source holds its prior.
+        Computed on first read, one ``algebra.weighted`` call per factor
+        stack and direction, as read-only views."""
+        from .algebra import weighted  # algebra imports this module
+
+        out: list = [None] * self._twin.size
+        for stack in self._stacks:
+            ends, halves = self._ends[stack.edges].T, self._halves[stack.edges].T.tolist()
+            for side, rows in enumerate((stack.bwd, stack.fwd)):
+                q = weighted(rows, self._nodes.prior_stack(ends[side], rows.shape[2]))
+                q.setflags(write=False)
+                for h, row in zip(halves[side], q):
+                    out[h] = row
+        return tuple(out)
 
     @cached_property
     def r_factors(self) -> dict[tuple[int, int], np.ndarray]:
@@ -1177,34 +1189,6 @@ class TreeNetwork:
                 raise UnknownLabelError(f"state {value} outside node {label!r} range")
             grouped.setdefault(home, {})[label] = value
         return grouped
-
-
-class WeightedFactors(dict):
-    """``map[h]`` is the weighted factor ``Q_h = (R_h - (R_h p) 1^T)
-    diag(p)`` of half edge h, with R_h its stored factor and p the prior of
-    its source: what a session weighs at that source (on entry, in a
-    pass-through or for a reply) while the source still holds its prior.
-    An entry is computed on first read, with the engine's own expression,
-    and kept read-only, so a query pays only for the half edges it crosses.
-    Two threads that fill one entry at once store equal values.
-
-    It reads the tree's ``half_edge_factors``, ``prior_probs`` and the
-    source node of every half edge, not the tree, which holds the map."""
-
-    __slots__ = ("_factors", "_priors", "_source")
-
-    def __init__(
-        self, factors: Sequence[np.ndarray], priors: Mapping[int, np.ndarray], source: np.ndarray
-    ):
-        super().__init__()
-        self._factors, self._priors, self._source = factors, priors, source
-
-    def __missing__(self, h: int) -> np.ndarray:
-        r, p = self._factors[h], self._priors[self._source.item(h)]
-        q = (r - (r @ p)[:, None]) * p
-        q.setflags(write=False)
-        self[h] = q
-        return q
 
 
 def _check_edge_count(n_edges: int, n: int) -> None:

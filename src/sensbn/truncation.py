@@ -131,23 +131,6 @@ def truncation_radius(profile: DecayProfile, n_evidence: int) -> int:
     return int(math.ceil(math.log(arg) / math.log(profile.alpha)))
 
 
-def plan_truncation(
-    profile: DecayProfile,
-    evidence_distances: dict[int, int],
-    radius: int | None = None,
-) -> TruncationPlan:
-    """Select the evidence within the truncation radius of the query.
-
-    ``evidence_distances`` maps instantiated node to hop distance from
-    the query node; ``radius`` overrides the derived value (benchmarks
-    use this to hold the work region fixed).
-    """
-    if radius is None:
-        radius = truncation_radius(profile, len(evidence_distances))
-    retained = tuple(sorted(n for n, d in evidence_distances.items() if d <= radius))
-    return TruncationPlan(radius, retained, profile.guaranteed_bound)
-
-
 def hop_distances(tree: TreeNetwork, start: int, limit: int | None = None) -> dict[int, int]:
     """Breadth-first hop distances from ``start``, stopping at ``limit``.
 
@@ -197,7 +180,8 @@ def truncated_query(
         radius = truncation_radius(profile, len(grouped))
     if radius < 0:
         raise ApproxPreconditionError(f"radius must be at least 0, got {radius}")
-    distances = {node: tree.distance(query, node, radius) for node in grouped}
-    plan = plan_truncation(profile, distances, radius=radius)
-    posterior = session._query_grouped(query, {n: grouped[n] for n in plan.retained_evidence})
-    return posterior, plan.guaranteed_bound, plan
+    kept = {
+        n: a for n, a in sorted(grouped.items()) if tree.distance(query, n, radius) <= radius
+    }
+    plan = TruncationPlan(radius, tuple(kept), profile.guaranteed_bound)
+    return session._query_grouped(query, kept), plan.guaranteed_bound, plan

@@ -71,6 +71,35 @@ class TestCompile:
         assert "violation" in err
 
 
+    def test_network_that_fails_validation_prints_each_violation(self, capsys, tmp_path):
+        src = tmp_path / "flawed.net"
+        src.write_text(
+            "network flawed\n"
+            "node a 2\nnode b 2\nnode c 2\n"
+            "parents b a\nparents c ghost\n"
+            "cpt a dims 2 1\n-0.1\n1.1\n"
+            "cpt b dims 2 1\n0.5\n0.5\n"
+            "cpt c dims 2 1\n0.5\n0.5\n"
+        )
+        code, out, err = run(capsys, "compile", str(src))
+        assert code == cli.EXIT_VALIDATION == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "violation: unknown-parent at c: parent 'ghost' undeclared",
+            "violation: negative-entry at a: table has a negative entry",
+            "violation: bad-shape at b: table shape (2, 1) does not match (2, 2)",
+        ]
+        assert not (tmp_path / "flawed.tree").exists()
+
+    def test_network_that_does_not_parse_exit_code(self, capsys, tmp_path):
+        src = tmp_path / "broken.net"
+        src.write_text("node a 2\ncpt a dims 2 1\n0.5 0.5\n")
+        code, out, err = run(capsys, "compile", str(src))
+        assert code == cli.EXIT_PARSE == 2
+        assert out == ""
+        assert err == f"error: {src}:3: cpt a: row has 2 values, expected 1\n"
+
+
 class TestQuery:
     def test_worked_example_two_evidence(self, capsys):
         code, out, err = run(
@@ -276,6 +305,40 @@ class TestQuery:
         )
         assert code == cli.EXIT_APPROX
         assert "error: approx item 'epsilon=abc' is not a number" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "flags, code, message",
+        [
+            (["--evidence", "x_A"], cli.EXIT_BAD_REQUEST, "evidence item 'x_A' is not label=value"),
+            (["--evidence", "x_A=maybe"], cli.EXIT_BAD_REQUEST, "bad evidence value 'maybe'"),
+            (["--evidence", "x_A=2"], cli.EXIT_BAD_REQUEST, "state 2 outside node 'x_A' range"),
+            (
+                ["--approx", "epsilon"],
+                cli.EXIT_APPROX,
+                "approx item 'epsilon' is not key=value (epsilon/alpha/eta)",
+            ),
+            (
+                ["--approx", "epsilon=0.1"],
+                cli.EXIT_APPROX,
+                "--approx is missing ['alpha', 'eta']",
+            ),
+        ],
+    )
+    def test_malformed_evidence_and_approx_items(self, capsys, flags, code, message):
+        got = run(capsys, "query", "asia_tables.tree", "--query", "x_H", *flags)
+        assert got == (code, "", f"error: {message}\n")
+
+    def test_approx_profile_that_does_not_hold_exit_code(self, capsys):
+        code, out, err = run(
+            capsys,
+            "query", str(DATA / "chain.tree"), "--query", "v0", "--evidence", "v3=1",
+            "--approx", "epsilon=0.1", "alpha=0.2", "eta=0.09",
+        )
+        assert code == cli.EXIT_APPROX == 6
+        assert out == ""
+        assert err == (
+            "error: decay profile does not hold: edge X_2 - X_1: |coupling| = 0.7559 >= alpha\n"
+        )
 
     def test_factors_that_are_no_sensitivity_exit_code(self, capsys, tmp_path):
         spaces = [StateSpace.binary(("a",)), StateSpace.binary(("b",))]

@@ -13,6 +13,7 @@ from sensbn import algebra, compiler, engine, fileio, oracle, truncation
 from sensbn.engine import QuerySession
 from sensbn.errors import (
     ConsistencyError,
+    DimensionMismatchError,
     PrunedStateError,
     SensBnError,
     UnknownLabelError,
@@ -115,6 +116,17 @@ class TestSimqStep:
         n_before = len(s.instr.messages)
         s.simq_step(0, 1, np.zeros(1))  # X_1 is a leaf
         assert len(s.instr.messages) == n_before
+
+    def test_message_of_the_wrong_length_is_refused(self, asia_tables):
+        s = fresh(asia_tables)
+        assert asia_tables.rank(2, 5) == 1
+        for payload in (np.zeros(2), np.zeros((1, 1)), np.float64(0.0)):
+            with pytest.raises(DimensionMismatchError) as caught:
+                s.simq_step(2, 5, payload)
+            assert str(caught.value) == (
+                f"message 5->2 has length {np.shape(payload)}, edge rank is 1"
+            )
+        assert not s.instr.messages
 
     def test_nan_message_is_refused(self, asia_tables):
         s = fresh(asia_tables)
@@ -363,6 +375,15 @@ class TestMultiEvidenceSimq:
         s = fresh(asia_tables)
         s.multi_evidence_simq(Evidence.of({"x_A": 1, "x_D": 1}), order=(0, 3))
         assert s.p[5][1] == pytest.approx(0.68, abs=5e-3)
+
+    @pytest.mark.parametrize("order", [(0,), (0, 3, 3), (0, 2), (3, 0, 1)])
+    def test_order_must_list_exactly_the_evidence_nodes(self, asia_tables, order):
+        s = fresh(asia_tables)
+        with pytest.raises(
+            UnknownLabelError, match="^order must list exactly the evidence nodes$"
+        ):
+            s.multi_evidence_simq(Evidence.of({"x_A": 1, "x_D": 1}), order=order)
+        assert not s.instr.messages
 
     def test_order_invariance(self, asia_tables):
         one = fresh(asia_tables)
@@ -1860,11 +1881,9 @@ def asia_twin(asia_compiled):
 
 
 def poison_weighted_factors(tree, scale=0.5):
-    """Replace every entry of ``tree.weighted_factors`` by ``scale`` times
-    itself: a wrong factor that still moves no probability mass."""
-    cache = tree.weighted_factors
-    for h in range(tree.twin.size):
-        cache[h] = scale * cache[h]
+    """Replace ``tree.weighted_factors`` by one holding ``scale`` times each
+    entry: a wrong factor that still moves no probability mass."""
+    vars(tree)["weighted_factors"] = tuple(scale * q for q in tree.weighted_factors)
 
 
 class TestWeightedFactorCache:

@@ -43,6 +43,33 @@ class TestNetworkFormat:
         with pytest.raises(ParseError, match="without a cpt"):
             fileio.parse_network("node a 2\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "node a 2\ncpt a dims 2 1\n0.5\nnode b 2\n",
+                "bad.net:2: cpt a: expected 2 rows, got 1",
+            ),
+            (
+                "node a 2\ncpt a dims 2 1\n0.5\n0.25 0.25\n",
+                "bad.net:4: cpt a: row has 2 values, expected 1",
+            ),
+            ("node a 2\nnode b\n", "bad.net:2: node line needs: node <label> <n_states>"),
+            ("node a two\n", "bad.net:1: bad state count 'two'"),
+            ("node a 2\nparents\n", "bad.net:2: parents line needs a child label"),
+            ("node a 2\ncpt a 2 1\n", "bad.net:2: cpt line needs: cpt <child> dims <rows> <cols>"),
+            ("node a 2\ncpt a dims 2 one\n", "bad.net:2: cpt dims must be integers"),
+            (
+                "node a 2\ncpt a dims 2 1\n0.5\n0.5\ncpt b dims 2 1\n0.5\n0.5\n",
+                "bad.net: table or parents for undeclared node 'b'",
+            ),
+        ],
+    )
+    def test_malformed_network_file_names_its_line(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            fileio.parse_network(text, path="bad.net")
+        assert str(caught.value) == message
+
     def test_unknown_directive_is_an_error(self):
         with pytest.raises(ParseError, match="unknown directive"):
             fileio.parse_network("wibble a b c\n")

@@ -57,6 +57,25 @@ class TestValidateNetwork:
         assert problems[0].where == "x2"
         assert "column 1" in problems[0].detail
 
+    def test_each_structural_defect_is_named(self):
+        net = BeliefNetwork(
+            (("a", 2), ("b", 2), ("c", 2), ("d", 2), ("e", 2)),
+            {"b": ("a",), "c": ("ghost",)},
+            {
+                "a": np.array([[1.2], [-0.2]]),
+                "b": np.array([[0.5], [0.5]]),
+                "c": np.array([[0.5], [0.5]]),
+                "e": np.array([0.5, 0.5]),
+            },
+        )
+        assert [(p.kind, p.where, p.detail) for p in validate_network(net)] == [
+            ("unknown-parent", "c", "parent 'ghost' undeclared"),
+            ("negative-entry", "a", "table has a negative entry"),
+            ("bad-shape", "b", "table shape (2, 1) does not match (2, 2)"),
+            ("missing-cpt", "d", "no conditional table"),
+            ("bad-shape", "e", "table shape (2,) does not match (2, 1)"),
+        ]
+
     def test_cycle_is_reported(self):
         net = BeliefNetwork(
             (("x1", 2), ("x2", 2)),

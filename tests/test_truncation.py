@@ -1,17 +1,18 @@
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sensbn import compiler, engine, oracle, truncation
+from sensbn import compiler, engine, fileio, oracle, truncation
 from sensbn.engine import QuerySession
 from sensbn.errors import ApproxPreconditionError
 from sensbn.generators import binary_chain_network, binary_chain_tree
 from sensbn.model import Evidence, TreeNetwork
 from sensbn.truncation import (
     DecayProfile,
+    TruncationPlan,
     hop_distances,
-    plan_truncation,
     truncated_query,
     truncation_radius,
     verify_profile,
@@ -107,6 +108,25 @@ class TestVerifyProfile:
         with pytest.raises(ApproxPreconditionError, match="X_3"):
             verify_profile(asia_tables, DecayProfile(0.9, 0.09, 0.1))
 
+    def test_a_query_under_a_profile_that_does_not_hold_is_refused(self, monkeypatch):
+        tree = fileio.load_tree(Path(__file__).parent / "data" / "chain.tree")
+        query, ev = tree.resolve_query("v0")[0], Evidence.of({"v3": 1})
+        profile = DecayProfile(0.2, 0.09, 0.1)
+        with pytest.raises(ApproxPreconditionError) as caught:
+            truncated_query(QuerySession(tree), query, ev, profile)
+        assert str(caught.value) == (
+            "decay profile does not hold: edge X_2 - X_1: |coupling| = 0.7559 >= alpha"
+        )
+        # verified=True takes the caller's word for the profile
+        monkeypatch.setattr(truncation, "verify_profile", None)
+        posterior, bound, plan = truncated_query(
+            QuerySession(tree), query, ev, profile, verified=True
+        )
+        assert plan.radius == truncation_radius(profile, 1)
+        assert plan.retained_evidence == (tree.member_home("v3"),)
+        want = QuerySession(tree).query(query, ev)
+        assert posterior.probs.tobytes() == want.probs.tobytes()
+
 
 class TestPlanTruncation:
     def test_locked_radius_values(self):
@@ -143,11 +163,14 @@ class TestPlanTruncation:
         assert plan.retained_evidence == (10,)
 
     def test_retained_selection(self):
-        plan = plan_truncation(
-            DecayProfile(0.9, 0.09, 0.1), {3: 2, 7: 60}, radius=10
+        tree = chain(4, length=70)
+        ev = Evidence.of({"v65": 0, "v12": 1, "v3": 1})
+        profile = DecayProfile(0.9, 0.09, 0.1)
+        _, bound, plan = truncated_query(
+            QuerySession(tree), 5, ev, profile, radius=10, verified=True
         )
-        assert plan.retained_evidence == (3,)
-        assert plan.radius == 10
+        assert plan == TruncationPlan(10, (3, 12), profile.guaranteed_bound)
+        assert bound == profile.guaranteed_bound
 
 
 class TestTruncatedQuery:
@@ -298,7 +321,8 @@ def reference_query(session, query, evidence, profile, radius):
     radius ball with the reference BFS and passes the ball as ``within``."""
     reach = hop_distances(session.tree, query, limit=radius)
     grouped = session.tree.group_evidence(evidence)
-    plan = plan_truncation(profile, {n: reach.get(n, radius + 1) for n in grouped}, radius)
+    kept = tuple(sorted(n for n in grouped if n in reach))
+    plan = TruncationPlan(radius, kept, profile.guaranteed_bound)
     return session.query(query, evidence, within=set(reach)), plan
 
 
