@@ -11,15 +11,19 @@ printed posterior must equal, to the six decimals printed, what
 ``truncation.truncated_query`` answers in this process on the tree that
 was written.  Prints the wall time of each step and the child's peak
 resident set size, and exits 1 if the child exits non-zero or an answer
-differs.
+differs.  It also loads the file in this process and prints the wall time
+of each load phase (parse, construct, check) and the memory the loaded
+tree keeps under ``tracemalloc`` (that traced load is the slowest step).
 """
 
+import gc
 import os
 import resource
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +31,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from sensbn import fileio, generators, truncation  # noqa: E402
+from sensbn import compiler, fileio, generators, truncation  # noqa: E402
 from sensbn.engine import QuerySession  # noqa: E402
 from sensbn.model import Evidence  # noqa: E402
 
@@ -36,6 +40,45 @@ QUERY = "v50000"
 # two items inside the radius, one far beyond it
 EVIDENCE = {"v49997": 0, "v50004": 1, "v50400": 1}
 APPROX = ("epsilon=0.1", "alpha=0.9", "eta=0.09")
+
+
+def load_phases(path: Path) -> dict[str, float]:
+    """Seconds spent in each phase of ``fileio.load_tree(path)``: the line
+    loop (parse), the factor stacks and the tree's columns (construct), and
+    ``compiler.check_tree_consistency`` (check)."""
+    check = compiler.check_tree_consistency
+    checking = []
+
+    def timed_check(tree):
+        started = time.perf_counter()
+        check(tree)
+        checking.append(time.perf_counter() - started)
+
+    started = time.perf_counter()
+    with path.open() as lines:
+        columns = fileio._parse_lines(lines, str(path))
+    parsed = time.perf_counter()
+    compiler.check_tree_consistency = timed_check
+    try:
+        compiler.accept_batches(*columns)
+    finally:
+        compiler.check_tree_consistency = check
+    built = time.perf_counter() - parsed
+    return {"parse": parsed - started, "construct": built - checking[0], "check": checking[0]}
+
+
+def retained_mb(path: Path) -> tuple[float, float]:
+    """The MB that a tree loaded from ``path`` keeps under ``tracemalloc``,
+    and the peak while loading it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tree = fileio.load_tree(path)
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return kept / 1e6, peak / 1e6
 
 
 def main() -> int:
@@ -55,6 +98,8 @@ def main() -> int:
         proc = subprocess.run(argv, capture_output=True, text=True, env=env)
         answered = time.perf_counter()
         size_mb = path.stat().st_size / 1e6
+        phases = load_phases(path)
+        kept_mb, load_peak_mb = retained_mb(path)
     # the only child this process has waited for
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     print(proc.stdout, end="")
@@ -62,6 +107,12 @@ def main() -> int:
         f"{LENGTH}-node chain: built in {built - started:.2f} s, written ({size_mb:.1f} MB) "
         f"in {written - built:.2f} s; sensbn query process {answered - written:.2f} s wall, "
         f"peak RSS {peak_mb:.1f} MB"
+    )
+    print(
+        "in process: load_tree "
+        + ", ".join(f"{name} {seconds:.3f} s" for name, seconds in phases.items())
+        + f"; the loaded tree keeps {kept_mb:.1f} MB under tracemalloc "
+        f"(peak {load_peak_mb:.1f} MB while loading)"
     )
     if proc.returncode:
         print(f"sensbn query exited {proc.returncode}: {proc.stderr.strip()}", file=sys.stderr)

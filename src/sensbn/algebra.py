@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, RangeError, SingularWeightError, ZeroMassError
-from .model import ConditionalMatrix, Distribution, frozen_array
+from .model import ConditionalMatrix, Distribution, frozen_array, row_sums
 
 #: relative singular-value threshold shared by the factorings and rank checks
 RANK_TOL = 1e-10
@@ -126,8 +126,8 @@ def center_rows(arr: np.ndarray) -> np.ndarray:
 
     Takes a matrix or a stack of matrices (rows along the last axis).
     """
-    # np.add.reduce is what ndarray.mean runs, without its Python wrapper
-    return arr - np.add.reduce(arr, axis=-1, keepdims=True) / arr.shape[-1]
+    # the sums of np.add.reduce, which ndarray.mean runs
+    return arr - row_sums(arr)[..., None] / arr.shape[-1]
 
 
 def weight_matrix(p) -> np.ndarray:

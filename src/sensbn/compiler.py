@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -450,7 +450,7 @@ def compile_network(
         EdgeReport(names[i], names[j], (nodes.size[i], nodes.size[j]), rank)
         for (i, j), rank in zip(edges, ranks.tolist())
     ]
-    tree = accept_batches(nodes, edges, batches, net.name)
+    tree = accept_batches(nodes, _edge_ends(edges), batches, net.name)
     return tree, CompileReport(tuple(reports), tuple(pruned_record))
 
 
@@ -531,7 +531,7 @@ class EdgeBatch:
     """Factor pairs of edges that share one (n_i, n_j, rank) shape, stacked.
 
     ``q[k]`` (rank x n_i) and ``r[k]`` (rank x n_j) are the factor pair of
-    edge ``edges[positions[k]]`` of the list passed to
+    the edge in row ``positions[k]`` of the ends passed to
     :func:`accept_batches` with the batch.
     """
 
@@ -572,26 +572,30 @@ def accept_precompiled(
         EdgeBatch(positions, np.array(qs), np.array(rs))
         for positions, qs, rs in grouped.values()
     ]
-    return accept_batches(nodes, list(edge_factors), batches, name)
+    return accept_batches(nodes, _edge_ends(edge_factors.keys()), batches, name)
+
+
+def _edge_ends(edges: Collection[tuple[int, int]]) -> np.ndarray:
+    """The edges (i, j) as an (E, 2) array."""
+    return np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
 
 
 def accept_batches(
     nodes: NodeColumns,
-    edges: list[tuple[int, int]],
+    ends: np.ndarray,
     batches: list[EdgeBatch],
     name: str = "tree",
 ) -> TreeNetwork:
     """Build a TreeNetwork from factor pairs already stacked by edge shape.
 
-    ``edges[k]`` is (i, j) for the coupling of node i with respect to node
-    j, every position of ``edges`` appears in exactly one batch, and a
-    batch's factor widths are the sizes of its edges' nodes.  Each
-    batch is re-centered and its reverse factors derived with one
-    broadcast into the tree's :class:`FactorStack` of that shape, then
-    :func:`check_tree_consistency` checks the tree.  The result is what
-    :func:`accept_precompiled` returns for the same pairs.
+    ``ends`` is an (E, 2) integer array whose row k is (i, j) for the
+    coupling of node i with respect to node j, every row appears in
+    exactly one batch, and a batch's factor widths are the sizes of its
+    edges' nodes.  Each batch is re-centered and its reverse factors
+    derived with one broadcast into the tree's :class:`FactorStack` of
+    that shape, then :func:`check_tree_consistency` checks the tree.  The
+    result is what :func:`accept_precompiled` returns for the same pairs.
     """
-    ends = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
     stacks = []
     for batch in batches:
         pos = np.array(batch.positions, dtype=np.intp)
@@ -600,7 +604,7 @@ def accept_batches(
         q_ij = algebra.center_rows(batch.q)
         r_ji = algebra.center_rows(q_ij * algebra.inverse_weights(p_i)[:, None, :])
         stacks.append(FactorStack(pos, algebra.center_rows(batch.r), r_ji))
-    tree = TreeNetwork(nodes, edges, ends, stacks, name)
+    tree = TreeNetwork(nodes, ends, stacks, name)
     check_tree_consistency(tree)
     return tree
 
@@ -630,10 +634,9 @@ def factor_pairs(tree: TreeNetwork) -> dict[tuple[int, int], QRFactors]:
 
 def _reversed_dense(s: np.ndarray, p_i: np.ndarray, p_j: np.ndarray) -> np.ndarray:
     """:func:`algebra.reverse_dense` of every coupling in a stack, with
-    W(p_j) X formed as diag(p_j) (X - 1 p_j^T X)."""
-    with np.errstate(divide="ignore"):
-        inv_i = 1.0 / p_i
-    flipped = algebra.center_rows(s.transpose(0, 2, 1) * inv_i[:, None, :])
+    W(p_j) X formed as diag(p_j) (X - 1 p_j^T X).  A zero entry of p_i is
+    not refused: its edge comes out infinite or NaN."""
+    flipped = algebra.center_rows(s.transpose(0, 2, 1) * (1.0 / p_i)[:, None, :])
     return (flipped - p_j[:, None, :] @ flipped) * p_j[:, :, None]
 
 
@@ -665,9 +668,17 @@ def _spill(s: np.ndarray, p_i: np.ndarray, p_j: np.ndarray) -> np.ndarray | None
     (E, n_i) and (E, n_j); None when two reductions find every table
     within :data:`TABLE_TOL` of [0, 1]."""
     tables = s + (p_i - (s @ p_j[:, :, None])[:, :, 0])[:, :, None]
-    if tables.min() >= -TABLE_TOL and tables.max() <= 1.0 + TABLE_TOL:
+    lo, hi = np.minimum.reduce(tables, axis=None), np.maximum.reduce(tables, axis=None)
+    if lo >= -TABLE_TOL and hi <= 1.0 + TABLE_TOL:
         return None
-    return np.maximum(-tables.min(axis=(1, 2)), tables.max(axis=(1, 2)) - 1.0)
+    return np.maximum(_stack_max(-tables), _stack_max(tables) - 1.0)
+
+
+def _stack_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=(1, 2))`` of a stack x of matrices, NaN where a matrix
+    holds one, reduced down a transposed copy: the inner loop then runs
+    along the stack instead of along the few entries of one matrix."""
+    return np.maximum.reduce(x.T.copy(), axis=(0, 1))
 
 
 def check_tree_consistency(tree: TreeNetwork) -> None:
@@ -691,7 +702,8 @@ def check_tree_consistency(tree: TreeNetwork) -> None:
     Edges are checked per shape, on the tree's factor stacks: one batched
     product per direction rebuilds all the couplings of a stack.
     """
-    nodes, ends, n_edges = tree.node_columns, tree.edge_ends, len(tree.edges)
+    nodes, ends = tree.node_columns, tree.edge_ends
+    n_edges = len(ends)
     all_binary = set(nodes.priors) == {2}
     first_bad, bad_err = n_edges, math.nan
     first_wild, wild_by = n_edges, math.nan
@@ -703,23 +715,23 @@ def check_tree_consistency(tree: TreeNetwork) -> None:
         p_b = nodes.prior_stack(ends[positions, 1], r_ab.shape[2])
         s_ab = _dense_couplings(r_ab, r_ba, p_a)
         s_ba = _dense_couplings(r_ba, r_ab, p_b)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             err = np.maximum(
-                np.abs(s_ba - _reversed_dense(s_ab, p_a, p_b)).max(axis=(1, 2)),
-                np.abs(s_ab - _reversed_dense(s_ba, p_b, p_a)).max(axis=(1, 2)),
+                _stack_max(np.abs(s_ba - _reversed_dense(s_ab, p_a, p_b))),
+                _stack_max(np.abs(s_ab - _reversed_dense(s_ba, p_b, p_a))),
             )
             spills = [x for x in (_spill(s_ab, p_a, p_b), _spill(s_ba, p_b, p_a)) if x is not None]
-        scale = np.maximum(1.0, np.abs(s_ab).max(axis=(1, 2)))
-        failed = np.flatnonzero(~(err <= CONSISTENCY_TOL * scale))
+        scale = np.maximum(1.0, _stack_max(np.abs(s_ab)))
+        failed = (~(err <= CONSISTENCY_TOL * scale)).nonzero()[0]
         if failed.size and positions[failed[0]] < first_bad:
             first_bad, bad_err = int(positions[failed[0]]), float(err[failed[0]])
         if spills:
             spill = np.max(spills, axis=0)
-            wild = np.flatnonzero(spill > TABLE_TOL)
+            wild = (spill > TABLE_TOL).nonzero()[0]
             if wild.size and positions[wild[0]] < first_wild:
                 first_wild, wild_by = int(positions[wild[0]]), float(spill[wild[0]])
         if all_binary:
-            couplings.append(float(np.abs(s_ab[:, 1, 1] - s_ab[:, 1, 0]).max()))
+            couplings.append(float(np.maximum.reduce(np.abs(s_ab[:, 1, 1] - s_ab[:, 1, 0]))))
     if first_bad < n_edges:
         a, b = tree.edges[first_bad]
         # a zero prior entry fails its edge; report it as the scalar check does
@@ -738,7 +750,9 @@ def check_tree_consistency(tree: TreeNetwork) -> None:
     if all_binary:
         p = nodes.prior_stack(np.arange(tree.node_count), 2)
         decay = DecayConstants(
-            True, float(np.max(couplings, initial=0.0)), float((p[:, 0] * p[:, 1]).min())
+            True,
+            float(np.max(couplings, initial=0.0)),
+            float(np.minimum.reduce(p[:, 0] * p[:, 1])),
         )
         if scalar:
             scalars = BinaryScalars.from_tree(tree, p[:, 1].copy())

@@ -74,6 +74,8 @@ def parse_network(text: str, path=None) -> BeliefNetwork:
     parents: dict[str, tuple[str, ...]] = {}
     cpts: dict[str, np.ndarray] = {}
     name = "network"
+    # the label and line of every parents and cpt directive, in file order
+    named: list[tuple[str, int]] = []
     pending: tuple[str, int, int, list[list[float]], int] | None = None
 
     def flush(line):
@@ -118,6 +120,7 @@ def parse_network(text: str, path=None) -> BeliefNetwork:
             if len(tokens) < 2:
                 raise ParseError("parents line needs a child label", path, line)
             parents[tokens[1]] = tuple(tokens[2:])
+            named.append((tokens[1], line))
         elif key == "cpt":
             if len(tokens) != 5 or tokens[2] != "dims":
                 raise ParseError("cpt line needs: cpt <child> dims <rows> <cols>", path, line)
@@ -126,13 +129,14 @@ def parse_network(text: str, path=None) -> BeliefNetwork:
             except ValueError:
                 raise ParseError("cpt dims must be integers", path, line) from None
             pending = (tokens[1], rows, cols, [], line)
+            named.append((tokens[1], line))
         else:
             raise ParseError(f"unknown directive {key!r}", path, line)
     flush(None)
     declared = {l for l, _ in nodes}
-    for label in list(parents) + list(cpts):
+    for label, at in named:
         if label not in declared:
-            raise ParseError(f"table or parents for undeclared node {label!r}", path)
+            raise ParseError(f"table or parents for undeclared node {label!r}", path, at)
     missing = [l for l in declared if l not in cpts]
     if missing:
         raise ParseError(f"nodes without a cpt: {sorted(missing)}", path)
@@ -184,9 +188,11 @@ def parse_tree(text: str, path=None) -> TreeNetwork:
 
     One pass over the lines (ended by ``\\n``, ``\\r\\n`` or ``\\r``) converts
     each line as it comes into flat columns: names, member labels and
-    their offsets, cards and pruned states where a line gives them, and
-    the numbers, prior rows in one ``array('d')`` per number of states and
-    factor rows in one per (n_i, n_j, rank) edge shape.  The priors are
+    their offsets, cards and pruned states where a line gives them, the
+    edge ends in one ``array('q')``, and the numbers, prior rows in one
+    ``array('d')`` per number of states and factor rows in one per
+    (n_i, n_j, rank) edge shape.  The dict of names the loop looks edges up
+    in becomes ``NodeColumns.index``.  The priors are
     normalised one stack per size and :func:`compiler.accept_batches`
     derives and checks the factors, each reading the buffers through
     ``np.frombuffer``; no array of the tree keeps a buffer.
@@ -201,7 +207,7 @@ def parse_tree(text: str, path=None) -> TreeNetwork:
 
 
 def _parse_lines(lines, path):
-    """The columns (nodes, edges, batches, name) that :func:`parse_tree`
+    """The columns (nodes, ends, batches, name) that :func:`parse_tree`
     accepts, from the iterator ``lines``.  After an error the rest of
     ``lines`` is read, so that a line that cannot be read or decoded
     raises its own error, whatever the lines before it hold."""
@@ -216,7 +222,8 @@ def _parse_lines(lines, path):
     # size -> (numbers, line of each row)
     prior_at = array("q")
     prior_rows: dict[int, tuple[array, array]] = {}
-    edges: list[tuple[int, int]] = []
+    # the ends of every edge, two numbers per edge
+    ends = array("q")
     # shape -> (edge positions, q numbers, r numbers)
     groups: dict[tuple[int, int, int], tuple[array, array, array]] = {}
     bad_width: ParseError | None = None
@@ -271,8 +278,9 @@ def _parse_lines(lines, path):
                 if group is None:
                     group = groups[q_width, r_width, rank] = (array("q"), array("d"), array("d"))
                 positions, q_out, r_out = group
-                positions.append(len(edges))
-                edges.append((i, j))
+                positions.append(len(ends) >> 1)
+                ends.append(i)
+                ends.append(j)
                 block = (tokens[1], tokens[2], line)
                 q_count = r_count = 0
                 wrong = None
@@ -348,8 +356,8 @@ def _parse_lines(lines, path):
         )
         for (n_i, n_j, rank), (positions, qs, rs) in groups.items()
     ]
-    nodes = NodeColumns(names, members, member_start, cards, pruned, size, priors, prior_row)
-    return nodes, edges, batches, name
+    nodes = NodeColumns(names, members, member_start, cards, pruned, size, priors, prior_row, index)
+    return nodes, np.array(ends, np.intp).reshape(-1, 2), batches, name
 
 
 def _closed_block(block, rank, q_count, r_count, wrong, bad_width, path):

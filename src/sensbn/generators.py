@@ -114,13 +114,14 @@ def binary_chain_tree(
         np.arange(length, dtype=np.intp),
     )
     unit = np.array([[-_INV_RT2, _INV_RT2]])
-    edges = [(k, k - 1) for k in range(1, length)]
+    # edge k - 1 is (k, k - 1)
+    ends = np.stack((np.arange(1, length), np.arange(length - 1)), axis=1)
     batch = compiler.EdgeBatch(
-        range(len(edges)),
-        np.repeat(unit[None], len(edges), axis=0),
+        range(length - 1),
+        np.repeat(unit[None], length - 1, axis=0),
         np.array(couplings)[:, None, None] * unit,
     )
-    return compiler.accept_batches(nodes, edges, [batch] if edges else [], name="chain")
+    return compiler.accept_batches(nodes, ends, [batch] if length > 1 else [], name="chain")
 
 
 def _chain_params(rng, length, alpha, lo, hi, coupling_lo=0.05):

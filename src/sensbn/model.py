@@ -283,20 +283,37 @@ class Distribution:
         return float(self.probs[i])
 
 
+def row_sums(arr: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(arr, axis=-1)``, bit for bit.  numpy adds a row of
+    fewer than eight numbers one by one, so such rows are summed down a
+    transposed copy, whose inner loop runs across the rows instead of
+    along each short one."""
+    if arr.shape[-1] < 8:
+        return np.add.reduce(arr.T.copy(), axis=0).T
+    return np.add.reduce(arr, axis=-1)
+
+
 def normalized_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every row of the weights ``raw`` divided by its sum, bit for bit as
     :meth:`Distribution.normalized` divides it, and a mask of the rows
     that method refuses, by the same rules (pass those to it for the
     error)."""
     with np.errstate(all="ignore"):
-        total = raw.sum(axis=1)
+        total = row_sums(raw)
         probs = raw / total[:, None]
-        lo, hi = probs.min(axis=1, initial=0.0), probs.max(axis=1, initial=0.0)
+        # one row per column: the least and greatest entries of each row
+        # come from reductions that run across the rows
+        columns, prob_columns = raw.T.copy(), probs.T.copy()
+        lo = np.minimum.reduce(prob_columns, axis=0, initial=0.0)
+        hi = np.maximum.reduce(prob_columns, axis=0, initial=0.0)
         accepted = (
-            _finite(raw.min(axis=1, initial=0.0), raw.max(axis=1, initial=0.0))
+            _finite(
+                np.minimum.reduce(columns, axis=0, initial=0.0),
+                np.maximum.reduce(columns, axis=0, initial=0.0),
+            )
             & _has_mass(total)
             & _finite(lo, hi)
-            & _sums_to_one(probs.sum(axis=1))
+            & _sums_to_one(row_sums(probs))
             & _in_unit_range(lo, hi)
         )
     return probs, ~accepted
@@ -580,9 +597,13 @@ class BinaryScalars:
     * Runs: the tree's edges split into maximal paths whose interior nodes
       have degree 2.  ``run_nodes`` lists every run's nodes in order, both
       ends included, run after run, and run r fills positions
-      ``run_start[r]`` to ``run_start[r + 1] - 1``.  A node of degree 2 is
-      interior to exactly one run: ``run_of[i]`` is that run and
-      ``place[i]`` its position; both are -1 for any other node.
+      ``run_start[r]`` to ``run_start[r + 1] - 1``.  Each run starts at
+      its end of smaller id, and the runs are in the order of the half
+      edges out of those ends.  A node of degree 2 is interior to exactly
+      one run: ``run_of[i]`` is that run and ``place[i]`` its position;
+      both are -1 for any other node.  The runs are read off the preorder
+      of the tree's walk with numpy, with no second walk: see
+      :meth:`from_tree`.
     * Edge ids follow the runs: the edge from position g to g + 1 of run r
       has id ``g - r``.  ``factor[0, e]`` is the stored factor under key
       (x, y) and ``factor[1, e]`` the one under (y, x), where x precedes y
@@ -612,54 +633,59 @@ class BinaryScalars:
     @classmethod
     def from_tree(cls, tree: "TreeNetwork", prior: np.ndarray) -> "BinaryScalars":
         """The float form of ``tree``, whose factors all have one row."""
-        n, n_edges = tree.node_count, len(tree.edges)
+        n, n_edges = tree.node_count, len(tree.edge_ends)
         offsets, adjacent = tree.csr
-        start, nb = offsets.tolist(), adjacent.tolist()
-        degree = np.diff(offsets).tolist()
-        # walk each run from an end of degree other than 2; one started from
-        # its other end already holds its first interior node
-        taken = bytearray(n)
-        order: list[int] = []
-        ahead: list[int] = []
-        lengths: list[int] = []
-        for a in range(n):
-            if degree[a] == 2:
-                continue
-            for h in range(start[a], start[a + 1]):
-                b = nb[h]
-                if taken[b] or (degree[b] != 2 and b < a):
-                    continue
-                size = len(order)
-                order.append(a)
-                prev, cur = a, b
-                while degree[cur] == 2:
-                    taken[cur] = 1
-                    order.append(cur)
-                    ahead.append(h)
-                    # the half edge out of cur that does not lead back
-                    h = start[cur] + (nb[start[cur]] == prev)
-                    prev, cur = cur, nb[h]
-                ahead.append(h)
-                order.append(cur)
-                lengths.append(len(order) - size)
-        run_nodes = np.array(order, dtype=np.intp)
-        run_start = np.zeros(len(lengths) + 1, dtype=np.intp)
-        np.cumsum(lengths, out=run_start[1:])
+        twin, degree = tree.twin, np.diff(offsets)
+        parent, _, enter, _ = (view.obj for view in tree._links)
+        preorder = np.empty(n, np.intp)
+        preorder[enter] = np.arange(n)
+        # up[v]: the half edge from v to its parent (0 at the root)
+        source = np.repeat(np.arange(n), degree)
+        rising = np.flatnonzero(adjacent == parent[source])
+        up = np.zeros(n, np.intp)
+        up[source[rising]] = rising
+        # The walk is rooted at an end (a node of degree other than 2), and
+        # an interior node's only child is entered right after it, so each
+        # run is its upper end and then a preorder slice down to its lower
+        # end; a slice begins at each node whose parent is an end.
+        first = np.flatnonzero(degree[parent[preorder[1:]]] != 2) + 1
+        stop = np.append(first, n)[1:]
+        top, bottom = parent[preorder[first]], preorder[stop - 1]
+        size = stop - first + 1
+        # every run top down, one after another in preorder; run r's top end
+        # is at position head[r]
+        down = np.insert(preorder[1:], first - 1, top)
+        head = first - 1 + np.arange(first.size)
+        # runs go from their smaller end, ordered by the half edge out of it
+        forward = top < bottom
+        rank = np.argsort(np.where(forward, twin[up[preorder[first]]], up[bottom]))
+        size, head, forward = size[rank], head[rank], forward[rank]
+        run_start = np.zeros(first.size + 1, dtype=np.intp)
+        np.cumsum(size, out=run_start[1:])
+        # position g of run r is head[r] + (g - run_start[r]) of ``down`` if
+        # it goes top down, and head[r] + size[r] - 1 - (g - run_start[r]) if not
+        base = np.where(forward, head - run_start[:-1], head + size - 1 + run_start[:-1])
+        step = np.where(forward, 1, -1)
+        run_nodes = down[np.repeat(base, size) + np.repeat(step, size) * np.arange(run_start[-1])]
         inner = np.ones(run_nodes.size, dtype=bool)
         inner[run_start[:-1]] = inner[run_start[1:] - 1] = False
         run_of = np.full(n, -1, dtype=np.intp)
         place = run_of.copy()
-        run_of[run_nodes[inner]] = np.repeat(np.arange(len(lengths)), np.diff(run_start) - 2)
+        run_of[run_nodes[inner]] = np.repeat(np.arange(first.size), size - 2)
         place[run_nodes[inner]] = np.flatnonzero(inner)
+        # ahead[e]: the half edge from x to y, the ends of edge e with x
+        # first in its run; it goes down to y, or up from x
+        last = np.zeros(run_nodes.size, dtype=bool)
+        last[run_start[1:] - 1] = True
+        x, y = run_nodes[:-1][~last[:-1]], run_nodes[1:][~last[:-1]]
+        ahead = np.where(parent[y] == x, twin[up[y]], up[x])
         # the number of the factor that each half edge holds
         c = np.empty(2 * n_edges)
         for stack in tree.factor_stacks:
             rows = np.concatenate((stack.bwd, stack.fwd))[:, 0]
             c[tree._halves[stack.edges].T.ravel()] = rows[:, 1] - rows[:, 0]
-        # ahead[e] runs from x to y, the ends of edge e with x first in its
-        # run: it holds key (y, x), and its twin key (x, y)
-        ahead = np.array(ahead, dtype=np.intp)
-        held = np.concatenate((tree.twin[ahead], ahead))
+        # ahead[e] holds key (y, x), and its twin key (x, y)
+        held = np.concatenate((twin[ahead], ahead))
         factor = c[held].reshape(2, n_edges)
         slot = np.empty(2 * n_edges, dtype=np.intp)
         slot[held] = np.arange(2 * n_edges)
@@ -694,6 +720,8 @@ class NodeColumns:
     * ``size[i]`` is the number of retained states of node i.  Its prior
       is row ``prior_row[i]`` of ``priors[size[i]]``, the stack of the
       priors of that size.
+    * ``index`` maps each name to its node: the loader passes the dict it
+      built while reading, and it is built from ``names`` otherwise.
 
     The columns are read-only: the lists are kept as tuples, the dicts as
     mapping proxies and the arrays with their write flag cleared.
@@ -707,10 +735,15 @@ class NodeColumns:
     size: tuple[int, ...]
     priors: Mapping[int, np.ndarray]
     prior_row: np.ndarray
+    index: Mapping[str, int] | None = None
 
     def __post_init__(self):
         for key in ("names", "members", "member_start", "size"):
             object.__setattr__(self, key, tuple(getattr(self, key)))
+        index = self.index
+        if index is None:
+            index = dict(zip(self.names, range(len(self.names))))
+        object.__setattr__(self, "index", MappingProxyType(index))
         for key in ("cards", "pruned", "priors"):
             object.__setattr__(self, key, MappingProxyType(dict(getattr(self, key))))
         for arr in (self.prior_row, *self.priors.values()):
@@ -794,7 +827,7 @@ class FactorStack:
 def _first_bad_edge(ends: np.ndarray, n: int) -> int:
     """Position of the first edge that is a loop, leaves 0..n-1 or repeats
     an earlier edge in either direction; ``len(ends)`` if there is none."""
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
     bad = (lo == hi) | (lo < 0) | (hi >= n)
     key = lo * n + hi
     order = np.argsort(key, kind="stable")
@@ -815,8 +848,8 @@ class TreeNetwork:
     with the node priors each one determines the full dense coupling of
     the other (see compiler.check_tree_consistency).
 
-    ``edges`` keeps the canonical direction (i, j) in which the coupling
-    was authored; serialization writes that direction.
+    ``edges`` and ``edge_ends`` keep the canonical direction (i, j) in
+    which the coupling was authored; serialization writes that direction.
 
     The tree is stored by columns, not by node objects:
 
@@ -831,19 +864,24 @@ class TreeNetwork:
       edge from its source x to ``adjacent[h]``, which holds the factor
       under key (adjacent[h], x), and ``twin[h]`` is the half edge back.
       ``half_edge(i, j)`` finds the half edge from i to j;
-    * four columns rooted at node 0 from the walk that checks the tree is
-      connected: each node's parent (-1 at the root), depth in hops,
-      and entry and exit times in the walk's preorder, an O(1) ancestor
-      test, read by ``evidence_side``, ``toward`` and ``distance``.  These
-      and the walks (through ``index_views`` and ``BinaryScalars.views``)
-      read single items through memoryviews of the columns: no copy, and
-      cheaper than ``ndarray.item``.
+    * four columns from the one Python walk over ``csr`` that checks the
+      tree is connected, rooted at the first node whose degree is not 2:
+      each node's parent (-1 at the root), depth in hops, and entry and
+      exit times in the walk's preorder, an O(1) ancestor test, read by
+      ``evidence_side``, ``toward`` and ``distance``, which answer alike
+      from any root.  These and the walks (through ``index_views`` and
+      ``BinaryScalars.views``) read single items through memoryviews of
+      the columns: no copy, and cheaper than ``ndarray.item``.
 
-    ``compound(i)``, ``compounds``, ``prior_probs``, ``half_edge_factors``
-    (the stored factors by half edge) and ``r_factors`` (the same factors
-    by key) are read-only views built from the columns on first use and
-    kept.  ``weighted_factors`` holds the weighted factor at the priors of
-    every half edge, by half edge, built on first read per factor stack.
+    The constructor builds no Python object per node.  ``neighbors(i)``
+    builds the tuple of node i's neighbours on its first call, ``edges``
+    the edge tuples and ``member_home`` its label index on first use;
+    ``by_name`` reads ``node_columns.index``.  ``compound(i)``, ``compounds``,
+    ``prior_probs``, ``half_edge_factors`` (the stored factors by half
+    edge) and ``r_factors`` (the same factors by key) are read-only views
+    built from the columns on first use and kept.  ``weighted_factors``
+    holds the weighted factor at the priors of every half edge, by half
+    edge, built on first read per factor stack.
 
     ``decay`` is None until compiler.check_tree_consistency has passed on
     the tree; that pass records the tree's :class:`DecayConstants`, and
@@ -856,82 +894,75 @@ class TreeNetwork:
     def __init__(
         self,
         nodes: NodeColumns,
-        edges: Sequence[tuple[int, int]],
         ends: np.ndarray,
         stacks: Sequence[FactorStack],
         name: str = "tree",
     ):
-        """The tree of columns that are already stacked: ``ends`` holds
-        ``edges`` as an (E, 2) array, and every edge is in exactly one
+        """The tree of columns that are already stacked: ``ends`` holds the
+        edges as an (E, 2) integer array, and every edge is in exactly one
         stack.  The factors are taken as given, unchecked."""
         n = len(nodes.names)
-        _check_edge_count(len(edges), n)
+        _check_edge_count(len(ends), n)
         bad = _first_bad_edge(ends, n)
-        if bad < len(edges):
-            raise DimensionMismatchError(f"bad edge {tuple(edges[bad])}")
+        if bad < len(ends):
+            raise DimensionMismatchError(f"bad edge {tuple(ends[bad].tolist())}")
         ends.setflags(write=False)
         # neighbours in edge order: a stable sort of the half edges by source
         src = ends.reshape(-1)
         order = np.argsort(src, kind="stable")
         adjacent = ends[:, ::-1].reshape(-1)[order]
+        degree = np.bincount(src, minlength=n)
         offsets = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        np.cumsum(degree, out=offsets[1:])
         # edge k's half edges, from ends[k, 0] and from ends[k, 1]
-        halves = np.argsort(order).reshape(-1, 2)
+        halves = np.empty_like(order)
+        halves[order] = np.arange(order.size)
+        halves = halves.reshape(-1, 2)
         twin = halves[:, ::-1].reshape(-1)[order]
         # the factor stack of each half edge, in the order of ``adjacent``
         cover = np.bincount(
             np.concatenate([np.zeros(0, np.intp), *(group.edges for group in stacks)]),
-            minlength=len(edges),
+            minlength=len(ends),
         )
         if (cover != 1).any():
             k = int(np.flatnonzero(cover != 1)[0])
-            raise DimensionMismatchError(f"edge {tuple(edges[k])} is in {cover[k]} factor stacks")
-        stack_of = np.full(len(edges), -1, dtype=np.intp)
+            raise DimensionMismatchError(
+                f"edge {tuple(ends[k].tolist())} is in {cover[k]} factor stacks"
+            )
+        stack_of = np.full(len(ends), -1, dtype=np.intp)
         for k, group in enumerate(stacks):
             stack_of[group.edges] = k
         stack_at = stack_of[order // 2]
-        flat, start = adjacent.tolist(), offsets.tolist()
-        neighbors = [tuple(flat[start[i] : start[i + 1]]) for i in range(n)]
-        # parent links, depths and the preorder rooted at node 0, from the
-        # walk that checks the tree is connected
-        parent, depth, order = [-1] * n, [0] * n, []
-        if n:
-            reached = bytearray(n)
-            reached[0] = 1
-            stack, count = [0], 1
-            while stack:
-                node = stack.pop()
-                order.append(node)
-                for m in neighbors[node]:
-                    if not reached[m]:
-                        reached[m] = 1
-                        parent[m], depth[m] = node, depth[node] + 1
-                        count += 1
-                        stack.append(m)
-            if count != n:
-                raise DimensionMismatchError("the edge set is not connected")
-        counts = np.diff(nodes.member_start)
-        home = dict(zip(nodes.members, np.repeat(np.arange(n), counts).tolist()))
-        if len(home) != len(nodes.members):
+        # rooted at the first node whose degree is not 2, so that each run
+        # of BinaryScalars hangs below one of its ends
+        parent, preorder, below = _walk(
+            offsets.tolist(), adjacent.tolist(), int(np.argmax(degree != 2)), n
+        )
+        if len(set(nodes.members)) != len(nodes.members):
             seen: set[str] = set()
             for m in nodes.members:
                 if m in seen:
                     raise DimensionMismatchError(f"member {m!r} appears in two compounds")
                 seen.add(m)
-        # subtree sizes, children before parents, give the exit times
-        size = [1] * n
-        for node in reversed(order[1:]):
-            size[parent[node]] += size[node]
-        enter = np.empty(n, np.intp)
-        enter[order] = np.arange(n)
-        leave = enter + np.array(size, np.intp) - 1
-        parent, depth = np.array(parent, np.intp), np.array(depth, np.intp)
+        # entry times, the stack's floor entered last, at n: a subtree is
+        # left just before the node under its root on the stack enters
+        enter = np.empty(n + 1, np.intp)
+        enter[preorder] = np.arange(n)
+        enter[n] = n
+        leave = np.empty(n, np.intp)
+        leave[preorder] = enter[below] - 1
+        enter = enter[:n]
+        # the depth of the node entered at time t: the t nodes entered
+        # before it, less those whose subtrees were left before t
+        left = np.cumsum(np.bincount(leave, minlength=n))
+        depth = np.empty(n, np.intp)
+        depth[preorder[0]] = 0
+        depth[preorder[1:]] = np.arange(1, n) - left[:-1]
         for arr in (offsets, adjacent, twin, halves, stack_at, parent, depth, enter, leave):
             arr.setflags(write=False)
         vars(self).update(
             name=name,
-            edges=tuple(edges),
+            node_count=n,
             _nodes=nodes,
             _stacks=tuple(stacks),
             _ends=ends,
@@ -939,11 +970,9 @@ class TreeNetwork:
             _views=tuple(map(memoryview, (offsets, adjacent, twin))),
             _twin=twin,
             _halves=halves,
-            _neighbors=neighbors,
+            _neighbors={},
             _stack_at=stack_at,
             _links=tuple(map(memoryview, (parent, depth, enter, leave))),
-            _by_name=dict(zip(nodes.names, range(n))),
-            _member_home=home,
             _built={},
             _decay=None,
             _scalars=None,
@@ -954,10 +983,6 @@ class TreeNetwork:
 
     def __repr__(self) -> str:
         return f"TreeNetwork({self.name!r}, {self.node_count} nodes)"
-
-    @property
-    def node_count(self) -> int:
-        return len(self._nodes.names)
 
     @property
     def node_columns(self) -> NodeColumns:
@@ -994,13 +1019,13 @@ class TreeNetwork:
         self.check_node(i)
         self.check_node(j)
         try:
-            return self._csr[0].item(i) + self._neighbors[i].index(j)
+            return self._csr[0].item(i) + self.neighbors(i).index(j)
         except ValueError:
             raise KeyError((i, j)) from None
 
     def check_node(self, ident: int) -> None:
         """Refuse an id outside [0, node_count), which a column would wrap."""
-        n = len(self._neighbors)
+        n = self.node_count
         if not 0 <= ident < n:
             raise UnknownLabelError(f"node id {ident} outside a tree of {n} nodes")
 
@@ -1018,17 +1043,27 @@ class TreeNetwork:
     def compounds(self) -> tuple[CompoundNode, ...]:
         return tuple(self.compound(i) for i in range(self.node_count))
 
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge (i, j) in the direction its coupling was authored,
+        in edge order: ``edge_ends`` as tuples, built on first read."""
+        return tuple(map(tuple, self._ends.tolist()))
+
     def by_name(self, name: str) -> CompoundNode:
         try:
-            return self.compound(self._by_name[name])
+            return self.compound(self._nodes.index[name])
         except KeyError:
             raise UnknownLabelError(f"unknown compound node {name!r}") from None
 
     def neighbors(self, ident: int) -> tuple[int, ...]:
-        """The neighbours of node ``ident``, in edge order.  The id is not
-        checked: the walks call this once per node they reach, with ids
-        the tree itself gave."""
-        return self._neighbors[ident]
+        """The neighbours of node ``ident``, in edge order, as a tuple built
+        on first call and kept.  The id is not checked: the walks call this
+        once per node they reach, with ids the tree itself gave."""
+        got = self._neighbors.get(ident)
+        if got is None:
+            first, target, _ = self._views
+            got = self._neighbors[ident] = tuple(target[first[ident] : first[ident + 1]])
+        return got
 
     def evidence_side(self, nodes: Iterable[int]) -> Callable[[int, int], bool]:
         """The edge rule of a query on the evidence at ``nodes``:
@@ -1061,7 +1096,7 @@ class TreeNetwork:
         if not enter[i] <= at <= leave[i]:
             return parent[i]
         above = parent[i]
-        return next(n for n in self._neighbors[i] if n != above and enter[n] <= at <= leave[n])
+        return next(n for n in self.neighbors(i) if n != above and enter[n] <= at <= leave[n])
 
     def distance(self, i: int, j: int, limit: int) -> int:
         """The number of edges between nodes i and j, ``depth(i) +
@@ -1149,6 +1184,13 @@ class TreeNetwork:
         """Attach what the consistency pass derived from this tree."""
         vars(self).update(_decay=constants, _scalars=scalars)
 
+    @cached_property
+    def _member_home(self) -> dict[str, int]:
+        """The node of every member label, built on first use."""
+        nodes = self._nodes
+        counts = np.diff(nodes.member_start)
+        return dict(zip(nodes.members, np.repeat(np.arange(self.node_count), counts).tolist()))
+
     def member_home(self, label: str) -> int:
         try:
             return self._member_home[label]
@@ -1165,8 +1207,9 @@ class TreeNetwork:
 
     def resolve_query(self, label: str) -> tuple[int, str | None]:
         """Map a query label to (compound ident, member label or None)."""
-        if label in self._by_name:
-            return self._by_name[label], None
+        index = self._nodes.index
+        if label in index:
+            return index[label], None
         return self.member_home(label), label
 
     def member_marginal(self, ident: int, member: str, probs: np.ndarray) -> np.ndarray:
@@ -1189,6 +1232,33 @@ class TreeNetwork:
                 raise UnknownLabelError(f"state {value} outside node {label!r} range")
             grouped.setdefault(home, {})[label] = value
         return grouped
+
+
+def _walk(start: list[int], adjacent: list[int], root: int, n: int):
+    """One depth-first walk from ``root`` over the adjacency in compressed
+    sparse rows (``start`` the offsets): each node's parent (-1 at the
+    root), the preorder, and for each node in preorder the node that lies
+    under it on the walk's stack as it is entered, which is the next node
+    entered once its subtree is done (n, the stack's floor, if none is).
+    Refuses an edge set that is not connected."""
+    # parent[m] < 0 until m is reached; n marks the root as reached
+    parent = [-1] * n
+    parent[root] = n
+    preorder: list[int] = []
+    below: list[int] = []
+    stack = [n, root]
+    pop, push, visit, mark = stack.pop, stack.append, preorder.append, below.append
+    while (node := pop()) != n:
+        visit(node)
+        mark(stack[-1])
+        for m in adjacent[start[node] : start[node + 1]]:
+            if parent[m] < 0:
+                parent[m] = node
+                push(m)
+    if len(preorder) != n:
+        raise DimensionMismatchError("the edge set is not connected")
+    parent[root] = -1
+    return tuple(np.array(column, np.intp) for column in (parent, preorder, below))
 
 
 def _check_edge_count(n_edges: int, n: int) -> None:

@@ -108,13 +108,13 @@ def verify_profile(tree: TreeNetwork, profile: DecayProfile):
     if low.size:
         k = int(low[0])
         return False, f"node {nodes.names[k]}: p(false)p(true) = {products[k]:.4g} <= eta"
-    first, value = len(tree.edges), math.nan
+    first, value = len(tree.edge_ends), math.nan
     for stack in tree.factor_stacks:
         couplings = compiler.binary_couplings(tree, stack)
         high = np.flatnonzero(~(couplings < profile.alpha))
         if high.size and stack.edges[high[0]] < first:
             first, value = int(stack.edges[high[0]]), float(couplings[high[0]])
-    if first < len(tree.edges):
+    if first < len(tree.edge_ends):
         a, b = tree.edges[first]
         return (
             False,

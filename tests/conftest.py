@@ -67,7 +67,7 @@ def unchecked_copy(tree, stacks=None):
     of its factor stacks if given, and without the load-time check: it
     carries no decay constants and no float form."""
     return TreeNetwork(
-        tree.node_columns, tree.edges, tree.edge_ends, stacks or tree.factor_stacks, tree.name
+        tree.node_columns, tree.edge_ends, stacks or tree.factor_stacks, tree.name
     )
 
 

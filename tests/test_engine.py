@@ -475,7 +475,6 @@ class TestInstrumentation:
         ]
         reordered = TreeNetwork(
             asia_tables.node_columns,
-            asia_tables.edges[::-1],
             asia_tables.edge_ends[::-1],
             stacks,
             asia_tables.name,

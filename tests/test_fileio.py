@@ -61,7 +61,12 @@ class TestNetworkFormat:
             ("node a 2\ncpt a dims 2 one\n", "bad.net:2: cpt dims must be integers"),
             (
                 "node a 2\ncpt a dims 2 1\n0.5\n0.5\ncpt b dims 2 1\n0.5\n0.5\n",
-                "bad.net: table or parents for undeclared node 'b'",
+                "bad.net:5: table or parents for undeclared node 'b'",
+            ),
+            (
+                "node a 2\ncpt a dims 2 1\n0.5\n0.5\n"
+                "parents b a\ncpt b dims 2 2\n0.5 0.5\n0.5 0.5\n",
+                "bad.net:5: table or parents for undeclared node 'b'",
             ),
         ],
     )
@@ -268,6 +273,16 @@ class TestColumnarLoad:
         assert built == {}
         assert calls[2_000] == calls[20_000] > 0
 
+    def test_loading_a_chain_makes_no_python_call_per_node(self):
+        """Chains of 2·10³ and 2·10⁴ nodes load in the same number of
+        Python function calls: the walk and the runs call nothing per node."""
+        calls = {}
+        for n in (2_000, 20_000):
+            text = fileio.serialize_tree(
+                binary_chain_tree(np.random.default_rng(4), n, alpha=0.9, coupling_lo=0.5)
+            )
+            calls[n] = python_calls(lambda text=text: fileio.parse_tree(text))
+        assert calls[2_000] == calls[20_000] > 0
 
 
 class TestLineLoop:
@@ -323,6 +338,22 @@ class TestLineLoop:
                 load()
             assert err.value.line == len(lines) == 599
             assert str(err.value) == f"{path}:{len(lines)}: expected a number, got '-0.3x6'"
+
+
+def python_calls(fn):
+    """The number of Python function calls that ``fn()`` makes."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
 
 
 def numpy_calls(fn):

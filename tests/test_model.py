@@ -472,7 +472,6 @@ class TestTreeViews:
         with pytest.raises(DimensionMismatchError, match=r"bad edge \(4, 4\)"):
             TreeNetwork(
                 asia_tables.node_columns,
-                loop,
                 np.array(loop, dtype=np.intp),
                 asia_tables.factor_stacks,
             )
@@ -481,17 +480,15 @@ class TestTreeViews:
         tree = fileio.load_tree(DATA / "chain.tree")
         first = re.escape(str(tree.edges[0]))
         with pytest.raises(DimensionMismatchError, match=rf"edge {first} is in 0 factor stacks"):
-            TreeNetwork(tree.node_columns, tree.edges, tree.edge_ends, [])
+            TreeNetwork(tree.node_columns, tree.edge_ends, [])
         doubled = tree.factor_stacks + tree.factor_stacks[:1]
         with pytest.raises(DimensionMismatchError, match=rf"edge {first} is in 2 factor stacks"):
-            TreeNetwork(tree.node_columns, tree.edges, tree.edge_ends, doubled)
+            TreeNetwork(tree.node_columns, tree.edge_ends, doubled)
         grouped = fileio.load_tree(DATA / "random_grouped.tree")
         stacks = grouped.factor_stacks
         dropped = grouped.edges[int(stacks[3].edges.min())]
         with pytest.raises(DimensionMismatchError, match=re.escape(f"edge {dropped} is in 0")):
-            TreeNetwork(
-                grouped.node_columns, grouped.edges, grouped.edge_ends, stacks[:3] + stacks[4:]
-            )
+            TreeNetwork(grouped.node_columns, grouped.edge_ends, stacks[:3] + stacks[4:])
 
     @pytest.mark.parametrize("name", EDGE_TEST_TREES)
     def test_distance_climbs_to_the_searched_path(self, name):
@@ -592,3 +589,192 @@ def searched_side(tree, u, m):
                 seen.add(y)
                 order.append(y)
     return set(order)
+
+
+def reference_runs(tree):
+    """``run_nodes``, ``run_start``, ``run_of`` and ``place`` by a walk from
+    each run end, node by node: the run walk that ``BinaryScalars`` used
+    before it read the runs off the preorder."""
+    n = tree.node_count
+    offsets, adjacent = tree.csr
+    start, nb = offsets.tolist(), adjacent.tolist()
+    degree = np.diff(offsets).tolist()
+    taken = bytearray(n)
+    order, lengths = [], []
+    for a in range(n):
+        if degree[a] == 2:
+            continue
+        for h in range(start[a], start[a + 1]):
+            b = nb[h]
+            if taken[b] or (degree[b] != 2 and b < a):
+                continue
+            size = len(order)
+            order.append(a)
+            prev, cur = a, b
+            while degree[cur] == 2:
+                taken[cur] = 1
+                order.append(cur)
+                h = start[cur] + (nb[start[cur]] == prev)
+                prev, cur = cur, nb[h]
+            order.append(cur)
+            lengths.append(len(order) - size)
+    run_nodes = np.array(order, dtype=np.intp)
+    run_start = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=run_start[1:])
+    run_of = np.full(n, -1, dtype=np.intp)
+    place = run_of.copy()
+    for r in range(len(lengths)):
+        for g in range(run_start[r] + 1, run_start[r + 1] - 1):
+            run_of[run_nodes[g]], place[run_nodes[g]] = r, g
+    return run_nodes, run_start, run_of, place
+
+
+def hops_from(tree, a):
+    """The number of edges from node a to every node, by breadth-first search."""
+    hops = {a: 0}
+    order = [a]
+    for x in order:
+        for y in tree.neighbors(x):
+            if y not in hops:
+                hops[y] = hops[x] + 1
+                order.append(y)
+    return [hops[b] for b in range(tree.node_count)]
+
+
+def structure_trees():
+    """Trees of every shape the runs take: one and two nodes, a star,
+    spiders, caterpillars, chains, random trees with shuffled ids and
+    random edge directions, and compiled random trees, some of whose node
+    0 has degree 2."""
+    from sensbn import compiler
+    from sensbn.generators import binary_chain_tree, random_tree_network
+    from tests.test_engine import binary_tree, caterpillar, spider
+
+    rng = np.random.default_rng(2601)
+    trees = {
+        "one node": binary_tree(rng, []),
+        "two nodes": binary_tree(rng, [0]),
+        "star": binary_tree(rng, [0] * 9),
+        "spider": spider(rng, (1, 7, 12)),
+        "spider of long arms": spider(rng, (5, 5, 5, 5)),
+        "caterpillar": caterpillar(rng, 12, (1, 0, 3, 0, 0)),
+        "caterpillar of long legs": caterpillar(rng, 6, (4, 2)),
+        "chain": binary_chain_tree(np.random.default_rng(3), 40),
+        "shuffled chain": binary_tree(rng, list(range(29))),
+    }
+    for k in range(6):
+        size = int(rng.integers(20, 60))
+        trees[f"random {k}"] = binary_tree(rng, [int(rng.integers(0, j)) for j in range(1, size)])
+    mid = 0
+    for seed in range(40):
+        tree, _ = compiler.compile_network(random_tree_network(np.random.default_rng(seed), 30))
+        if len(tree.neighbors(0)) == 2 or seed < 2:
+            trees[f"compiled {seed}"] = tree
+            mid += len(tree.neighbors(0)) == 2
+    assert mid >= 3
+    return trees
+
+
+STRUCTURE_TREES = structure_trees()
+
+
+class TestWalkColumns:
+    """The structure a load derives from its one walk, against node-by-node
+    references."""
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURE_TREES))
+    def test_runs_equal_the_node_by_node_run_walk(self, name):
+        tree = STRUCTURE_TREES[name]
+        sc = tree.scalars
+        assert sc is not None
+        got = (sc.run_nodes, sc.run_start, sc.run_of, sc.place)
+        for have, want in zip(got, reference_runs(tree)):
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURE_TREES))
+    def test_walk_columns_agree_with_the_parent_links(self, name):
+        tree = STRUCTURE_TREES[name]
+        n = tree.node_count
+        parent, depth, enter, leave = (np.asarray(view) for view in tree._links)
+        degree = np.diff(tree.csr[0])
+        root = int(np.flatnonzero(parent < 0)[0])
+        assert (parent < 0).sum() == 1 and root == int(np.flatnonzero(degree != 2)[0])
+        assert depth[root] == 0 and enter[root] == 0 and leave[root] == n - 1
+        assert sorted(enter.tolist()) == list(range(n))
+        size = [1] * n
+        for v in sorted(range(n), key=lambda v: -depth[v]):
+            if v != root:
+                size[parent[v]] += size[v]
+        for v in range(n):
+            assert leave[v] - enter[v] + 1 == size[v]
+            if v == root:
+                continue
+            u = parent[v]
+            assert u in tree.neighbors(v) and depth[v] == depth[u] + 1
+            assert enter[u] < enter[v] <= leave[v] <= leave[u]
+        # any two subtrees nest or are disjoint
+        for a in range(n):
+            for b in range(n):
+                inside = enter[a] <= enter[b] <= leave[a]
+                assert inside == (enter[a] <= enter[b] and leave[b] <= leave[a])
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURE_TREES))
+    def test_distance_is_the_breadth_first_distance(self, name):
+        tree = STRUCTURE_TREES[name]
+        n = tree.node_count
+        for a in range(n):
+            hops = hops_from(tree, a)
+            for b in range(n):
+                assert tree.distance(a, b, n) == hops[b]
+                if hops[b]:
+                    assert tree.distance(a, b, hops[b] - 1) == hops[b]
+
+    def test_neighbors_and_edges_are_built_on_first_use(self):
+        tree = fileio.load_tree(DATA / "chain.tree")
+        assert "edges" not in vars(tree) and vars(tree)["_neighbors"] == {}
+        offsets, adjacent = tree.csr
+        assert tree.neighbors(3) == tuple(adjacent[offsets[3] : offsets[4]].tolist())
+        assert list(vars(tree)["_neighbors"]) == [3]
+        assert tree.edges == tuple(map(tuple, tree.edge_ends.tolist()))
+        assert tree.edges is tree.edges
+
+    def test_by_name_reads_the_loader_index(self):
+        text = (DATA / "asia_grouped.tree").read_text()
+        tree = fileio.parse_tree(text)
+        names = tree.node_columns.names
+        assert dict(tree.node_columns.index) == {name: i for i, name in enumerate(names)}
+        for i, name in enumerate(names):
+            assert tree.by_name(name) is tree.compound(i)
+            assert tree.resolve_query(name) == (i, None)
+        with pytest.raises(TypeError):
+            tree.node_columns.index["X_1"] = 3
+
+    @pytest.mark.parametrize(
+        "ends, members, message",
+        [
+            ([(0, 1), (1, 2), (2, 0), (3, 4)], None, "the edge set is not connected"),
+            ([(0, 1), (1, 2), (2, 2), (3, 4)], None, "bad edge (2, 2)"),
+            ([(0, 1), (1, 5), (2, 3), (3, 4)], None, "bad edge (1, 5)"),
+            ([(0, 1), (1, 2), (2, 1), (3, 4)], None, "bad edge (2, 1)"),
+            (
+                [(0, 1), (1, 2), (2, 3), (3, 4)],
+                "v0 v1 v2 v1 v4",
+                "member 'v1' appears in two compounds",
+            ),
+            ([(0, 1), (1, 2), (2, 3)], None, "3 edges cannot form a tree over 5 nodes"),
+        ],
+    )
+    def test_refusals_keep_their_text(self, ends, members, message):
+        """A disconnected edge set, a loop, an end outside the tree, a
+        repeated edge, a member in two compounds and a wrong edge count."""
+        from sensbn.model import FactorStack, NodeColumns
+
+        labels = (members or "v0 v1 v2 v3 v4").split()
+        prior = np.array([[0.4, 0.6]] * 5)
+        names = [f"X_{i + 1}" for i in range(5)]
+        nodes = NodeColumns(names, labels, range(6), {}, {}, [2] * 5, {2: prior}, np.arange(5))
+        unit = np.array([[[-1.0, 1.0]]] * len(ends)) / np.sqrt(2.0)
+        stack = FactorStack(np.arange(len(ends)), unit, unit.copy())
+        with pytest.raises(DimensionMismatchError) as caught:
+            TreeNetwork(nodes, np.array(ends, dtype=np.intp), [stack])
+        assert str(caught.value) == message

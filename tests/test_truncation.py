@@ -1,4 +1,3 @@
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,23 +18,7 @@ from sensbn.truncation import (
 )
 from tests.conftest import searched_path, unchecked_copy
 from tests.test_engine import binary_tree, branching_trees, on_both_kernels
-from tests.test_fileio import numpy_calls
-
-
-def python_calls(fn):
-    """The number of Python function calls that ``fn()`` makes."""
-    count = 0
-
-    def hook(frame, event, arg):
-        nonlocal count
-        count += event == "call"
-
-    sys.setprofile(hook)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return count
+from tests.test_fileio import numpy_calls, python_calls
 
 
 def complete_binary_tree(depth):
@@ -531,6 +514,25 @@ class TestSizeIndependence:
             counts[length] = (numpy_calls(ask)[1], python_calls(ask))
         assert counts[2_000] == counts[20_000]
         assert min(counts[2_000]) > 0
+
+    def test_a_loaded_chain_builds_neighbors_only_where_a_query_walks(self):
+        """A load builds no neighbour tuple, and one bounded-error query on
+        the loaded tree builds them for the same nodes on a chain ten times
+        longer."""
+        profile = DecayProfile(0.9, 0.09, 0.1)
+        query = 1000
+        evidence = Evidence.of({f"v{query + 20}": 1, f"v{query - 80}": 0})
+        built = {}
+        for length in (2_000, 20_000):
+            text = fileio.serialize_tree(
+                binary_chain_tree(np.random.default_rng(5), length, alpha=0.9, coupling_lo=0.8)
+            )
+            tree = fileio.parse_tree(text)
+            assert vars(tree)["_neighbors"] == {}
+            truncated_query(QuerySession(tree), query, evidence, profile)
+            built[length] = sorted(vars(tree)["_neighbors"])
+        assert built[2_000] == built[20_000]
+        assert 0 < len(built[2_000]) < 100
 
     def test_work_does_not_grow_with_the_chain(self, monkeypatch):
         """One bounded-error query, profile verified as ``sensbn query
