@@ -13,6 +13,7 @@ import importlib
 #: the public names, by the module that defines them; each is imported on
 #: first access (PEP 562), so a process loads only the modules it uses
 _EXPORTS = {
+    "accept": ("accept_precompiled", "check_tree_consistency"),
     "algebra": (
         "BinarySensitivity",
         "QRFactors",
@@ -32,8 +33,6 @@ _EXPORTS = {
     "compiler": (
         "ClusterPlan",
         "CompileReport",
-        "accept_precompiled",
-        "check_tree_consistency",
         "compile_network",
         "moralize",
         "plan_clusters",

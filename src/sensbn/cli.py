@@ -13,14 +13,13 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-# oracle, generators, truncation and engine are imported by the commands
-# that run them, so a process loads only what its command uses
-from . import compiler, fileio, fixtures
+# compiler, oracle, generators, truncation and engine are imported by the
+# commands that run them, so a process loads only what its command uses
+from . import accept, fileio, fixtures
 from .errors import (
     ApproxPreconditionError,
     ConsistencyError,
@@ -140,32 +139,31 @@ def signed(value: float, places: int) -> str:
     return "+" + text[1:] if text[0] == "-" and float(text) == 0.0 else text
 
 
-@dataclass(frozen=True)
-class QueryResult:
-    """One answered query, ready for printing."""
-
-    query: str
-    evidence: dict
-    mode: str
-    state_names: list
-    posterior: np.ndarray
-    prior: np.ndarray
-    bound: float | None = None
-    instrumentation: str | None = None
-
-    def format(self) -> str:
-        lines = [f"query {self.query}  evidence {self.evidence or '{}'}  mode {self.mode}"]
-        lines.append("state      posterior   delta")
-        for name, p, p0 in zip(self.state_names, self.posterior, self.prior):
-            lines.append(f"{name:<10} {p:1.6f}   {signed(p - p0, 6)}")
-        if self.bound is not None:
-            lines.append(f"guaranteed relative error bound {self.bound:1.6f}")
-        if self.instrumentation:
-            lines.append(self.instrumentation)
-        return "\n".join(lines)
+def _format_answer(
+    query: str,
+    evidence: dict,
+    mode: str,
+    state_names: list,
+    posterior: np.ndarray,
+    prior: np.ndarray,
+    bound: float | None = None,
+    instrumentation: str | None = None,
+) -> str:
+    """The text ``sensbn query`` prints for one answered query."""
+    lines = [f"query {query}  evidence {evidence or '{}'}  mode {mode}"]
+    lines.append("state      posterior   delta")
+    for name, p, p0 in zip(state_names, posterior, prior):
+        lines.append(f"{name:<10} {p:1.6f}   {signed(p - p0, 6)}")
+    if bound is not None:
+        lines.append(f"guaranteed relative error bound {bound:1.6f}")
+    if instrumentation:
+        lines.append(instrumentation)
+    return "\n".join(lines)
 
 
 def cmd_compile(args) -> int:
+    from . import compiler
+
     net = fileio.load_network(fixtures.resolve(args.network))
     problems = validate_network(net)
     if problems:
@@ -216,15 +214,16 @@ def cmd_query(args) -> int:
         post = oracle.posterior(net, evidence, args.query)
         prior = oracle.posterior(net, Evidence.of({}), args.query)
         card = net.card(args.query)
-        result = QueryResult(
-            args.query,
-            evidence.as_dict(),
-            "exact engine=oracle",
-            [_state_name(card, s) for s in range(card)],
-            post.probs,
-            prior.probs,
+        print(
+            _format_answer(
+                args.query,
+                evidence.as_dict(),
+                "exact engine=oracle",
+                [_state_name(card, s) for s in range(card)],
+                post.probs,
+                prior.probs,
+            )
         )
-        print(result.format())
         return EXIT_OK
 
     from .engine import QuerySession
@@ -251,10 +250,11 @@ def cmd_query(args) -> int:
         f"instrumentation messages={instr.message_count} ranks={instr.ranks} "
         f"edge_traversals={instr.message_count} nodes_touched={instr.touched_count}"
     )
-    result = QueryResult(
-        args.query, evidence.as_dict(), mode, names, post, prior, bound, instrumentation
+    print(
+        _format_answer(
+            args.query, evidence.as_dict(), mode, names, post, prior, bound, instrumentation
+        )
     )
-    print(result.format())
     return EXIT_OK
 
 
@@ -269,7 +269,7 @@ def cmd_validate(args) -> int:
     for i, j in tree.edges:
         ci, cj = tree.compound(i), tree.compound(j)
         want = oracle.pairwise_conditional(net, ci.space, cj.space, jt=jt).entries
-        dense = compiler.reconstruct_dense(tree, i, j)
+        dense = accept.reconstruct_dense(tree, i, j)
         got = dense + (ci.prior.probs - dense @ cj.prior.probs)[:, None]
         err = float(np.abs(got - want).max(initial=0.0))
         if err > args.tol:
@@ -388,7 +388,7 @@ def cmd_report(args) -> int:
             )
     print()
     print("edge factors (rows of q, then rows of r)")
-    for (i, j), pair in compiler.factor_pairs(tree).items():
+    for (i, j), pair in accept.factor_pairs(tree).items():
         ci, cj = tree.compound(i), tree.compound(j)
         if pair.rank == 0:
             print(f"S {ci.name} {cj.name}: independent")

@@ -45,7 +45,7 @@ refreshed factor is zeroed, which is exact because that column is never
 read again (the state's weighted column and its baseline entry are zero).
 
 The tree picks the kernel in O(1): the float kernel when the load pass
-(compiler.check_tree_consistency) recorded its float form on
+(accept.check_tree_consistency) recorded its float form on
 ``TreeNetwork.scalars``, the array kernel otherwise.
 
 Walking by runs.  On the float kernel a message is one number, so a run

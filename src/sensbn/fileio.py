@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import compiler
+from . import accept
 from .errors import ParseError, SensBnError
 from .model import BeliefNetwork, NodeColumns, TreeNetwork, normalized_stacks, space_cardinality
 
@@ -193,7 +193,7 @@ def parse_tree(text: str, path=None) -> TreeNetwork:
     ``array('d')`` per number of states and factor rows in one per
     (n_i, n_j, rank) edge shape.  The dict of names the loop looks edges up
     in becomes ``NodeColumns.index``.  The priors are
-    normalised one stack per size and :func:`compiler.accept_batches`
+    normalised one stack per size and :func:`accept.accept_batches`
     derives and checks the factors, each reading the buffers through
     ``np.frombuffer``; no array of the tree keeps a buffer.
 
@@ -203,7 +203,7 @@ def parse_tree(text: str, path=None) -> TreeNetwork:
     the whole file (missing priors, then row widths, then the tree's
     structure) come after.
     """
-    return compiler.accept_batches(*_parse_lines(io.StringIO(text, newline=None), path))
+    return accept.accept_batches(*_parse_lines(io.StringIO(text, newline=None), path))
 
 
 def _parse_lines(lines, path):
@@ -349,7 +349,7 @@ def _parse_lines(lines, path):
     if bad_width is not None:
         raise bad_width
     batches = [
-        compiler.EdgeBatch(
+        accept.EdgeBatch(
             positions,
             np.frombuffer(qs).reshape(len(positions), rank, n_i),
             np.frombuffer(rs).reshape(len(positions), rank, n_j),
@@ -399,7 +399,7 @@ def _stated_space(cname, listed, index, cards, pruned, path, line):
 
 def serialize_tree(tree: TreeNetwork) -> str:
     """The tree file of ``tree``, written from its columns: no node
-    object is built, and the q rows come from :func:`compiler.factor_pairs`."""
+    object is built, and the q rows come from :func:`accept.factor_pairs`."""
     nodes = tree.node_columns
     names = nodes.names
     out = [_ORDER_NOTE, f"tree {tree.name}"]
@@ -415,7 +415,7 @@ def serialize_tree(tree: TreeNetwork) -> str:
         out.append(line)
     for i, cname in enumerate(names):
         out.append(f"prior {cname} " + " ".join(map(repr, nodes.prior(i).tolist())))
-    for (i, j), pair in compiler.factor_pairs(tree).items():
+    for (i, j), pair in accept.factor_pairs(tree).items():
         out.append(f"edge {names[i]} {names[j]} rank {pair.rank}")
         for row in pair.q.tolist():
             out.append("q " + " ".join(map(repr, row)))
@@ -434,7 +434,7 @@ def load_tree(path) -> TreeNetwork:
             columns = _parse_lines(lines, str(path))
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from exc
-    return compiler.accept_batches(*columns)
+    return accept.accept_batches(*columns)
 
 
 def save(path, text: str) -> None:

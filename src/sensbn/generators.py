@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from . import compiler
+from . import accept
 from .model import BeliefNetwork, Evidence, NodeColumns, TreeNetwork
 
 _INV_RT2 = 1.0 / math.sqrt(2.0)
@@ -116,12 +116,12 @@ def binary_chain_tree(
     unit = np.array([[-_INV_RT2, _INV_RT2]])
     # edge k - 1 is (k, k - 1)
     ends = np.stack((np.arange(1, length), np.arange(length - 1)), axis=1)
-    batch = compiler.EdgeBatch(
+    batch = accept.EdgeBatch(
         range(length - 1),
         np.repeat(unit[None], length - 1, axis=0),
         np.array(couplings)[:, None, None] * unit,
     )
-    return compiler.accept_batches(nodes, ends, [batch] if length > 1 else [], name="chain")
+    return accept.accept_batches(nodes, ends, [batch] if length > 1 else [], name="chain")
 
 
 def _chain_params(rng, length, alpha, lo, hi, coupling_lo=0.05):

@@ -846,7 +846,7 @@ class TreeNetwork:
     vector ``r_factors[(i, j)] @ delta_p_j`` of length ``rank(i, j)``.
     The two directions of an edge must be mutually consistent: together
     with the node priors each one determines the full dense coupling of
-    the other (see compiler.check_tree_consistency).
+    the other (see accept.check_tree_consistency).
 
     ``edges`` and ``edge_ends`` keep the canonical direction (i, j) in
     which the coupling was authored; serialization writes that direction.
@@ -881,14 +881,15 @@ class TreeNetwork:
     edge) and ``r_factors`` (the same factors by key) are read-only views
     built from the columns on first use and kept.  ``weighted_factors``
     holds the weighted factor at the priors of every half edge, by half
-    edge, built on first read per factor stack.
+    edge, built on first read from the stacks the load pass formed, or per
+    factor stack when it formed none.
 
-    ``decay`` is None until compiler.check_tree_consistency has passed on
+    ``decay`` is None until accept.check_tree_consistency has passed on
     the tree; that pass records the tree's :class:`DecayConstants`, and
     ``scalars``, the tree's :class:`BinaryScalars` when every compound has
     two states and every edge rank 1 (None otherwise).  Compiling, loading
-    and compiler.accept_precompiled all build trees through
-    compiler.accept_batches, which runs that pass.
+    and accept.accept_precompiled all build trees through
+    accept.accept_batches, which runs that pass.
     """
 
     def __init__(
@@ -976,6 +977,7 @@ class TreeNetwork:
             _built={},
             _decay=None,
             _scalars=None,
+            _weighted=None,
         )
 
     def __setattr__(self, name, value):
@@ -1149,15 +1151,24 @@ class TreeNetwork:
         edge h, by half edge, with R_h its stored factor and p the prior of
         its source: what a session weighs at that source (on entry, in a
         pass-through or for a reply) while the source holds its prior.
-        Computed on first read, one ``algebra.weighted`` call per factor
-        stack and direction, as read-only views."""
-        from .algebra import weighted  # algebra imports this module
+        Built on first read, as read-only views, from the stacks that the
+        load pass recorded (see :meth:`record_decay`), or else from one
+        ``algebra.weighted`` call per factor stack and direction."""
+        pairs = self._weighted
+        if pairs is None:
+            from .algebra import weighted  # algebra imports this module
 
+            pairs = [
+                [
+                    weighted(rows, self._nodes.prior_stack(ends, rows.shape[2]))
+                    for ends, rows in zip(self._ends[stack.edges].T, (stack.bwd, stack.fwd))
+                ]
+                for stack in self._stacks
+            ]
         out: list = [None] * self._twin.size
-        for stack in self._stacks:
-            ends, halves = self._ends[stack.edges].T, self._halves[stack.edges].T.tolist()
-            for side, rows in enumerate((stack.bwd, stack.fwd)):
-                q = weighted(rows, self._nodes.prior_stack(ends[side], rows.shape[2]))
+        for stack, pair in zip(self._stacks, pairs):
+            halves = self._halves[stack.edges].T.tolist()
+            for side, q in enumerate(pair):
                 q.setflags(write=False)
                 for h, row in zip(halves[side], q):
                     out[h] = row
@@ -1179,10 +1190,17 @@ class TreeNetwork:
         return self._scalars
 
     def record_decay(
-        self, constants: DecayConstants, scalars: BinaryScalars | None = None
+        self,
+        constants: DecayConstants,
+        scalars: BinaryScalars | None = None,
+        weighted: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
     ) -> None:
-        """Attach what the consistency pass derived from this tree."""
-        vars(self).update(_decay=constants, _scalars=scalars)
+        """Attach what the consistency pass derived from this tree: its
+        decay constants, its float form if it has one, and, if given, the
+        weighted factors at the priors of every factor stack, in stack
+        order, as the pair (from ``bwd``, from ``fwd``), which
+        ``weighted_factors`` then reads instead of computing them."""
+        vars(self).update(_decay=constants, _scalars=scalars, _weighted=weighted)
 
     @cached_property
     def _member_home(self) -> dict[str, int]:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import accept
 from .engine import QuerySession
 from .errors import ApproxPreconditionError
 from .model import Evidence, TreeNetwork
@@ -82,11 +83,9 @@ def verify_profile(tree: TreeNetwork, profile: DecayProfile):
     when that shortcut cannot accept, so decisions and witnesses are the
     scan's own.  The scan reads the prior and factor stacks in a few
     numpy calls per stack, with the arithmetic of
-    ``compiler.reconstruct_dense``, and names the first failing node in
+    ``accept.reconstruct_dense``, and names the first failing node in
     ident order, else the first failing edge in ``tree.edges`` order.
     """
-    from . import compiler
-
     decay = tree.decay
     if (
         decay is not None
@@ -110,7 +109,7 @@ def verify_profile(tree: TreeNetwork, profile: DecayProfile):
         return False, f"node {nodes.names[k]}: p(false)p(true) = {products[k]:.4g} <= eta"
     first, value = len(tree.edge_ends), math.nan
     for stack in tree.factor_stacks:
-        couplings = compiler.binary_couplings(tree, stack)
+        couplings = accept.binary_couplings(tree, stack)
         high = np.flatnonzero(~(couplings < profile.alpha))
         if high.size and stack.edges[high[0]] < first:
             first, value = int(stack.edges[high[0]]), float(couplings[high[0]])

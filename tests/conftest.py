@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import sensbn
-from sensbn import compiler, fixtures
+from sensbn import accept, compiler, fixtures
 from sensbn.model import FactorStack, TreeNetwork
 
 # interpreters the tests start import the same sensbn as the tests
@@ -72,12 +72,12 @@ def unchecked_copy(tree, stacks=None):
 
 
 def accepted_without_table_check(*args):
-    """``compiler.accept_precompiled(*args)`` with the load-time check of
+    """``accept.accept_precompiled(*args)`` with the load-time check of
     the rebuilt conditional tables switched off and every other part of
     the load pass kept, float form included: for trees whose couplings
     are no sensitivity, built to reach the engine's own refusals."""
-    with mock.patch.object(compiler, "TABLE_TOL", math.inf):
-        return compiler.accept_precompiled(*args)
+    with mock.patch.object(accept, "TABLE_TOL", math.inf):
+        return accept.accept_precompiled(*args)
 
 
 def bumped_factor(tree, key, delta):

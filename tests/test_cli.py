@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sensbn import cli, compiler, fileio, fixtures, oracle
+from sensbn import accept, cli, fileio, fixtures, oracle
 from sensbn.fixtures import FIXTURE_DIR
 from sensbn.generators import random_tree_network
 from sensbn.algebra import QRFactors
@@ -428,10 +428,10 @@ class TestValidate:
             "--group", "x_C,x_E,x_G", "-o", str(out_file),
         )
         calls, checks = [], []
-        joint, check = oracle.joint, compiler.check_tree_consistency
+        joint, check = oracle.joint, accept.check_tree_consistency
         monkeypatch.setattr(oracle, "joint", lambda net: calls.append(net) or joint(net))
         monkeypatch.setattr(
-            compiler, "check_tree_consistency", lambda tree: checks.append(tree) or check(tree)
+            accept, "check_tree_consistency", lambda tree: checks.append(tree) or check(tree)
         )
         code, out, err = run(capsys, "validate", "asia.net", str(out_file), "--samples", "10")
         assert code == 0
@@ -651,8 +651,9 @@ class TestEntryPoint:
         assert "0.68" in proc.stdout
 
     def test_commands_load_only_the_modules_they_run(self, tmp_path):
-        """A compile loads no engine, and an exact query on a compiled tree
-        loads neither the oracle, the generators nor the truncation."""
+        """A compile loads no engine; an exact query on a compiled tree
+        loads neither the oracle, the generators nor the truncation; and
+        no query or report loads the network compiler."""
         tree_file = tmp_path / "asia.tree"
         script = (
             "import sys\n"
@@ -664,6 +665,11 @@ class TestEntryPoint:
             "compile": ["compile", "asia.net", "-o", str(tree_file)],
             "misq": ["query", str(tree_file), "--query", "x_H", "--evidence", "x_A=true"],
             "simq": ["query", str(tree_file), "--query", "x_H", "--engine", "simq"],
+            "approx": [
+                "query", str(DATA / "chain.tree"), "--query", "v0", "--evidence", "v3=1",
+                "--approx", "epsilon=0.1", "alpha=0.9", "eta=0.09",
+            ],
+            "report": ["report", str(tree_file)],
         }
         loaded = {}
         for name, argv in runs.items():
@@ -677,6 +683,10 @@ class TestEntryPoint:
         for name in ("misq", "simq"):
             assert "sensbn.engine" in loaded[name]
             assert not loaded[name] & {"sensbn.oracle", "sensbn.generators", "sensbn.truncation"}
+        assert "sensbn.truncation" in loaded["approx"]
+        for name in ("misq", "simq", "approx", "report"):
+            assert "sensbn.accept" in loaded[name]
+            assert "sensbn.compiler" not in loaded[name]
 
     def test_compile_and_query_run_with_scipy_blocked(self, tmp_path):
         """The package needs numpy alone: with scipy made unimportable, a

@@ -4,18 +4,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sensbn import algebra, compiler, fileio, oracle
+from sensbn import accept, algebra, compiler, fileio, oracle
 from sensbn.algebra import QRFactors
-from sensbn.compiler import (
-    ClusterPlan,
+from sensbn.accept import (
     accept_precompiled,
     check_tree_consistency,
-    compile_network,
     factor_pairs,
+    reconstruct_dense,
+)
+from sensbn.compiler import (
+    ClusterPlan,
+    compile_network,
     moralize,
     plan_clusters,
     plan_violations,
-    reconstruct_dense,
 )
 from sensbn.errors import (
     ConsistencyError,
@@ -654,10 +656,10 @@ class TestBatchedLoad:
         probe = 1e-6
         for edge in (early, late):
             per_delta = scalar_error(bumped(tree, edge, probe), *edge) / probe
-            inside = bumped(tree, edge, 0.5 * compiler.CONSISTENCY_TOL / per_delta)
+            inside = bumped(tree, edge, 0.5 * accept.CONSISTENCY_TOL / per_delta)
             check_tree_consistency(inside)
             assert inside.decay is not None
-            past = bumped(tree, edge, 2.0 * compiler.CONSISTENCY_TOL / per_delta)
+            past = bumped(tree, edge, 2.0 * accept.CONSISTENCY_TOL / per_delta)
             with pytest.raises(
                 ConsistencyError, match=f"^edge {name(edge)}: stored factors disagree by "
             ):
@@ -680,11 +682,11 @@ class TestBatchedLoad:
             for st in tree.factor_stacks:
                 p_a = nodes.prior_stack(ends[st.edges, 0], st.bwd.shape[2])
                 p_b = nodes.prior_stack(ends[st.edges, 1], st.fwd.shape[2])
-                s_ab = compiler._dense_couplings(st.fwd, st.bwd, p_a)
+                s_ab = accept._dense_couplings(algebra.weighted(st.bwd, p_a), st.fwd)
                 want = (st.bwd @ algebra.weight_matrix(p_a)).transpose(0, 2, 1) @ st.fwd
                 scale = np.maximum(1.0, np.abs(want).max(axis=(1, 2), initial=0.0))
                 assert (np.abs(s_ab - want).max(axis=(1, 2), initial=0.0) <= tol * scale).all()
-                back = compiler._reversed_dense(s_ab, p_a, p_b)
+                back = accept._reversed_dense(s_ab, p_a, p_b)
                 for k in range(len(st.edges)):
                     ref = algebra.reverse_dense(s_ab[k], p_a[k], p_b[k])
                     bound = tol * max(1.0, np.abs(ref).max(initial=0.0))
@@ -693,7 +695,7 @@ class TestBatchedLoad:
         for tree in trees:
             check_tree_consistency(tree)
             for a, b in tree.edges:
-                compiler.reconstruct_dense(tree, a, b)
+                reconstruct_dense(tree, a, b)
 
     def test_check_makes_as_many_numpy_calls_on_a_longer_chain(self):
         counts = {}
@@ -762,9 +764,9 @@ class TestSensitivityCheck:
         # 0.8 per unit of c
         spaces, priors = two_binary_nodes()
         for k, loads in ((0.0, True), (0.9, True), (1.1, False), (2.0, False)):
-            pair = {(0, 1): QRFactors(UNIT, (0.5 + k * compiler.TABLE_TOL / 0.8) * UNIT)}
+            pair = {(0, 1): QRFactors(UNIT, (0.5 + k * accept.TABLE_TOL / 0.8) * UNIT)}
             built = accepted_without_table_check(spaces, priors, pair)
-            assert (table_spill(built, 0, 1) <= compiler.TABLE_TOL) == loads
+            assert (table_spill(built, 0, 1) <= accept.TABLE_TOL) == loads
             if loads:
                 assert accept_precompiled(spaces, priors, pair).decay is not None
             else:
@@ -775,7 +777,7 @@ class TestSensitivityCheck:
         """The loosest of them, asia's four-digit published factors,
         rebuilds an entry at -7.5e-5."""
         spill = max(table_spill(asia_tables, a, b) for a, b in asia_tables.edges)
-        assert 5e-5 < spill < compiler.TABLE_TOL
+        assert 5e-5 < spill < accept.TABLE_TOL
         for name in DATA_TREES:
             tree = data_tree(name)
             assert max(table_spill(tree, a, b) for a, b in tree.edges) < spill
@@ -791,8 +793,8 @@ class TestSensitivityCheck:
 
         for edge in (early, late):
             wild = scaled(tree, edge, 1e3)
-            assert table_spill(wild, *edge) > compiler.TABLE_TOL
-            assert scalar_error(wild, *edge) <= compiler.CONSISTENCY_TOL
+            assert table_spill(wild, *edge) > accept.TABLE_TOL
+            assert scalar_error(wild, *edge) <= accept.CONSISTENCY_TOL
             with pytest.raises(
                 ConsistencyError, match=f"^edge {name(edge)}: the factors are no sensitivity"
             ):
@@ -835,6 +837,11 @@ class TestOneBuildPath:
         for name in DATA_TREES:
             yield data_tree(name)
         yield binary_chain_tree(np.random.default_rng(3), 30)
+
+    def test_the_compiler_reexports_the_load_pass(self):
+        for name in ("accept_precompiled", "check_tree_consistency", "accept_batches",
+                     "factor_pairs"):
+            assert getattr(compiler, name) is getattr(accept, name)
 
     def test_every_built_tree_is_checked(self, asia_net, asia_tables):
         kinds = set()

@@ -11,6 +11,7 @@ import pytest
 
 from sensbn import algebra, compiler, engine, fileio, oracle, truncation
 from sensbn.engine import QuerySession
+from sensbn.fixtures import FIXTURE_DIR
 from sensbn.errors import (
     ConsistencyError,
     DimensionMismatchError,
@@ -1906,6 +1907,29 @@ class TestWeightedFactorCache:
                 assert not q.flags.writeable
                 assert q.shape == want.shape and q.tobytes() == want.tobytes()
                 assert tree.weighted_factors[h] is q
+
+    def test_a_loaded_tree_reads_them_off_the_load_check(self, monkeypatch):
+        """The load check hands the weighted factors it formed to a tree
+        with no float form: reading them calls no ``algebra.weighted``
+        and gives the bytes that computing them gives.  A tree with a float
+        form keeps none."""
+        for path in (DATA / "asia_grouped.tree", DATA / "random_grouped.tree",
+                     FIXTURE_DIR / "asia_tables.tree"):
+            tree = fileio.load_tree(path)
+            assert tree.scalars is None
+            want = unchecked_copy(tree).weighted_factors
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(algebra, "weighted", lambda *args: calls.append(args))
+                got = tree.weighted_factors
+            assert calls == []
+            assert len(got) == len(want)
+            for q, w in zip(got, want):
+                assert not q.flags.writeable
+                assert q.shape == w.shape and q.tobytes() == w.tobytes()
+        for name in ("chain", "random_binary"):
+            tree = fileio.load_tree(DATA / f"{name}.tree")
+            assert tree.scalars is not None and tree._weighted is None
 
     def test_a_fresh_session_reads_the_entries(self, asia_compiled):
         ev = Evidence.of({"x_A": 1, "x_D": 1})

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tree_corpus
-from sensbn import algebra, cli, compiler, fileio
+from sensbn import accept, algebra, cli, compiler, fileio
 from sensbn.errors import ParseError, ZeroMassError
 from sensbn.generators import binary_chain_tree, random_groupings, random_tree_network
 from sensbn.model import CompoundNode, Distribution, StateSpace, validate_network
@@ -216,7 +216,7 @@ class TestColumnarLoad:
         if tree.decay.all_binary:
             couplings = [
                 abs(float(d[1, 1] - d[1, 0]))
-                for d in (compiler.reconstruct_dense(tree, a, b) for a, b in tree.edges)
+                for d in (accept.reconstruct_dense(tree, a, b) for a, b in tree.edges)
             ]
             assert tree.decay.max_coupling == max(couplings)
 

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sensbn import compiler, engine, fileio, oracle, truncation
+from sensbn import accept, compiler, engine, fileio, oracle, truncation
 from sensbn.engine import QuerySession
 from sensbn.errors import ApproxPreconditionError
 from sensbn.generators import binary_chain_network, binary_chain_tree
@@ -385,7 +385,7 @@ class TestDecayConstants:
         tree = chain(seed, length=40, coupling_lo=0.5)
         couplings = []
         for a, b in tree.edges:
-            dense = compiler.reconstruct_dense(tree, a, b)
+            dense = accept.reconstruct_dense(tree, a, b)
             couplings.append(abs(float(dense[1, 1] - dense[1, 0])))
         products = [float(c.prior.probs[0] * c.prior.probs[1]) for c in tree.compounds]
         assert tree.decay.all_binary
@@ -424,14 +424,14 @@ class TestDecayConstants:
     def test_accept_reads_no_coupling_and_the_scan_reads_the_stacks(self, monkeypatch):
         tree = chain(14, length=60)
         calls = []
-        original = compiler.binary_couplings
+        original = accept.binary_couplings
 
         def spy(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(compiler, "binary_couplings", spy)
-        monkeypatch.setattr(compiler, "reconstruct_dense", None)
+        monkeypatch.setattr(accept, "binary_couplings", spy)
+        monkeypatch.setattr(accept, "reconstruct_dense", None)
         assert verify_profile(tree, DecayProfile(0.9, 0.09, 0.1)) == (True, None)
         assert calls == []
         # the scan of a tree without constants reads each factor stack once
@@ -465,7 +465,7 @@ class TestDecayConstants:
 def couplings_by_edge(tree):
     out = {}
     for a, b in tree.edges:
-        dense = compiler.reconstruct_dense(tree, a, b)
+        dense = accept.reconstruct_dense(tree, a, b)
         out[(a, b)] = abs(float(dense[1, 1] - dense[1, 0]))
     return out
 
